@@ -73,6 +73,9 @@ from .synth import SynthConfig, generate, verify_outputs, write_verify_report
 
 log = logging.getLogger(__name__)
 
+# --threads stays so existing command lines run; it changes nothing, so no manifest records it.
+THREADS_HELP = "accepted for compatibility; has no effect (the null runs in batches)"
+
 
 class VerificationFailed(Exception):
     """One or more ground-truth checks failed."""
@@ -419,11 +422,12 @@ def _heatmap_categories(survey_meta) -> dict[str, str]:
 @cli.command()
 @click.option("--mobile", type=click.Path(), required=True)
 @click.option("--survey-matrix", type=click.Path(), required=True)
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=int, default=None, required=False)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              expose_value=False, help=THREADS_HELP)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def null(mobile, survey_matrix, trials, seed, threads, out):
+def null(mobile, survey_matrix, trials, seed, out):
     """Shuffled-sector null distribution of |r|."""
     seed = _require(seed, "seed")
     mobile_path = _require_file(mobile, "mobile")
@@ -434,11 +438,8 @@ def null(mobile, survey_matrix, trials, seed, threads, out):
         read_sector_matrix(survey_path, count_column="n_households"),
         trials=trials,
         seed=seed,
-        threads=threads,
     )
     write_null_summary(summary, out_dir / "null_summary.csv")
-    # threads is an execution knob that never changes results, so it stays
-    # out of the manifest: re-runs at any worker count are byte-identical.
     _write_manifest(
         out_dir,
         "null",
@@ -543,19 +544,20 @@ def verify(truth, outputs_dir, out):
               help="directory with cdr/topup/towers/survey/survey_meta/poverty csv files")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              expose_value=False, help=THREADS_HELP)
 @click.option("--strict", is_flag=True)
 @click.option("--night-window", default="18:00-08:00", show_default=True)
 @click.option("--min-users", type=int, default=DEFAULT_MIN_USERS, show_default=True)
 @click.option("--ci-level", type=float, default=0.95, show_default=True)
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--target", default="food_expenditure", show_default=True)
 @click.option("--variables", default="topup_sum.mean,topup_mean.mean", show_default=True)
 @click.option("--degree", type=click.IntRange(1, 2), default=2, show_default=True)
 @click.option("--window-days", type=int, default=30, show_default=True)
 @click.option("--heatmap-data", is_flag=True)
 @click.option("--scatter-data", is_flag=True)
-def run_all(in_dir, out, seed, threads, strict, night_window, min_users, ci_level,
+def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
             trials, target, variables, degree, window_days, heatmap_data, scatter_data):
     """Run the full chain: features, aggregate, indices, correlate, null,
     fit, rolling."""
@@ -600,8 +602,7 @@ def run_all(in_dir, out, seed, threads, strict, night_window, min_users, ci_leve
         write_heatmap_data(entries, categories, out_dir / "heatmap.csv")
         outputs.append("heatmap.csv")
 
-    summary = shuffle_null(mobile_matrix, survey_matrix, trials=trials, seed=seed,
-                           threads=threads)
+    summary = shuffle_null(mobile_matrix, survey_matrix, trials=trials, seed=seed)
     write_null_summary(summary, out_dir / "null_summary.csv")
     outputs.append("null_summary.csv")
 

@@ -11,8 +11,8 @@ records its own n.
 Significance follows the standard Student-t transform of r; intervals use
 the Fisher z-transform. The null distribution permutes the survey side's
 sector order uniformly at random, recomputes every correlation, and pools
-|r|; trials derive per-trial seeds from one master seed, so results are
-reproducible regardless of how trials are scheduled.
+|r|; trials derive per-trial seeds from one master seed and are evaluated
+in stacked batches, so results do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -116,56 +115,84 @@ def _joined_arrays(
     return common, mobile.values[mrows], survey.values[srows]
 
 
-def _corr_grid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs correlations between columns of x and columns of y with
-    pairwise deletion. Returns (r, n); undefined cells are NaN in r.
+# Float64 elements of permuted survey columns one null batch may hold.
+_BATCH_ELEMENTS = 1 << 16
 
-    Pairs of NaN-free columns go through one standardized matrix product;
-    only pairs touching a column with missing cells take the per-pair
-    masked path.
+
+def _corr_kernel(
+    x: np.ndarray, y: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """All-pairs correlations between the columns of x and of y[perm] with
+    pairwise deletion, for each row of a (B, n) stack of permutations.
+
+    The returned function gives (r, n), each (B, x cols, y cols); undefined
+    cells are NaN in r. NaN-free column pairs take one standardized product
+    per stack, pairs of a NaN-free mobile column are grouped by the survey
+    side's mask, and the rest take ``pearson`` per pair. Each value is
+    bit-identical to evaluating one permutation at a time: the C-contiguous
+    layouts below keep numpy's reductions and BLAS calls as they are then.
     """
     n_rows = x.shape[0]
-    fx = np.isfinite(x)
-    fy = np.isfinite(y)
-    r = np.full((x.shape[1], y.shape[1]), np.nan, dtype=np.float64)
-    ns = np.zeros((x.shape[1], y.shape[1]), dtype=np.int64)
-    x_complete = np.flatnonzero(fx.all(axis=0))
-    y_complete = np.flatnonzero(fy.all(axis=0))
-    if x_complete.size and y_complete.size:
-        ns[np.ix_(x_complete, y_complete)] = n_rows
-        if n_rows >= 3:
-            xs = _standardize_columns(x[:, x_complete])
-            ys = _standardize_columns(y[:, y_complete])
+    fx, fy = np.isfinite(x), np.isfinite(y)
+    x_ok, y_ok = fx.all(axis=0), fy.all(axis=0)
+    x_complete = np.flatnonzero(x_ok)
+    block_rows, block_cols = np.ix_(x_complete, np.flatnonzero(y_ok))
+    xt = np.ascontiguousarray(x[:, x_ok].T)
+    yt = np.ascontiguousarray(y[:, y_ok].T)
+    xs = _standardize(xt) if n_rows >= 3 else None
+    # Survey columns with missing cells, grouped by where they miss: the
+    # columns of a group share each trial's mask and mobile-side sums.
+    groups: dict[bytes, list[int]] = {}
+    for j in np.flatnonzero(~y_ok):
+        groups.setdefault(fy[:, j].tobytes(), []).append(j)
+
+    def grids(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = np.full((len(perms), x.shape[1], y.shape[1]), np.nan, dtype=np.float64)
+        ns = np.zeros(r.shape, dtype=np.int64)
+        ns[:, block_rows, block_cols] = n_rows
+        if xs is not None:
+            # (B, q, n) C-contiguous stack, fed to matmul as (B, n, q) views.
+            ys = _standardize(yt[np.arange(len(yt))[:, None], perms[:, None, :]])
             with np.errstate(invalid="ignore"):
-                block = (xs.T @ ys) / (n_rows - 1)
-            r[np.ix_(x_complete, y_complete)] = np.clip(block, -1.0, 1.0)
-    x_done = set(x_complete.tolist())
-    y_done = set(y_complete.tolist())
-    for i in range(x.shape[1]):
-        xi = x[:, i]
-        fi = fx[:, i]
-        for j in range(y.shape[1]):
-            if i in x_done and j in y_done:
-                continue
-            mask = fi & fy[:, j]
-            k = int(mask.sum())
-            ns[i, j] = k
-            if k < 3:
-                continue
-            value = pearson(xi[mask], y[mask, j])
-            if value is not None:
-                r[i, j] = value
-    return r, ns
+                block = np.matmul(xs, ys.transpose(0, 2, 1)) / (n_rows - 1)
+            r[:, block_rows, block_cols] = np.clip(block, -1.0, 1.0)
+        for b, perm in enumerate(perms):
+            for cols in groups.values():
+                mask = fy[perm, cols[0]]
+                ns[b, x_complete[:, None], cols] = k = int(mask.sum())
+                if k < 3 or not x_complete.size:
+                    continue
+                xm = np.ascontiguousarray(xt[:, mask])
+                xcs = xm - xm.mean(axis=1, keepdims=True)
+                sxxs = [float(np.dot(xc, xc)) for xc in xcs]
+                for j in cols:
+                    ya = y[perm, j][mask]
+                    yc = ya - ya.mean()
+                    syy = float(np.dot(yc, yc))
+                    for i, xc, sxx in zip(x_complete, xcs, sxxs):
+                        if sxx > 0.0 and syy > 0.0:
+                            value = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
+                            r[b, i, j] = max(-1.0, min(1.0, value))
+            for i in np.flatnonzero(~x_ok):
+                for j in range(y.shape[1]):
+                    mask = fx[:, i] & fy[perm, j]
+                    ns[b, i, j] = k = int(mask.sum())
+                    value = pearson(x[mask, i], y[perm, j][mask]) if k >= 3 else None
+                    if value is not None:
+                        r[b, i, j] = value
+        return r, ns
+
+    return grids
 
 
-def _standardize_columns(a: np.ndarray) -> np.ndarray:
-    """Center and scale columns to unit sample (n-1) variance; constant
-    columns come out as NaN, which marks the correlation undefined."""
-    mu = a.mean(axis=0)
-    sd = a.std(axis=0, ddof=1)
+def _standardize(a: np.ndarray) -> np.ndarray:
+    """Center and scale along the last axis to unit sample (n-1) variance;
+    constant rows come out as NaN, which marks the correlation undefined."""
+    mu = a.mean(axis=-1, keepdims=True)
+    sd = a.std(axis=-1, ddof=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (a - mu) / sd
-    out[:, sd == 0.0] = np.nan
+    np.copyto(out, np.nan, where=sd == 0.0)
     return out
 
 
@@ -185,7 +212,7 @@ def correlation_matrix(
             "correlation join has only %d common sector(s); every entry undefined",
             len(common),
         )
-    r, ns = _corr_grid(x, y)
+    (r,), (ns,) = _corr_kernel(x, y)(np.arange(len(common))[None, :])
     entries: list[CorrelationEntry] = []
     for i, mobile_var in enumerate(mobile.columns):
         for j, survey_var in enumerate(survey.columns):
@@ -217,47 +244,49 @@ def shuffle_null(
     survey: SectorMatrix,
     trials: int,
     seed: int,
-    threads: int = 1,
-    perm_fn: Callable[[np.random.Generator, int], np.ndarray] | None = None,
 ) -> NullSummary:
     """Null |r| distribution from randomly permuted sector alignment.
 
     Each trial permutes the survey matrix's sector order uniformly at random
     (permuting one side is equivalent to permuting either), recomputes the
     full correlation grid, and pools the defined |r| values; the summary
-    reports pooled quantiles and the overall max. ``perm_fn`` is a test hook
-    replacing the uniform permutation draw.
+    reports pooled quantiles and the overall max.
 
-    Trial t draws from a child seed spawned from ``seed``, so the result is
-    identical for any ``threads`` value and any scheduling order.
+    Trial t draws from a child seed spawned from ``seed``. Trials are
+    evaluated in batches of stacked permutations, and the result is
+    identical for any batch size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _, x, y = _joined_arrays(mobile, survey)
     n = x.shape[0]
     children = np.random.SeedSequence(seed).spawn(trials)
-
-    def run_trial(t: int) -> tuple[np.ndarray, ...]:
-        rng = np.random.default_rng(children[t])
-        perm = perm_fn(rng, n) if perm_fn is not None else rng.permutation(n)
-        r, _ = _corr_grid(x, y[perm])
-        return (np.abs(r[np.isfinite(r)]).ravel(),)
-
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = [p[0] for p in pool.map(run_trial, range(trials))]
-    else:
-        parts = [run_trial(t)[0] for t in range(trials)]
-    pooled = np.concatenate(parts) if parts else np.empty(0)
-    if pooled.size == 0:
-        raise ValueError("no defined correlations in any trial")
-    p50, p95, p99 = np.quantile(pooled, [0.50, 0.95, 0.99])
+    grids = _corr_kernel(x, y)
+    batch = max(1, _BATCH_ELEMENTS // max(1, y.size))
+    pooled = np.empty(trials * x.shape[1] * y.shape[1])
+    size = 0
+    for start in range(0, trials, batch):
+        perms = np.array(
+            [np.random.default_rng(c).permutation(n) for c in children[start:start + batch]]
+        )
+        r, _ = grids(perms)
+        defined = np.abs(r[np.isfinite(r)])
+        pooled[size:size + defined.size] = defined
+        size += defined.size
+    del perms, r, defined
+    if size == 0:
+        raise FormatError("no defined correlation in any null trial: do 3+ sectors vary?")
+    pooled = pooled[:size]
+    abs_r_max = float(pooled.max())
+    # Quantiles depend only on the multiset of values, so partitioning the
+    # buffer in place is safe once the max is taken.
+    p50, p95, p99 = np.quantile(pooled, [0.50, 0.95, 0.99], overwrite_input=True)
     return NullSummary(
         trials=trials,
         abs_r_p50=float(p50),
         abs_r_p95=float(p95),
         abs_r_p99=float(p99),
-        abs_r_max=float(pooled.max()),
+        abs_r_max=abs_r_max,
     )
 
 

@@ -153,7 +153,7 @@ def null_scaling(tmp_path_factory):
         )
         paths = generate(cfg, base)
         _, mobile, survey = mini_pipeline(paths)
-        out[n_sectors] = shuffle_null(mobile, survey, trials=1000, seed=99, threads=2)
+        out[n_sectors] = shuffle_null(mobile, survey, trials=1000, seed=99)
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from foodsec.cli import main
 
 
@@ -59,6 +61,35 @@ class TestExitCodes:
                   "--out", tmp_path])
         assert rc == 1
         assert "target" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--threads", "-3")])
+    def test_null_nonpositive_trials_or_threads_is_config_error(
+        self, medium_pipeline, tmp_path, flag, value
+    ):
+        rc = run(["null", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                  "--seed", "1", flag, value, "--out", tmp_path])
+        assert rc == 1
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--threads", "-3")])
+    def test_all_nonpositive_trials_or_threads_is_config_error(
+        self, medium_dataset, tmp_path, flag, value
+    ):
+        _, paths = medium_dataset
+        rc = run(["all", "--in", paths["cdr"].parent, "--out", tmp_path,
+                  "--seed", "1", "--min-users", "5", flag, value])
+        assert rc == 1
+
+    def test_null_without_any_defined_correlation_is_data_error(self, tmp_path, capsys):
+        # Two shared sectors: no pair reaches the 3 sectors a correlation needs.
+        (tmp_path / "mobile.csv").write_text("sector_id,m,n_users\ns1,1,30\ns2,2,30\n")
+        (tmp_path / "survey.csv").write_text("sector_id,v,n_households\ns1,1,10\ns2,3,10\n")
+        rc = run(["null", "--mobile", tmp_path / "mobile.csv",
+                  "--survey-matrix", tmp_path / "survey.csv",
+                  "--trials", "5", "--seed", "1", "--out", tmp_path / "out"])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestAllPipeline:

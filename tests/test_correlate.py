@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from foodsec import correlate
 from foodsec.aggregate import SectorMatrix
 from foodsec.correlate import (
+    NullSummary,
+    _corr_kernel,
+    _joined_arrays,
     correlation_matrix,
     fisher_ci,
     pearson,
@@ -19,6 +23,7 @@ from foodsec.correlate import (
     write_heatmap_data,
     write_null_summary,
 )
+from foodsec.ingest import FormatError
 
 
 def pearson_textbook(x, y):
@@ -246,6 +251,152 @@ class TestCorrelationMatrix:
         assert lines[1].startswith("m,v,1") and lines[1].endswith("V2")
 
 
+def standardize_columns_oracle(a):
+    mu = a.mean(axis=0)
+    sd = a.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (a - mu) / sd
+    out[:, sd == 0.0] = np.nan
+    return out
+
+
+def corr_grid_oracle(x, y):
+    """Reference for the batched kernel, one permutation at a time: one
+    standardized product for NaN-free column pairs, then a per-pair masked
+    ``pearson`` for every other pair."""
+    n_rows = x.shape[0]
+    fx = np.isfinite(x)
+    fy = np.isfinite(y)
+    r = np.full((x.shape[1], y.shape[1]), np.nan, dtype=np.float64)
+    ns = np.zeros((x.shape[1], y.shape[1]), dtype=np.int64)
+    x_complete = np.flatnonzero(fx.all(axis=0))
+    y_complete = np.flatnonzero(fy.all(axis=0))
+    if x_complete.size and y_complete.size:
+        ns[np.ix_(x_complete, y_complete)] = n_rows
+        if n_rows >= 3:
+            xs = standardize_columns_oracle(x[:, x_complete])
+            ys = standardize_columns_oracle(y[:, y_complete])
+            with np.errstate(invalid="ignore"):
+                block = (xs.T @ ys) / (n_rows - 1)
+            r[np.ix_(x_complete, y_complete)] = np.clip(block, -1.0, 1.0)
+    x_done = set(x_complete.tolist())
+    y_done = set(y_complete.tolist())
+    for i in range(x.shape[1]):
+        for j in range(y.shape[1]):
+            if i in x_done and j in y_done:
+                continue
+            mask = fx[:, i] & fy[:, j]
+            k = int(mask.sum())
+            ns[i, j] = k
+            if k < 3:
+                continue
+            value = pearson(x[mask, i], y[mask, j])
+            if value is not None:
+                r[i, j] = value
+    return r, ns
+
+
+def null_oracle(x, y, trials, seed):
+    """Per-trial null pooled by concatenation: (perms, grids, summary),
+    summary None when no trial has a defined correlation."""
+    n = x.shape[0]
+    children = np.random.SeedSequence(seed).spawn(trials)
+    perms = np.array([np.random.default_rng(c).permutation(n) for c in children])
+    grids = [corr_grid_oracle(x, y[perm]) for perm in perms]
+    pooled = np.concatenate([np.abs(r[np.isfinite(r)]).ravel() for r, _ in grids])
+    if pooled.size == 0:
+        return perms, grids, None
+    p50, p95, p99 = np.quantile(pooled, [0.50, 0.95, 0.99])
+    summary = NullSummary(trials, float(p50), float(p95), float(p99), float(pooled.max()))
+    return perms, grids, summary
+
+
+@st.composite
+def gappy_matrices(draw):
+    """(x, y) with NaN cells on both sides, columns sharing one gap pattern,
+    constant columns and columns with fewer than 3 finite cells mixed among
+    complete ones."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["complete", "gaps", "shared_gaps", "constant", "sparse"])
+    shared_gaps = rng.uniform(size=n) < 0.3
+
+    def column(kind):
+        if kind == "constant":
+            c = np.full(n, rng.normal())
+        else:
+            c = rng.normal(size=n) * rng.uniform(0.1, 10.0) + rng.uniform(-5.0, 5.0)
+        if kind == "gaps":
+            c[rng.uniform(size=n) < 0.3] = np.nan
+        elif kind == "shared_gaps":
+            c[shared_gaps] = np.nan
+        elif kind == "sparse":
+            c[rng.permutation(n)[2:]] = np.nan
+        return c
+
+    x = np.column_stack([column(k) for k in draw(st.lists(kinds, min_size=1, max_size=4))])
+    y = np.column_stack([column(k) for k in draw(st.lists(kinds, min_size=1, max_size=5))])
+    return x, y
+
+
+def as_matrices(x, y):
+    sectors = [f"s{i:03d}" for i in range(x.shape[0])]
+    return (
+        matrix(sectors, [f"m{i}" for i in range(x.shape[1])], x),
+        matrix(sectors, [f"v{j}" for j in range(y.shape[1])], y),
+    )
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("trials_per_batch", [1, 3, None])
+    @settings(max_examples=40, deadline=None)
+    @given(gappy_matrices(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_batched_null_equals_per_trial_oracle(self, trials_per_batch, xy, trials, seed):
+        x, y = xy
+        per_batch = trials_per_batch or trials
+        perms, expected, summary = null_oracle(x, y, trials, seed)
+        grids = _corr_kernel(x, y)
+        for start in range(0, trials, per_batch):
+            r, ns = grids(perms[start:start + per_batch])
+            for b, (r_exp, n_exp) in enumerate(expected[start:start + per_batch]):
+                assert np.array_equal(r[b], r_exp, equal_nan=True)
+                assert np.array_equal(ns[b], n_exp)
+        mobile, survey = as_matrices(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlate, "_BATCH_ELEMENTS", per_batch * y.size)
+            if summary is None:
+                with pytest.raises(FormatError):
+                    shuffle_null(mobile, survey, trials=trials, seed=seed)
+            else:
+                assert shuffle_null(mobile, survey, trials=trials, seed=seed) == summary
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(3, 60),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["mobile", "survey", "both"]),
+    )
+    def test_masked_path_equals_complete_path_on_nan_free_columns(
+        self, n, qx, qy, seed, gap_side
+    ):
+        # One extra sector, blank on gap_side, sends every pair down a masked
+        # path whose mask keeps exactly the original NaN-free sectors.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, qx)) * rng.uniform(0.1, 10.0, size=qx)
+        y = rng.normal(size=(n, qy)) + rng.uniform(-5.0, 5.0, size=qy)
+        x_extra = np.full((1, qx), np.nan if gap_side != "survey" else 1.0)
+        y_extra = np.full((1, qy), np.nan if gap_side != "mobile" else 1.0)
+        (complete,), (n_complete,) = _corr_kernel(x, y)(np.arange(n)[None, :])
+        (masked,), (n_masked,) = _corr_kernel(
+            np.vstack([x, x_extra]), np.vstack([y, y_extra])
+        )(np.arange(n + 1)[None, :])
+        assert (n_masked == n).all() and (n_complete == n).all()
+        assert np.isfinite(complete).all() and np.isfinite(masked).all()
+        np.testing.assert_allclose(masked, complete, rtol=0, atol=1e-12)
+
+
 class TestShuffleNull:
     def build(self, n=40, seed=1):
         rng = np.random.default_rng(seed)
@@ -259,12 +410,12 @@ class TestShuffleNull:
 
     def test_identity_permutation_equals_unshuffled(self):
         mobile, survey = self.build()
-        summary = shuffle_null(
-            mobile, survey, trials=1, seed=0, perm_fn=lambda rng, n: np.arange(n)
-        )
-        expected = [abs(e.r) for e in correlation_matrix(mobile, survey) if e.defined]
-        assert summary.abs_r_max == pytest.approx(max(expected))
-        assert summary.abs_r_p50 == pytest.approx(float(np.quantile(expected, 0.5)))
+        _, x, y = _joined_arrays(mobile, survey)
+        (r,), _ = _corr_kernel(x, y)(np.arange(x.shape[0])[None, :])
+        entries = correlation_matrix(mobile, survey)
+        assert r.ravel().tolist() == [e.r for e in entries]
+        for e, (i, j) in zip(entries, np.ndindex(r.shape)):
+            assert e.r == pytest.approx(pearson(x[:, i], y[:, j]), abs=1e-12)
 
     def test_same_seed_is_deterministic(self):
         mobile, survey = self.build()
@@ -272,11 +423,19 @@ class TestShuffleNull:
         b = shuffle_null(mobile, survey, trials=50, seed=123)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
+    def test_batch_size_does_not_change_results(self, monkeypatch):
         mobile, survey = self.build()
-        a = shuffle_null(mobile, survey, trials=40, seed=9, threads=1)
-        b = shuffle_null(mobile, survey, trials=40, seed=9, threads=4)
-        assert a == b
+        expected = shuffle_null(mobile, survey, trials=40, seed=9)
+        trial_elements = survey.values.size
+        for per_batch in (1, 3, 40):
+            monkeypatch.setattr(correlate, "_BATCH_ELEMENTS", per_batch * trial_elements)
+            assert shuffle_null(mobile, survey, trials=40, seed=9) == expected
+
+    def test_no_defined_correlation_is_a_data_error(self):
+        mobile = matrix(["a", "b"], ["m"], [[1.0], [2.0]])
+        survey = matrix(["a", "b"], ["v"], [[1.0], [3.0]])
+        with pytest.raises(FormatError, match="no defined correlation"):
+            shuffle_null(mobile, survey, trials=5, seed=0)
 
     def test_different_seeds_differ(self):
         mobile, survey = self.build()
