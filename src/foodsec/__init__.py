@@ -5,25 +5,25 @@ survey data."""
 __version__ = "0.1.0"
 
 from .ingest import (  # noqa: F401
-    CallRecord,
+    CallColumns,
     FormatError,
     RowErrorLog,
     StrictModeError,
     SurveyTable,
-    TopUpRecord,
+    TopUpColumns,
     TowerSectorMap,
     load_survey,
     load_tower_map,
-    parse_cdr_stream,
-    parse_topup_stream,
+    read_cdr,
+    read_topups,
 )
 from .features import (  # noqa: F401
     FeatureConfig,
     UserFeatureVector,
-    assign_home_tower,
-    build_user_features,
+    home_towers,
     social_diversity,
-    topup_features,
+    topup_stats,
+    user_features,
 )
 from .aggregate import SectorMatrix, aggregate_sector, build_sector_matrix  # noqa: F401
 from .indices import (  # noqa: F401
@@ -48,7 +48,7 @@ from .models import (  # noqa: F401
     evaluate_model,
     fit_from_matrices,
     fit_model,
-    predict,
+    predict_rows,
 )
 from .rolling import SectorSeries, emit_overlay, rolling_sector_series  # noqa: F401
 from .synth import SynthConfig, generate, verify_outputs  # noqa: F401

@@ -42,9 +42,9 @@ from .correlate import (
     write_null_summary,
 )
 from .features import (
-    FeatureAccumulator,
     FeatureConfig,
     read_user_features,
+    user_features,
     write_user_features,
 )
 from .indices import (
@@ -59,8 +59,8 @@ from .ingest import (
     RowErrorLog,
     load_survey,
     load_tower_map,
-    parse_cdr_stream,
-    parse_topup_stream,
+    read_cdr,
+    read_topups,
 )
 from .models import fit_from_matrices, predict_rows, write_model, write_scatter_data
 from .rolling import (
@@ -166,18 +166,19 @@ def cli(ctx, config_path, verbose):
 
 
 def _stage_features(cdr, topup, towers, out, night_window, strict, home_hours, direction):
+    """Features from one pass over each input; the top-up columns and their
+    row errors are returned too, for the rolling series."""
     tower_map = load_tower_map(towers)
     cfg = FeatureConfig(
         night_window=parse_night_window(night_window),
         home_hours=home_hours,
         diversity_direction=direction,
     )
-    acc = FeatureAccumulator(cfg)
     cdr_errors = RowErrorLog(strict=strict)
     topup_errors = RowErrorLog(strict=strict)
-    acc.update_calls(parse_cdr_stream(cdr, cdr_errors))
-    acc.update_topups(parse_topup_stream(topup, topup_errors))
-    features, exclusions = acc.finalize(tower_map)
+    calls = read_cdr(cdr, cdr_errors, cfg.night_window, cfg.utc_offset_minutes)
+    topups = read_topups(topup, topup_errors)
+    features, exclusions = user_features(calls, topups, tower_map, cfg)
     if cdr_errors.count or topup_errors.count:
         log.warning("cdr: %s; topup: %s", cdr_errors.summary(), topup_errors.summary())
     write_user_features(features, out / "user_features.csv")
@@ -186,11 +187,19 @@ def _stage_features(cdr, topup, towers, out, night_window, strict, home_hours, d
         "excluded": dict(exclusions),
         "row_errors": {"cdr": cdr_errors.count, "topup": topup_errors.count},
     }
-    return features, stats
+    return features, stats, topups, topup_errors
 
 
 def _stage_indices(survey, survey_meta, fcs_weights, poor_max, borderline_max,
                    csi_weights, poverty, variables, strict, out):
+    defaults = FoodGroupWeights()
+    poor_max = defaults.poor_max if poor_max is None else poor_max
+    borderline_max = defaults.borderline_max if borderline_max is None else borderline_max
+    if not poor_max < borderline_max:
+        raise ConfigError(
+            f"config key 'fcs_poor_max' ({poor_max}) must be below "
+            f"'fcs_borderline_max' ({borderline_max})"
+        )
     errors = RowErrorLog(strict=strict)
     table = load_survey(survey, survey_meta, errors)
     if errors.count:
@@ -198,12 +207,7 @@ def _stage_indices(survey, survey_meta, fcs_weights, poor_max, borderline_max,
     if fcs_weights is not None:
         fcs = load_fcs_weights(fcs_weights, poor_max, borderline_max)
     else:
-        fcs = FoodGroupWeights(
-            poor_max=FoodGroupWeights().poor_max if poor_max is None else poor_max,
-            borderline_max=(
-                FoodGroupWeights().borderline_max if borderline_max is None else borderline_max
-            ),
-        )
+        fcs = FoodGroupWeights(poor_max=poor_max, borderline_max=borderline_max)
     csi = load_csi_weights(csi_weights) if csi_weights else None
     pov = load_poverty(poverty) if poverty else None
     wanted = [v.strip() for v in variables.split(",")] if variables else None
@@ -223,6 +227,9 @@ def _stage_fit(mobile, survey, target, variables, degree, scatter, out):
         raise ConfigError(
             f"config key 'variables': unknown mobile variable(s) {', '.join(unknown) or '<none>'}"
         )
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"config key 'variables': repeated variable(s) {', '.join(repeated)}")
     model, joined, y = fit_from_matrices(
         mobile, survey, target, degree=degree, variables=names
     )
@@ -234,14 +241,9 @@ def _stage_fit(mobile, survey, target, variables, degree, scatter, out):
     return model, outputs
 
 
-def _stage_rolling(topup, home, window_days, denominator, stock, strict, out):
-    errors = RowErrorLog(strict=strict)
+def _stage_rolling(topups, errors, home, window_days, denominator, stock, out):
     series = rolling_sector_series(
-        parse_topup_stream(topup, errors),
-        home,
-        period=None,
-        window_days=window_days,
-        denominator=denominator,
+        topups, home, period=None, window_days=window_days, denominator=denominator
     )
     if errors.count:
         log.warning("topup: %s", errors.summary())
@@ -296,7 +298,7 @@ def features(cdr, topup, towers, out, night_window, home_hours, diversity_direct
     topup = _require_file(topup, "topup")
     towers = _require_file(towers, "towers")
     out_dir = _out_dir(out)
-    _, stats = _stage_features(
+    _, stats, _, _ = _stage_features(
         cdr, topup, towers, out_dir, night_window, strict, home_hours, diversity_direction
     )
     _write_manifest(
@@ -490,7 +492,7 @@ def fit(mobile, survey_matrix, target, variables, degree, scatter_data, out):
 @cli.command()
 @click.option("--topup", type=click.Path(), required=True)
 @click.option("--user-features", "user_features_path", type=click.Path(), required=True)
-@click.option("--window-days", type=int, default=30, show_default=True)
+@click.option("--window-days", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--denominator", type=click.Choice(["period", "window"]), default="period")
 @click.option("--stock", type=click.Path(), default=None, help="optional date,label,percentage overlay")
 @click.option("--strict", is_flag=True)
@@ -502,8 +504,10 @@ def rolling(topup, user_features_path, window_days, denominator, stock, strict, 
     stock_path = _require_file(stock, "stock") if stock else None
     out_dir = _out_dir(out)
     home = {v.user_id: v.home_sector for v in read_user_features(features_path)}
+    errors = RowErrorLog(strict=strict)
+    topups = read_topups(topup, errors)
     series, outputs, stats = _stage_rolling(
-        topup, home, window_days, denominator, stock_path, strict, out_dir
+        topups, errors, home, window_days, denominator, stock_path, out_dir
     )
     _write_manifest(
         out_dir,
@@ -554,7 +558,7 @@ def verify(truth, outputs_dir, out):
 @click.option("--target", default="food_expenditure", show_default=True)
 @click.option("--variables", default="topup_sum.mean,topup_mean.mean", show_default=True)
 @click.option("--degree", type=click.IntRange(1, 2), default=2, show_default=True)
-@click.option("--window-days", type=int, default=30, show_default=True)
+@click.option("--window-days", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--heatmap-data", is_flag=True)
 @click.option("--scatter-data", is_flag=True)
 def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
@@ -574,7 +578,7 @@ def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
     outputs: list[str] = []
     stats: dict = {}
 
-    vectors, feature_stats = _stage_features(
+    vectors, feature_stats, topups, topup_errors = _stage_features(
         paths["cdr"], paths["topup"], paths["towers"], out_dir,
         night_window, strict, "night", "both",
     )
@@ -614,7 +618,7 @@ def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
 
     home = {v.user_id: v.home_sector for v in vectors}
     _, rolling_outputs, rolling_stats = _stage_rolling(
-        paths["topup"], home, window_days, "period", None, strict, out_dir
+        topups, topup_errors, home, window_days, "period", None, out_dir
     )
     outputs.extend(rolling_outputs)
     stats["rolling"] = rolling_stats

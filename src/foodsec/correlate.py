@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .aggregate import SectorMatrix
 from .ingest import FormatError, format_number
@@ -83,7 +83,8 @@ def pearson_p(r: float, n: int) -> float | None:
     if abs(r) >= 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stats.t.sf(abs(t), n - 2))
+    # Student-t survival function, the one scipy.stats.t.sf evaluates
+    return float(2.0 * special.stdtr(n - 2, -abs(t)))
 
 
 def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float] | None:
@@ -98,7 +99,7 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float] | No
         return None
     if abs(r) >= 1.0:
         return (float(r), float(r))
-    q = stats.norm.ppf(0.5 + level / 2.0)
+    q = special.ndtri(0.5 + level / 2.0)  # scipy.stats.norm.ppf
     z = math.atanh(r)
     half = q / math.sqrt(n - 3)
     return (math.tanh(z - half), math.tanh(z + half))

@@ -1,4 +1,4 @@
-"""Per-user features from call and top-up streams.
+"""Per-user features from the call and top-up columns.
 
 Three measures per user: a home tower (the tower with the most night-time
 originating calls, 18:00-08:00 local by default), top-up statistics over the
@@ -16,16 +16,23 @@ import csv
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta
+from dataclasses import dataclass
+from datetime import time
 from decimal import Decimal
 from typing import Iterable, Mapping
 
-from .ingest import CallRecord, FormatError, TopUpRecord, TowerSectorMap
+import numpy as np
+
+from .ingest import (
+    DEFAULT_NIGHT_WINDOW,
+    CallColumns,
+    FormatError,
+    TopUpColumns,
+    TowerSectorMap,
+    in_night_window,  # noqa: F401 - the night-window rule, re-exported
+)
 
 log = logging.getLogger(__name__)
-
-DEFAULT_NIGHT_WINDOW = (time(18, 0), time(8, 0))
 
 USER_FEATURE_HEADER = [
     "user_id",
@@ -37,10 +44,6 @@ USER_FEATURE_HEADER = [
     "topup_count",
     "social_diversity",
 ]
-
-
-class NoHomeError(ValueError):
-    """User has no calls, so no home tower can be assigned."""
 
 
 @dataclass(frozen=True)
@@ -69,246 +72,158 @@ class UserFeatureVector:
     social_diversity: float | None
 
 
-def in_night_window(t: time, window: tuple[time, time] = DEFAULT_NIGHT_WINDOW) -> bool:
-    """Half-open [start, end) check; a window with start > end wraps midnight."""
-    start, end = window
-    if start <= end:
-        return start <= t < end
-    return t >= start or t < end
+def _modal_rank(owners: np.ndarray, ranks: np.ndarray, n_owners: int) -> np.ndarray:
+    """Per owner, the most frequent rank (the smallest among equals); -1 for
+    owners without rows."""
+    best = np.full(n_owners, -1, dtype=np.int64)
+    if not len(owners):
+        return best
+    width = int(ranks.max()) + 1
+    keys, counts = np.unique(owners.astype(np.int64) * width + ranks, return_counts=True)
+    owner, rank = np.divmod(keys, width)
+    order = np.lexsort((rank, -counts, owner))
+    first = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
+    best[owner[first]] = rank[first]
+    return best
 
 
-def assign_home_tower(
-    calls: Iterable[CallRecord],
-    night_window: tuple[time, time] = DEFAULT_NIGHT_WINDOW,
-    utc_offset_minutes: int = 0,
-    home_hours: str = "night",
-) -> str:
-    """Home tower for one user's originating calls.
+def home_towers(calls: CallColumns, home_hours: str = "night") -> np.ndarray:
+    """Home tower code per user code; -1 for users who never call.
 
-    The tower with the most calls whose local time-of-day falls in the night
-    window wins; a user with zero night calls falls back to the all-hours
-    maximum. Ties break to the lexicographically smallest tower_id so the
-    result never depends on input order.
+    The tower with the most originating calls in the night window wins; a
+    user with zero night calls, or ``home_hours="all"``, takes the
+    all-hours maximum. Ties break to the lexicographically smallest
+    tower_id, so the result never depends on input order.
     """
-    night: Counter[str] = Counter()
-    all_hours: Counter[str] = Counter()
-    offset = timedelta(minutes=utc_offset_minutes)
-    for rec in calls:
-        all_hours[rec.tower_id] += 1
-        if in_night_window((rec.timestamp + offset).time(), night_window):
-            night[rec.tower_id] += 1
-    if not all_hours:
-        raise NoHomeError("no calls: cannot assign a home tower")
-    counts = night if (home_hours == "night" and night) else all_hours
-    return min(counts, key=lambda tower: (-counts[tower], tower))
+    by_id = sorted(range(len(calls.towers)), key=calls.towers.__getitem__)
+    rank = np.empty(len(by_id), dtype=np.int64)
+    rank[by_id] = np.arange(len(by_id))
+    ranks = rank[calls.tower]
+    n_users = len(calls.users)
+    home = _modal_rank(calls.caller, ranks, n_users)
+    if home_hours == "night":
+        night = _modal_rank(calls.caller[calls.night], ranks[calls.night], n_users)
+        home = np.where(night >= 0, night, home)
+    # rank -1 (no calls) picks the trailing -1
+    return np.asarray(by_id + [-1], dtype=np.int64)[home]
 
 
-def topup_features(
-    topups: Iterable[TopUpRecord],
-    period: tuple[datetime, datetime] | None = None,
-) -> tuple[Decimal, Decimal, Decimal, Decimal, int]:
-    """(sum, mean, min, max, count) of one user's top-up amounts.
+def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.ndarray, list[int]]:
+    """Call volume per (user, contact) pair, grouped by user.
 
-    The sum is exact decimal arithmetic; mean = sum / count. Raises
-    ``ValueError`` on an empty stream (the user is excluded upstream) or on
-    a record outside ``period`` when one is given.
+    Returns ``(bounds, volumes)``: user code ``u``'s volumes are
+    ``volumes[bounds[u]:bounds[u + 1]]``, in the order its contacts were
+    first seen. ``direction="both"`` counts a call for caller and callee,
+    ``"out"`` for the caller only.
     """
-    total = Decimal(0)
-    count = 0
-    lo = hi = None
-    for rec in topups:
-        if period is not None and not (period[0] <= rec.timestamp < period[1]):
-            raise ValueError(f"top-up at {rec.timestamp} outside observation period")
-        total += rec.amount
-        count += 1
-        if lo is None or rec.amount < lo:
-            lo = rec.amount
-        if hi is None or rec.amount > hi:
-            hi = rec.amount
-    if count == 0:
-        raise ValueError("no top-ups")
-    return total, total / count, lo, hi, count
+    if direction == "both":
+        owner = np.stack([calls.caller, calls.callee], axis=1).ravel()
+        contact = np.stack([calls.callee, calls.caller], axis=1).ravel()
+    else:
+        owner, contact = calls.caller, calls.callee
+    n = len(calls.users)
+    keys, first, counts = np.unique(
+        owner.astype(np.int64) * n + contact, return_index=True, return_counts=True
+    )
+    owners = keys // n
+    order = np.lexsort((first, owners))
+    bounds = np.searchsorted(owners[order], np.arange(n + 1))
+    return bounds, counts[order].tolist()
 
 
-def social_diversity(volumes: Mapping[str, int]) -> float:
+def topup_stats(topups: TopUpColumns) -> dict[str, tuple[Decimal, Decimal, Decimal, int]]:
+    """(sum, min, max, count) of each user's top-up amounts.
+
+    The sum is exact decimal arithmetic; among equal amounts the first in
+    file order is kept as min or max.
+    """
+    sums: dict[int, Decimal] = {}
+    mins: dict[int, Decimal] = {}
+    maxs: dict[int, Decimal] = {}
+    for code, amount in zip(topups.user.tolist(), topups.amount):
+        if code in sums:
+            sums[code] += amount
+            if amount < mins[code]:
+                mins[code] = amount
+            if amount > maxs[code]:
+                maxs[code] = amount
+        else:
+            sums[code] = mins[code] = maxs[code] = amount
+    counts = np.bincount(topups.user, minlength=len(topups.users)).tolist()
+    return {topups.users[c]: (sums[c], mins[c], maxs[c], counts[c]) for c in sums}
+
+
+def social_diversity(volumes: Mapping[str, int] | Iterable[int]) -> float:
     """Shannon entropy of the contact-volume distribution, normalized to [0, 1].
 
+    ``volumes`` maps each contact to its call volume, or lists the volumes.
     With k contacts and volume shares p_j, this is -sum(p_j * log p_j) / log k.
     A single contact has no diversity and is defined as 0 (the normalizer is
     0 there). The log base cancels; base 2 is used internally.
     """
-    k = len(volumes)
+    values = list(volumes.values() if isinstance(volumes, Mapping) else volumes)
+    k = len(values)
     if k == 0:
         raise ValueError("no contacts")
-    total = 0
-    for v in volumes.values():
-        if v <= 0:
-            raise ValueError("contact volumes must be >= 1")
-        total += v
+    if min(values) <= 0:
+        raise ValueError("contact volumes must be >= 1")
     if k == 1:
         return 0.0
+    total = sum(values)
     entropy = 0.0
-    for v in volumes.values():
+    for v in values:
         p = v / total
         entropy -= p * math.log2(p)
     d = entropy / math.log2(k)
     return min(max(d, 0.0), 1.0)
 
 
-@dataclass
-class FeatureAccumulator:
-    """Order- and partition-independent accumulator for user features.
-
-    Feed any number of record batches via :meth:`update_calls` /
-    :meth:`update_topups`; independent accumulators over a partition of the
-    input can be combined with :meth:`merge`. :meth:`finalize` emits one
-    vector per user with at least one originating call and one top-up.
-    """
-
-    config: FeatureConfig = field(default_factory=FeatureConfig)
-    night_counts: dict[str, Counter] = field(default_factory=dict)
-    all_counts: dict[str, Counter] = field(default_factory=dict)
-    volumes: dict[str, Counter] = field(default_factory=dict)
-    topup_sums: dict[str, Decimal] = field(default_factory=dict)
-    topup_mins: dict[str, Decimal] = field(default_factory=dict)
-    topup_maxs: dict[str, Decimal] = field(default_factory=dict)
-    topup_counts: dict[str, int] = field(default_factory=dict)
-
-    def update_calls(self, records: Iterable[CallRecord]) -> None:
-        cfg = self.config
-        window = cfg.night_window
-        offset = timedelta(minutes=cfg.utc_offset_minutes)
-        zero_offset = cfg.utc_offset_minutes == 0
-        both = cfg.diversity_direction == "both"
-        night_counts = self.night_counts
-        all_counts = self.all_counts
-        volumes = self.volumes
-        start, end = window
-        wraps = start > end
-        for rec in records:
-            caller = rec.caller_id
-            tower = rec.tower_id
-            towers = all_counts.get(caller)
-            if towers is None:
-                towers = all_counts[caller] = Counter()
-            towers[tower] += 1
-            t = rec.timestamp.time() if zero_offset else (rec.timestamp + offset).time()
-            if (t >= start or t < end) if wraps else (start <= t < end):
-                towers = night_counts.get(caller)
-                if towers is None:
-                    towers = night_counts[caller] = Counter()
-                towers[tower] += 1
-            contacts = volumes.get(caller)
-            if contacts is None:
-                contacts = volumes[caller] = Counter()
-            contacts[rec.callee_id] += 1
-            if both:
-                contacts = volumes.get(rec.callee_id)
-                if contacts is None:
-                    contacts = volumes[rec.callee_id] = Counter()
-                contacts[caller] += 1
-
-    def update_topups(self, records: Iterable[TopUpRecord]) -> None:
-        sums = self.topup_sums
-        mins = self.topup_mins
-        maxs = self.topup_maxs
-        counts = self.topup_counts
-        for rec in records:
-            user = rec.user_id
-            amount = rec.amount
-            if user in sums:
-                sums[user] += amount
-                counts[user] += 1
-                if amount < mins[user]:
-                    mins[user] = amount
-                if amount > maxs[user]:
-                    maxs[user] = amount
-            else:
-                sums[user] = amount
-                mins[user] = amount
-                maxs[user] = amount
-                counts[user] = 1
-
-    def merge(self, other: "FeatureAccumulator") -> None:
-        if other.config != self.config:
-            raise ValueError("cannot merge accumulators with different configs")
-        for target, source in (
-            (self.night_counts, other.night_counts),
-            (self.all_counts, other.all_counts),
-            (self.volumes, other.volumes),
-        ):
-            for key, counter in source.items():
-                if key in target:
-                    target[key].update(counter)
-                else:
-                    target[key] = Counter(counter)
-        for user, amount in other.topup_sums.items():
-            if user in self.topup_sums:
-                self.topup_sums[user] += amount
-                self.topup_counts[user] += other.topup_counts[user]
-                self.topup_mins[user] = min(self.topup_mins[user], other.topup_mins[user])
-                self.topup_maxs[user] = max(self.topup_maxs[user], other.topup_maxs[user])
-            else:
-                self.topup_sums[user] = amount
-                self.topup_counts[user] = other.topup_counts[user]
-                self.topup_mins[user] = other.topup_mins[user]
-                self.topup_maxs[user] = other.topup_maxs[user]
-
-    def finalize(
-        self, tower_map: TowerSectorMap
-    ) -> tuple[list[UserFeatureVector], Counter]:
-        """One vector per user with calls and top-ups, sorted by user_id.
-
-        Exclusion counts: ``no_topups`` (calls only), ``no_calls`` (top-ups
-        only), ``unmapped_home_tower`` (home tower absent from the map).
-        """
-        exclusions: Counter = Counter()
-        out: list[UserFeatureVector] = []
-        callers = self.all_counts
-        for user in sorted(set(callers) | set(self.topup_sums)):
-            towers = callers.get(user)
-            if towers is None:
-                exclusions["no_calls"] += 1
-                continue
-            if user not in self.topup_sums:
-                exclusions["no_topups"] += 1
-                continue
-            night = self.night_counts.get(user)
-            counts = night if (self.config.home_hours == "night" and night) else towers
-            home_tower = min(counts, key=lambda t: (-counts[t], t))
-            sector = tower_map.get(home_tower)
-            if sector is None:
-                exclusions["unmapped_home_tower"] += 1
-                continue
-            total = self.topup_sums[user]
-            count = self.topup_counts[user]
-            contacts = self.volumes.get(user)
-            diversity = social_diversity(contacts) if contacts else None
-            out.append(
-                UserFeatureVector(
-                    user_id=user,
-                    home_sector=sector,
-                    topup_sum=total,
-                    topup_mean=total / count,
-                    topup_min=self.topup_mins[user],
-                    topup_max=self.topup_maxs[user],
-                    topup_count=count,
-                    social_diversity=diversity,
-                )
-            )
-        return out, exclusions
-
-
-def build_user_features(
-    cdr: Iterable[CallRecord],
-    topups: Iterable[TopUpRecord],
+def user_features(
+    calls: CallColumns,
+    topups: TopUpColumns,
     tower_map: TowerSectorMap,
     config: FeatureConfig | None = None,
 ) -> tuple[list[UserFeatureVector], Counter]:
-    acc = FeatureAccumulator(config or FeatureConfig())
-    acc.update_calls(cdr)
-    acc.update_topups(topups)
-    return acc.finalize(tower_map)
+    """One vector per user with calls and top-ups, sorted by user_id.
+
+    ``calls`` must have been read with ``config``'s night window and UTC
+    offset. Exclusion counts: ``no_topups`` (calls only), ``no_calls``
+    (top-ups only), ``unmapped_home_tower`` (home tower absent from the map).
+    """
+    cfg = config or FeatureConfig()
+    home = home_towers(calls, cfg.home_hours).tolist()
+    bounds, volumes = contact_volumes(calls, cfg.diversity_direction)
+    bounds = bounds.tolist()
+    stats = topup_stats(topups)
+    callers = {calls.users[c]: c for c, tower in enumerate(home) if tower >= 0}
+    exclusions: Counter = Counter()
+    out: list[UserFeatureVector] = []
+    for user in sorted(callers.keys() | stats.keys()):
+        code = callers.get(user)
+        if code is None:
+            exclusions["no_calls"] += 1
+            continue
+        if user not in stats:
+            exclusions["no_topups"] += 1
+            continue
+        sector = tower_map.get(calls.towers[home[code]])
+        if sector is None:
+            exclusions["unmapped_home_tower"] += 1
+            continue
+        total, lo, hi, count = stats[user]
+        out.append(
+            UserFeatureVector(
+                user_id=user,
+                home_sector=sector,
+                topup_sum=total,
+                topup_mean=total / count,
+                topup_min=lo,
+                topup_max=hi,
+                topup_count=count,
+                social_diversity=social_diversity(volumes[bounds[code] : bounds[code + 1]]),
+            )
+        )
+    return out, exclusions
 
 
 def write_user_features(features: Iterable[UserFeatureVector], path) -> None:

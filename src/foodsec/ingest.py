@@ -1,9 +1,14 @@
-"""Streaming readers and writers for the pipeline's CSV interchange files.
+"""Readers for the pipeline's CSV interchange files.
 
 All files are UTF-8, comma-separated, header row mandatory. Timestamps are
 ISO 8601; a trailing ``Z`` or an explicit offset is accepted and normalized
 to naive UTC internally. Monetary amounts are carried as ``Decimal`` so
 multi-month sums stay exact.
+
+``cdr.csv`` and ``topup.csv`` are read in one pass each into int-coded
+columns (:class:`CallColumns`, :class:`TopUpColumns`): IDs are interned to
+codes in first-seen order, and each call keeps only what the features use,
+its codes and whether it fell in the night window.
 
 Malformed data rows are quarantined into a :class:`RowErrorLog` and parsing
 continues; structural problems (bad header, conflicting tower map rows) raise
@@ -15,10 +20,11 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO
 
 import numpy as np
 
@@ -42,17 +48,41 @@ class StrictModeError(FormatError):
     """A quarantined row error promoted to fatal under strict mode."""
 
 
-class CallRecord(NamedTuple):
-    caller_id: str
-    callee_id: str
-    tower_id: str
-    timestamp: datetime  # naive, UTC
+#: Night window for home-tower detection: 18:00-08:00 local time.
+DEFAULT_NIGHT_WINDOW = (time(18, 0), time(8, 0))
 
 
-class TopUpRecord(NamedTuple):
-    user_id: str
-    amount: Decimal
-    timestamp: datetime  # naive, UTC
+@dataclass(frozen=True)
+class CallColumns:
+    """``cdr.csv`` as columns, one entry per accepted row in file order.
+
+    Callers and callees share one code space, ``users[code]`` being the ID;
+    towers have their own. Codes number IDs in first-seen order. ``night``
+    marks calls whose local time of day falls in the night window.
+    """
+
+    users: list[str]
+    towers: list[str]
+    caller: np.ndarray  # int32 codes into users
+    callee: np.ndarray  # int32 codes into users
+    tower: np.ndarray  # int32 codes into towers
+    night: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.caller)
+
+
+@dataclass(frozen=True)
+class TopUpColumns:
+    """``topup.csv`` as columns, one entry per accepted row in file order."""
+
+    users: list[str]
+    user: np.ndarray  # int32 codes into users, first-seen order
+    day: np.ndarray  # int32 ordinal of the UTC date (date.toordinal)
+    amount: list[Decimal]
+
+    def __len__(self) -> int:
+        return len(self.user)
 
 
 @dataclass(frozen=True)
@@ -94,8 +124,12 @@ def parse_timestamp(text: str) -> datetime:
     return dt
 
 
-def format_timestamp(dt: datetime) -> str:
-    return dt.isoformat() + "Z"
+def in_night_window(t: time, window: tuple[time, time] = DEFAULT_NIGHT_WINDOW) -> bool:
+    """Half-open [start, end) check; a window with start > end wraps midnight."""
+    start, end = window
+    if start <= end:
+        return start <= t < end
+    return t >= start or t < end
 
 
 def _open_text(source) -> tuple[IO[str], bool]:
@@ -112,20 +146,32 @@ def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
         )
 
 
-def parse_cdr_stream(
+def _codes(values: array) -> np.ndarray:
+    return np.frombuffer(values, dtype=np.int32) if values else np.empty(0, np.int32)
+
+
+def read_cdr(
     source,
     errors: RowErrorLog | None = None,
+    night_window: tuple[time, time] = DEFAULT_NIGHT_WINDOW,
+    utc_offset_minutes: int = 0,
     period: tuple[datetime, datetime] | None = None,
-) -> Iterator[CallRecord]:
-    """Stream call records from ``cdr.csv``-format data.
+) -> CallColumns:
+    """Read ``cdr.csv``-format data into :class:`CallColumns`.
 
     ``source`` is a path or an open text handle. Malformed rows are reported
-    to ``errors`` with their line number and skipped; memory use is bounded
-    by the CSV reader's buffer, not the file size. If ``period`` is given,
-    rows outside ``[start, end)`` are quarantined too.
+    to ``errors`` with their line number and skipped; so are rows outside
+    ``period`` (``[start, end)``, UTC) when it is given. Local time is UTC
+    plus ``utc_offset_minutes``. Memory grows by 13 bytes per accepted row
+    plus one entry per distinct ID.
     """
     if errors is None:
         errors = RowErrorLog()
+    users: dict[str, int] = {}
+    towers: dict[str, int] = {}
+    caller, callee, tower = array("i"), array("i"), array("i")
+    night = bytearray()
+    offset = timedelta(minutes=utc_offset_minutes)
     handle, owned = _open_text(source)
     try:
         reader = csv.reader(handle)
@@ -133,36 +179,50 @@ def parse_cdr_stream(
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
             if len(row) != 4:
-                errors.report(line, f"expected 4 fields, got {len(row)}")
+                errors.report(reader.line_num, f"expected 4 fields, got {len(row)}")
                 continue
-            caller, callee, tower, ts = row
-            if not caller or not callee or not tower:
-                errors.report(line, "empty identifier field")
+            caller_id, callee_id, tower_id, ts = row
+            if not caller_id or not callee_id or not tower_id:
+                errors.report(reader.line_num, "empty identifier field")
                 continue
             try:
                 when = parse_timestamp(ts)
             except ValueError:
-                errors.report(line, f"unparsable timestamp {ts!r}")
+                errors.report(reader.line_num, f"unparsable timestamp {ts!r}")
                 continue
             if period is not None and not (period[0] <= when < period[1]):
-                errors.report(line, "timestamp outside observation period")
+                errors.report(reader.line_num, "timestamp outside observation period")
                 continue
-            yield CallRecord(caller, callee, tower, when)
+            caller.append(users.setdefault(caller_id, len(users)))
+            callee.append(users.setdefault(callee_id, len(users)))
+            tower.append(towers.setdefault(tower_id, len(towers)))
+            night.append(in_night_window((when + offset).time(), night_window))
     finally:
         if owned:
             handle.close()
+    return CallColumns(
+        users=list(users),
+        towers=list(towers),
+        caller=_codes(caller),
+        callee=_codes(callee),
+        tower=_codes(tower),
+        night=np.frombuffer(night, dtype=np.bool_) if night else np.empty(0, np.bool_),
+    )
 
 
-def parse_topup_stream(
+def read_topups(
     source,
     errors: RowErrorLog | None = None,
     period: tuple[datetime, datetime] | None = None,
-) -> Iterator[TopUpRecord]:
-    """Stream top-up records; amounts are parsed as exact decimals."""
+) -> TopUpColumns:
+    """Read ``topup.csv``-format data into :class:`TopUpColumns`; amounts
+    are parsed as exact decimals and must be positive."""
     if errors is None:
         errors = RowErrorLog()
+    users: dict[str, int] = {}
+    user, day = array("i"), array("i")
+    amounts: list[Decimal] = []
     handle, owned = _open_text(source)
     try:
         reader = csv.reader(handle)
@@ -170,34 +230,36 @@ def parse_topup_stream(
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
             if len(row) != 3:
-                errors.report(line, f"expected 3 fields, got {len(row)}")
+                errors.report(reader.line_num, f"expected 3 fields, got {len(row)}")
                 continue
-            user, amount_text, ts = row
-            if not user:
-                errors.report(line, "empty user_id")
+            user_id, amount_text, ts = row
+            if not user_id:
+                errors.report(reader.line_num, "empty user_id")
                 continue
             try:
                 amount = Decimal(amount_text)
             except InvalidOperation:
-                errors.report(line, f"non-numeric amount {amount_text!r}")
+                errors.report(reader.line_num, f"non-numeric amount {amount_text!r}")
                 continue
             if not amount.is_finite() or amount <= 0:
-                errors.report(line, f"non-positive amount {amount_text!r}")
+                errors.report(reader.line_num, f"non-positive amount {amount_text!r}")
                 continue
             try:
                 when = parse_timestamp(ts)
             except ValueError:
-                errors.report(line, f"unparsable timestamp {ts!r}")
+                errors.report(reader.line_num, f"unparsable timestamp {ts!r}")
                 continue
             if period is not None and not (period[0] <= when < period[1]):
-                errors.report(line, "timestamp outside observation period")
+                errors.report(reader.line_num, "timestamp outside observation period")
                 continue
-            yield TopUpRecord(user, amount, when)
+            user.append(users.setdefault(user_id, len(users)))
+            day.append(when.toordinal())
+            amounts.append(amount)
     finally:
         if owned:
             handle.close()
+    return TopUpColumns(users=list(users), user=_codes(user), day=_codes(day), amount=amounts)
 
 
 @dataclass(frozen=True)
@@ -392,9 +454,6 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
             handle.close()
 
 
-# --- writers (round-trip counterparts of the parsers above) ---
-
-
 def format_number(x: float) -> str:
     """Shortest exact decimal form; integers lose the trailing ``.0``."""
     x = float(x)
@@ -403,43 +462,3 @@ def format_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
-
-
-def write_cdr(records: Iterable[CallRecord], path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(CDR_HEADER) + "\n")
-        for r in records:
-            f.write(f"{r.caller_id},{r.callee_id},{r.tower_id},{format_timestamp(r.timestamp)}\n")
-            n += 1
-    return n
-
-
-def write_topups(records: Iterable[TopUpRecord], path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(TOPUP_HEADER) + "\n")
-        for r in records:
-            f.write(f"{r.user_id},{r.amount},{format_timestamp(r.timestamp)}\n")
-            n += 1
-    return n
-
-
-def write_tower_map(tower_map: TowerSectorMap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(TOWER_HEADER) + "\n")
-        for tower in sorted(tower_map.entries):
-            f.write(f"{tower},{tower_map.entries[tower]}\n")
-
-
-def write_survey(table: SurveyTable, data_path, meta_path=None) -> None:
-    with open(data_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(SURVEY_ID_COLUMNS + table.variables) + "\n")
-        for i, (hh, sec) in enumerate(zip(table.household_ids, table.sector_ids)):
-            cells = ",".join(format_number(v) for v in table.values[i])
-            f.write(f"{hh},{sec},{cells}\n")
-    if meta_path is not None:
-        with open(meta_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(",".join(SURVEY_META_HEADER) + "\n")
-            for v in table.variables:
-                f.write(f"{v},{table.categories[v]}\n")

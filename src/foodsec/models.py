@@ -236,19 +236,6 @@ def fit_from_matrices(
     return model, joined, y
 
 
-def predict(model: RegressionModel, row: Mapping[str, float]) -> float:
-    """Evaluate the model on one row of raw variable values."""
-    total = 0.0
-    for term, beta in zip(model.terms, model.coef_std):
-        value = beta
-        for v in term:
-            if v not in row:
-                raise ValueError(f"row is missing variable {v!r}")
-            value *= (row[v] - model.means[v]) / model.stds[v]
-        total += value
-    return total
-
-
 def predict_rows(model: RegressionModel, x: SectorMatrix) -> np.ndarray:
     """Model predictions per sector row; NaN where an input is undefined."""
     standardized = {}

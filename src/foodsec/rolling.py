@@ -10,25 +10,33 @@ window starting 1 Dec is labeled 15 Dec.
 
 Sums are exact decimal arithmetic over daily buckets, so the incremental
 slide (add the entering day, subtract the leaving day) equals a naive
-per-window recomputation bit for bit.
+per-window recomputation bit for bit. The per-window user count slides the
+same way: each user's number of active days inside the window goes up as a
+day enters and down as it leaves.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
 from typing import Iterable, Mapping
 
-from .ingest import FormatError, TopUpRecord, _open_text, format_number
+from .ingest import FormatError, TopUpColumns, _open_text, format_number
 
 log = logging.getLogger(__name__)
 
 ROLLING_HEADER = ["sector_id", "label_date", "value", "n_users"]
 OVERLAY_HEADER = ["date", "source", "label", "value"]
 DEFAULT_WINDOW_DAYS = 30
+
+
+class PeriodError(FormatError, ValueError):
+    """The top-ups do not fit the observation period: one falls outside it,
+    or the period is shorter than one window."""
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,28 @@ def window_label(start: date, window_days: int) -> date:
     return start + timedelta(days=(window_days + 1) // 2 - 1)
 
 
+def _window_user_counts(
+    users_on: Mapping[int, set[int]], start: int, n_days: int, window_days: int
+) -> list[int]:
+    """Distinct users per window, from each user's count of active days in
+    the sliding window: O(days + user-days), not O(windows x window)."""
+    days_in: Counter = Counter()
+    counts: list[int] = []
+    for d in range(n_days):
+        for user in users_on.get(start + d, ()):
+            days_in[user] += 1
+        if d >= window_days:
+            for user in users_on.get(start + d - window_days, ()):
+                days_in[user] -= 1
+                if not days_in[user]:
+                    del days_in[user]
+        if d >= window_days - 1:
+            counts.append(len(days_in))
+    return counts
+
+
 def rolling_sector_series(
-    topups: Iterable[TopUpRecord],
+    topups: TopUpColumns,
     home: Mapping[str, str],
     period: tuple[date, date] | None = None,
     window_days: int = DEFAULT_WINDOW_DAYS,
@@ -59,7 +87,8 @@ def rolling_sector_series(
     whole days and must cover at least one window; when omitted it is
     inferred as the day span of the observed top-ups. ``denominator`` is
     ``"period"`` (users with >= 1 top-up anywhere, the default) or
-    ``"window"`` (users active inside each window).
+    ``"window"`` (users active inside each window). Raises
+    :class:`PeriodError` when the top-ups do not fit the period.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
@@ -67,70 +96,59 @@ def rolling_sector_series(
         raise ValueError("denominator must be 'period' or 'window'")
 
     zero = Decimal(0)
-    daily: dict[str, dict[date, Decimal]] = {}
-    active: dict[str, set[str]] = {}
-    daily_users: dict[str, dict[date, set[str]]] = {}
-    seen_min: date | None = None
-    seen_max: date | None = None
+    sector_of = [home.get(user) for user in topups.users]
+    bounds = (period[0].toordinal(), period[1].toordinal()) if period is not None else None
+    daily: dict[str, dict[int, Decimal]] = {}
+    daily_users: dict[str, dict[int, set[int]]] = {}
     skipped = 0
-    for rec in topups:
-        sector = home.get(rec.user_id)
+    for code, day, amount in zip(topups.user.tolist(), topups.day.tolist(), topups.amount):
+        sector = sector_of[code]
         if sector is None:
             skipped += 1
             continue
-        day = rec.timestamp.date()
-        if period is not None and not (period[0] <= day < period[1]):
-            raise ValueError(f"top-up at {rec.timestamp} outside the observation period")
-        if seen_min is None or day < seen_min:
-            seen_min = day
-        if seen_max is None or day > seen_max:
-            seen_max = day
+        if bounds is not None and not (bounds[0] <= day < bounds[1]):
+            raise PeriodError(f"top-up on {date.fromordinal(day)} outside the observation period")
         buckets = daily.get(sector)
         if buckets is None:
             buckets = daily[sector] = {}
-            active[sector] = set()
             daily_users[sector] = {}
-        buckets[day] = buckets.get(day, zero) + rec.amount
-        active[sector].add(rec.user_id)
-        if denominator == "window":
-            daily_users[sector].setdefault(day, set()).add(rec.user_id)
+        buckets[day] = buckets.get(day, zero) + amount
+        daily_users[sector].setdefault(day, set()).add(code)
     if skipped:
         log.warning("rolling: %d top-up(s) from users without a home sector skipped", skipped)
 
-    if period is None:
-        if seen_min is None:
+    if bounds is None:
+        if not daily:
             return []
-        period = (seen_min, seen_max + timedelta(days=1))
-    start, end = period
-    n_days = (end - start).days
+        bounds = (min(map(min, daily.values())), max(map(max, daily.values())) + 1)
+    start, end = bounds
+    n_days = end - start
     if n_days < window_days:
-        raise ValueError(f"period of {n_days} day(s) shorter than the {window_days}-day window")
+        raise PeriodError(f"period of {n_days} day(s) shorter than the {window_days}-day window")
 
     n_windows = n_days - window_days + 1
     series: list[SectorSeries] = []
     for sector in sorted(daily):
-        n_users = len(active[sector])
-        if n_users == 0:
-            continue
         by_day = daily[sector]
-        buckets = [by_day.get(start + timedelta(days=d), zero) for d in range(n_days)]
-        user_sets = None
-        if denominator == "window":
-            by_day_users = daily_users[sector]
-            user_sets = [
-                by_day_users.get(start + timedelta(days=d), frozenset()) for d in range(n_days)
-            ]
+        users_on = daily_users[sector]
+        n_users = len(set().union(*users_on.values()))
+        buckets = [by_day.get(start + d, zero) for d in range(n_days)]
+        window_users = (
+            _window_user_counts(users_on, start, n_days, window_days)
+            if denominator == "window"
+            else None
+        )
         points: list[tuple[date, Decimal]] = []
         window_sum = sum(buckets[:window_days], zero)
         for w in range(n_windows):
             if w > 0:
                 window_sum += buckets[w + window_days - 1] - buckets[w - 1]
-            if user_sets is not None:
-                count = len(set().union(*user_sets[w : w + window_days]))
+            if window_users is not None:
+                count = window_users[w]
                 value = window_sum / count if count else zero
             else:
                 value = window_sum / n_users
-            points.append((window_label(start + timedelta(days=w), window_days), value))
+            points.append((window_label(date.fromordinal(start + w), window_days), value))
         series.append(
             SectorSeries(
                 sector_id=sector,

@@ -19,7 +19,8 @@ from scipy.integrate import quad
 from foodsec.aggregate import build_sector_matrix
 from foodsec.cli import main
 from foodsec.correlate import fisher_ci, pearson, pearson_p, read_correlations, shuffle_null
-from foodsec.features import assign_home_tower, build_user_features
+from foodsec import rolling
+from foodsec.features import user_features
 from foodsec.indices import (
     DEFAULT_FCS_WEIGHTS,
     build_survey_matrix,
@@ -27,18 +28,15 @@ from foodsec.indices import (
     food_consumption_score,
     multidimensional_poverty_index,
 )
-from foodsec.ingest import (
-    CallRecord,
-    RowErrorLog,
-    TopUpRecord,
-    load_survey,
-    load_tower_map,
-    parse_cdr_stream,
-    parse_topup_stream,
-)
+from foodsec.ingest import RowErrorLog, load_survey, load_tower_map, read_cdr, read_topups
 from foodsec.models import fit_from_matrices
-from foodsec.rolling import rolling_sector_series, window_label
+from foodsec.rolling import window_label
 from foodsec.synth import SynthConfig, generate, read_truth
+from oracle import CallRecord, TopUpRecord, assign_home_tower, topup_columns
+
+
+def rolling_sector_series(records, *args, **kwargs):
+    return rolling.rolling_sector_series(topup_columns(records), *args, **kwargs)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -47,9 +45,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def mini_pipeline(paths, min_users=30):
     tower_map = load_tower_map(paths["towers"])
-    vectors, _ = build_user_features(
-        parse_cdr_stream(paths["cdr"]), parse_topup_stream(paths["topup"]), tower_map
-    )
+    vectors, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
     mobile, _ = build_sector_matrix(vectors, min_users=min_users)
     table = load_survey(paths["survey"], paths["survey_meta"])
     survey, _ = build_survey_matrix(table)
@@ -425,7 +421,7 @@ def test_c10_streaming_ingest(tmp_path):
     tracemalloc.start()
     errors = RowErrorLog()
     baseline = tracemalloc.get_traced_memory()[0]
-    records_out = sum(1 for _ in parse_cdr_stream(path, errors))
+    records_out = len(read_cdr(path, errors))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     used_mb = (peak - baseline) / 2**20

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foodsec
 from foodsec.cli import main
 
 
@@ -90,6 +95,59 @@ class TestExitCodes:
                   "--trials", "5", "--seed", "1", "--out", tmp_path / "out"])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_rolling_window_longer_than_the_data_is_data_error(
+        self, medium_dataset, medium_pipeline, tmp_path, capsys
+    ):
+        _, paths = medium_dataset  # 60 days of top-ups
+        rc = run(["rolling", "--topup", paths["topup"],
+                  "--user-features", medium_pipeline / "user_features.csv",
+                  "--window-days", "400", "--out", tmp_path])
+        assert rc == 2
+        assert "400-day window" in capsys.readouterr().err
+
+    def test_rolling_nonpositive_window_is_config_error(self, medium_dataset, medium_pipeline,
+                                                         tmp_path):
+        _, paths = medium_dataset
+        rc = run(["rolling", "--topup", paths["topup"],
+                  "--user-features", medium_pipeline / "user_features.csv",
+                  "--window-days", "0", "--out", tmp_path])
+        assert rc == 1
+
+    def test_all_nonpositive_window_is_config_error(self, medium_dataset, tmp_path):
+        _, paths = medium_dataset
+        rc = run(["all", "--in", paths["cdr"].parent, "--out", tmp_path,
+                  "--seed", "1", "--min-users", "5", "--window-days", "0"])
+        assert rc == 1
+
+    def test_repeated_fit_variable_is_config_error(self, medium_pipeline, tmp_path, capsys):
+        rc = run(["fit", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                  "--target", "food_expenditure",
+                  "--variables", "topup_sum.mean,topup_sum.mean", "--out", tmp_path])
+        assert rc == 1
+        assert "repeated variable(s) topup_sum.mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("poor_max", ["35", "40"])
+    def test_fcs_poor_cut_not_below_borderline_is_config_error(
+        self, medium_dataset, tmp_path, capsys, poor_max
+    ):
+        _, paths = medium_dataset
+        rc = run(["indices", "--survey", paths["survey"], "--survey-meta", paths["survey_meta"],
+                  "--fcs-poor-max", poor_max, "--out", tmp_path])
+        assert rc == 1
+        assert "fcs_borderline_max" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs about a second of import; nothing may pull it in."""
+    src = str(Path(foodsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, foodsec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestAllPipeline:

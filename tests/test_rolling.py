@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodsec.ingest import FormatError, TopUpRecord
-from foodsec.rolling import (
-    emit_overlay,
-    load_stock_series,
-    rolling_sector_series,
-    window_label,
-    write_rolling,
-)
+from foodsec import rolling
+from foodsec.ingest import FormatError
+from foodsec.rolling import emit_overlay, load_stock_series, window_label, write_rolling
+from oracle import TopUpRecord, topup_columns
+
+
+def rolling_sector_series(records, *args, **kwargs):
+    """The package's series over top-up records, read back from CSV."""
+    return rolling.rolling_sector_series(topup_columns(records), *args, **kwargs)
 
 
 def topup(user, amount, day, month=1, year=2012):
@@ -23,8 +24,8 @@ def topup(user, amount, day, month=1, year=2012):
 HOME = {"u1": "s1", "u2": "s1", "u3": "s2"}
 
 
-def naive_series(topups, home, period, window_days):
-    """Brute-force recomputation: every window summed from scratch."""
+def naive_series(topups, home, period, window_days, denominator="period"):
+    """Brute-force recomputation: every window summed and counted from scratch."""
     start, end = period
     n_days = (end - start).days
     by_sector = {}
@@ -42,10 +43,14 @@ def naive_series(topups, home, period, window_days):
         for w in range(n_days - window_days + 1):
             lo = start + timedelta(days=w)
             hi = lo + timedelta(days=window_days)
-            total = sum(
-                (r.amount for r in records if lo <= r.timestamp.date() < hi), Decimal(0)
-            )
-            points.append((window_label(lo, window_days), total / n_users))
+            inside = [r for r in records if lo <= r.timestamp.date() < hi]
+            total = sum((r.amount for r in inside), Decimal(0))
+            if denominator == "window":
+                active = len({r.user_id for r in inside})
+                value = total / active if active else Decimal(0)
+            else:
+                value = total / n_users
+            points.append((window_label(lo, window_days), value))
         out[sector] = (n_users, points)
     return out
 
@@ -146,13 +151,14 @@ class TestRollingSeries:
             TopUpRecord(u, Decimal(a), datetime(2012, 1, 1, 9, 30) + timedelta(days=d))
             for u, a, d in events
         ]
-        actual = rolling_sector_series(records, HOME, period, window_days)
-        expected = naive_series(records, HOME, period, window_days)
-        assert len(actual) == len(expected)
-        for s in actual:
-            n_users, points = expected[s.sector_id]
-            assert s.n_users == n_users
-            assert list(s.points) == points  # exact decimal equality
+        for denominator in ("period", "window"):
+            actual = rolling_sector_series(records, HOME, period, window_days, denominator)
+            expected = naive_series(records, HOME, period, window_days, denominator)
+            assert len(actual) == len(expected)
+            for s in actual:
+                n_users, points = expected[s.sector_id]
+                assert s.n_users == n_users
+                assert list(s.points) == points  # exact decimal equality
 
     def test_adding_topup_outside_window_changes_nothing_inside(self):
         period = (date(2012, 1, 1), date(2012, 3, 1))

@@ -6,15 +6,15 @@ import pytest
 from foodsec.aggregate import build_sector_matrix
 from foodsec.config import ConfigError
 from foodsec.correlate import pearson
-from foodsec.features import build_user_features
+from foodsec.features import user_features
 from foodsec.indices import build_survey_matrix, load_poverty
 from foodsec.ingest import (
     FormatError,
     RowErrorLog,
     load_survey,
     load_tower_map,
-    parse_cdr_stream,
-    parse_topup_stream,
+    read_cdr,
+    read_topups,
 )
 from foodsec.synth import (
     DEFAULT_FOOD_ITEMS,
@@ -31,9 +31,7 @@ FILES = ["cdr.csv", "topup.csv", "towers.csv", "survey.csv", "survey_meta.csv",
 def run_mini_pipeline(paths, min_users=1):
     """features -> sector matrices, all in process."""
     tower_map = load_tower_map(paths["towers"])
-    vectors, _ = build_user_features(
-        parse_cdr_stream(paths["cdr"]), parse_topup_stream(paths["topup"]), tower_map
-    )
+    vectors, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
     mobile, _ = build_sector_matrix(vectors, min_users=min_users)
     table = load_survey(paths["survey"], paths["survey_meta"])
     survey, _ = build_survey_matrix(table, poverty=load_poverty(paths["poverty"]))
@@ -61,8 +59,8 @@ class TestValidity:
     def test_every_record_passes_ingest_validation(self, small_dataset):
         _, paths = small_dataset
         errors = RowErrorLog()
-        n_calls = sum(1 for _ in parse_cdr_stream(paths["cdr"], errors))
-        n_topups = sum(1 for _ in parse_topup_stream(paths["topup"], errors))
+        n_calls = len(read_cdr(paths["cdr"], errors))
+        n_topups = len(read_topups(paths["topup"], errors))
         table = load_survey(paths["survey"], paths["survey_meta"], errors)
         load_tower_map(paths["towers"])
         load_poverty(paths["poverty"])
@@ -83,7 +81,7 @@ class TestValidity:
         start = datetime.combine(cfg.period_start, datetime.min.time())
         end = start + timedelta(days=cfg.period_days)
         errors = RowErrorLog()
-        n = sum(1 for _ in parse_cdr_stream(paths["cdr"], errors, period=(start, end)))
+        n = len(read_cdr(paths["cdr"], errors, period=(start, end)))
         assert errors.count == 0 and n > 0
 
     def test_mpi_is_product_of_poverty_columns(self, small_dataset):
