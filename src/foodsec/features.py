@@ -112,9 +112,8 @@ def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.nda
     """Call volume per (user, contact) pair, grouped by user.
 
     Returns ``(bounds, volumes)``: user code ``u``'s volumes are
-    ``volumes[bounds[u]:bounds[u + 1]]``, in the order its contacts were
-    first seen. ``direction="both"`` counts a call for caller and callee,
-    ``"out"`` for the caller only.
+    ``volumes[bounds[u]:bounds[u + 1]]``. ``direction="both"`` counts a call
+    for caller and callee, ``"out"`` for the caller only.
     """
     if direction == "both":
         owner = np.stack([calls.caller, calls.callee], axis=1).ravel()
@@ -122,13 +121,8 @@ def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.nda
     else:
         owner, contact = calls.caller, calls.callee
     n = len(calls.users)
-    keys, first, counts = np.unique(
-        owner.astype(np.int64) * n + contact, return_index=True, return_counts=True
-    )
-    owners = keys // n
-    order = np.lexsort((first, owners))
-    bounds = np.searchsorted(owners[order], np.arange(n + 1))
-    return bounds, counts[order].tolist()
+    keys, counts = np.unique(owner.astype(np.int64) * n + contact, return_counts=True)
+    return np.searchsorted(keys // n, np.arange(n + 1)), counts.tolist()
 
 
 def topup_stats(topups: TopUpColumns) -> dict[str, tuple[Decimal, Decimal, Decimal, int]]:
@@ -159,7 +153,9 @@ def social_diversity(volumes: Mapping[str, int] | Iterable[int]) -> float:
     ``volumes`` maps each contact to its call volume, or lists the volumes.
     With k contacts and volume shares p_j, this is -sum(p_j * log p_j) / log k.
     A single contact has no diversity and is defined as 0 (the normalizer is
-    0 there). The log base cancels; base 2 is used internally.
+    0 there). The log base cancels; base 2 is used internally. The terms
+    are summed with ``math.fsum``, which rounds once, so the result does not
+    depend on the order of the contacts.
     """
     values = list(volumes.values() if isinstance(volumes, Mapping) else volumes)
     k = len(values)
@@ -170,10 +166,7 @@ def social_diversity(volumes: Mapping[str, int] | Iterable[int]) -> float:
     if k == 1:
         return 0.0
     total = sum(values)
-    entropy = 0.0
-    for v in values:
-        p = v / total
-        entropy -= p * math.log2(p)
+    entropy = -math.fsum(p * math.log2(p) for p in (v / total for v in values))
     d = entropy / math.log2(k)
     return min(max(d, 0.0), 1.0)
 

@@ -1,4 +1,4 @@
-from datetime import datetime, time
+from datetime import datetime, time, timedelta
 from decimal import Decimal
 
 import pytest
@@ -258,17 +258,39 @@ class TestBuildUserFeatures:
         assert single.finalize(TOWERS) == merged.finalize(TOWERS)
         assert build_user_features(cdr, topups, TOWERS) == single.finalize(TOWERS)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.permutations(range(12)))
-    def test_record_order_invariance(self, order):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1", "u2"]),
+                st.sampled_from(["u0", "u1"] + [f"c{i}" for i in range(7)]),
+                st.sampled_from(["t1", "t2"]),
+                st.integers(0, 47),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        st.data(),
+    )
+    def test_record_order_invariance(self, rows, data):
+        # callers with many contacts of uneven volume, so diversity sums many
+        # terms whose order must not matter
         cdr = [
-            CallRecord(f"u{i % 2}", "u9", "t1", datetime(2012, 3, 1, (18 + i) % 24, i))
-            for i in range(12)
+            CallRecord(a, b, t, datetime(2012, 3, 1) + timedelta(hours=h)) for a, b, t, h in rows
         ]
-        topups = [topup(f"{5 + i}", user=f"u{i % 2}") for i in range(6)]
-        base, _ = build_user_features(cdr, topups, TOWERS)
-        shuffled, _ = build_user_features([cdr[i] for i in order], list(reversed(topups)), TOWERS)
-        assert base == shuffled
+        topups = [topup(f"{5 + i}", user=f"u{i % 3}") for i in range(6)]
+        base = build_user_features(cdr, topups, TOWERS)
+        order = data.draw(st.permutations(range(len(cdr))))
+        shuffled = [cdr[i] for i in order]
+        assert build_user_features(shuffled, list(reversed(topups)), TOWERS) == base
+        parts = data.draw(st.lists(st.integers(0, 3), min_size=len(cdr), max_size=len(cdr)))
+        merged = FeatureAccumulator()
+        for part in range(4):
+            acc = FeatureAccumulator()
+            acc.update_calls([c for c, p in zip(shuffled, parts) if p == part])
+            acc.update_topups(topups[part::4])
+            merged.merge(acc)
+        assert merged.finalize(TOWERS) == base
 
     def test_out_only_diversity_direction(self):
         cdr = [
