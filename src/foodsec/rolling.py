@@ -23,7 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
+from itertools import compress
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .ingest import FormatError, TopUpColumns, _open_text, format_number
 
@@ -53,18 +56,17 @@ def window_label(start: date, window_days: int) -> date:
     return start + timedelta(days=(window_days + 1) // 2 - 1)
 
 
-def _window_user_counts(
-    users_on: Mapping[int, set[int]], start: int, n_days: int, window_days: int
-) -> list[int]:
-    """Distinct users per window, from each user's count of active days in
-    the sliding window: O(days + user-days), not O(windows x window)."""
+def _window_user_counts(users_on: list[list[int]], window_days: int) -> list[int]:
+    """Distinct users per window, where ``users_on[d]`` lists the users active
+    on day ``d``: each user's count of active days in the sliding window goes
+    up as a day enters and down as it leaves, O(days + user-days) in all."""
     days_in: Counter = Counter()
     counts: list[int] = []
-    for d in range(n_days):
-        for user in users_on.get(start + d, ()):
+    for d, entering in enumerate(users_on):
+        for user in entering:
             days_in[user] += 1
         if d >= window_days:
-            for user in users_on.get(start + d - window_days, ()):
+            for user in users_on[d - window_days]:
                 days_in[user] -= 1
                 if not days_in[user]:
                     del days_in[user]
@@ -95,65 +97,71 @@ def rolling_sector_series(
     if denominator not in ("period", "window"):
         raise ValueError("denominator must be 'period' or 'window'")
 
-    zero = Decimal(0)
-    sector_of = [home.get(user) for user in topups.users]
-    bounds = (period[0].toordinal(), period[1].toordinal()) if period is not None else None
-    daily: dict[str, dict[int, Decimal]] = {}
-    daily_users: dict[str, dict[int, set[int]]] = {}
-    skipped = 0
-    for code, day, amount in zip(topups.user.tolist(), topups.day.tolist(), topups.amount):
-        sector = sector_of[code]
-        if sector is None:
-            skipped += 1
-            continue
-        if bounds is not None and not (bounds[0] <= day < bounds[1]):
-            raise PeriodError(f"top-up on {date.fromordinal(day)} outside the observation period")
-        buckets = daily.get(sector)
-        if buckets is None:
-            buckets = daily[sector] = {}
-            daily_users[sector] = {}
-        buckets[day] = buckets.get(day, zero) + amount
-        daily_users[sector].setdefault(day, set()).add(code)
+    sectors = sorted({home[u] for u in topups.users if u in home})
+    index = {sector: i for i, sector in enumerate(sectors)}
+    sector_of = np.array([index.get(home.get(u), -1) for u in topups.users] + [-1])
+    row_sector = sector_of[topups.user]
+    kept = row_sector >= 0
+    skipped = len(kept) - int(kept.sum())
     if skipped:
         log.warning("rolling: %d top-up(s) from users without a home sector skipped", skipped)
+    row_sector, days, users = row_sector[kept], topups.day[kept], topups.user[kept]
 
-    if bounds is None:
-        if not daily:
-            return []
-        bounds = (min(map(min, daily.values())), max(map(max, daily.values())) + 1)
-    start, end = bounds
+    if period is not None:
+        start, end = period[0].toordinal(), period[1].toordinal()
+        outside = (days < start) | (days >= end)
+        if outside.any():
+            day = date.fromordinal(int(days[outside.argmax()]))
+            raise PeriodError(f"top-up on {day} outside the observation period")
+    elif not len(days):
+        return []
+    else:
+        start, end = int(days.min()), int(days.max()) + 1
     n_days = end - start
     if n_days < window_days:
         raise PeriodError(f"period of {n_days} day(s) shorter than the {window_days}-day window")
 
+    # daily sums in file order, as exact decimals, one flat run of days per sector
+    zero = Decimal(0)
+    buckets = [zero] * (len(sectors) * n_days)
+    cells = row_sector.astype(np.int64) * n_days + (days - start)
+    for cell, amount in zip(cells.tolist(), compress(topups.amount, kept.tolist())):
+        buckets[cell] += amount
+    n_codes = len(topups.users)
+    members = np.unique(row_sector.astype(np.int64) * n_codes + users) // n_codes
+    n_users = np.bincount(members, minlength=len(sectors)).tolist()
+    users_on: list[list[int]] | None = None
+    if denominator == "window":
+        users_on = [[] for _ in buckets]
+        active = np.unique(cells * n_codes + users)  # distinct (sector, day, user)
+        for cell, user in zip((active // n_codes).tolist(), (active % n_codes).tolist()):
+            users_on[cell].append(user)
+
     n_windows = n_days - window_days + 1
+    labels = [window_label(date.fromordinal(start + w), window_days) for w in range(n_windows)]
     series: list[SectorSeries] = []
-    for sector in sorted(daily):
-        by_day = daily[sector]
-        users_on = daily_users[sector]
-        n_users = len(set().union(*users_on.values()))
-        buckets = [by_day.get(start + d, zero) for d in range(n_days)]
+    for i, sector in enumerate(sectors):
+        days_of = slice(i * n_days, (i + 1) * n_days)
+        sums = buckets[days_of]
         window_users = (
-            _window_user_counts(users_on, start, n_days, window_days)
-            if denominator == "window"
-            else None
+            _window_user_counts(users_on[days_of], window_days) if users_on is not None else None
         )
         points: list[tuple[date, Decimal]] = []
-        window_sum = sum(buckets[:window_days], zero)
+        window_sum = sum(sums[:window_days], zero)
         for w in range(n_windows):
             if w > 0:
-                window_sum += buckets[w + window_days - 1] - buckets[w - 1]
+                window_sum += sums[w + window_days - 1] - sums[w - 1]
             if window_users is not None:
                 count = window_users[w]
                 value = window_sum / count if count else zero
             else:
-                value = window_sum / n_users
-            points.append((window_label(date.fromordinal(start + w), window_days), value))
+                value = window_sum / n_users[i]
+            points.append((labels[w], value))
         series.append(
             SectorSeries(
                 sector_id=sector,
                 window_days=window_days,
-                n_users=n_users,
+                n_users=n_users[i],
                 points=tuple(points),
             )
         )
