@@ -29,7 +29,6 @@ from .ingest import (
     FormatError,
     TopUpColumns,
     TowerSectorMap,
-    in_night_window,  # noqa: F401 - the night-window rule, re-exported
 )
 
 log = logging.getLogger(__name__)

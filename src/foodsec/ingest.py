@@ -146,10 +146,6 @@ def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
         )
 
 
-def _codes(values: array) -> np.ndarray:
-    return np.frombuffer(values, dtype=np.int32) if values else np.empty(0, np.int32)
-
-
 def read_cdr(
     source,
     errors: RowErrorLog | None = None,
@@ -204,10 +200,10 @@ def read_cdr(
     return CallColumns(
         users=list(users),
         towers=list(towers),
-        caller=_codes(caller),
-        callee=_codes(callee),
-        tower=_codes(tower),
-        night=np.frombuffer(night, dtype=np.bool_) if night else np.empty(0, np.bool_),
+        caller=np.frombuffer(caller, dtype=np.int32),
+        callee=np.frombuffer(callee, dtype=np.int32),
+        tower=np.frombuffer(tower, dtype=np.int32),
+        night=np.frombuffer(night, dtype=np.bool_),
     )
 
 
@@ -259,7 +255,12 @@ def read_topups(
     finally:
         if owned:
             handle.close()
-    return TopUpColumns(users=list(users), user=_codes(user), day=_codes(day), amount=amounts)
+    return TopUpColumns(
+        users=list(users),
+        user=np.frombuffer(user, dtype=np.int32),
+        day=np.frombuffer(day, dtype=np.int32),
+        amount=amounts,
+    )
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from foodsec.features import (
     FeatureConfig,
     UserFeatureVector,
-    in_night_window,
     read_user_features,
     social_diversity,
     write_user_features,
 )
-from foodsec.ingest import StrictModeError, TowerSectorMap
+from foodsec.ingest import StrictModeError, TowerSectorMap, in_night_window
 from oracle import (
     CallRecord,
     FeatureAccumulator,
