@@ -245,8 +245,6 @@ def _stage_rolling(topups, errors, home, window_days, denominator, stock, out):
     series = rolling_sector_series(
         topups, home, period=None, window_days=window_days, denominator=denominator
     )
-    if errors.count:
-        log.warning("topup: %s", errors.summary())
     outputs = [f"rolling_{window_days}.csv", "overlay.csv"]
     write_rolling(series, out / outputs[0])
     stock_rows = load_stock_series(stock) if stock else None
@@ -506,6 +504,8 @@ def rolling(topup, user_features_path, window_days, denominator, stock, strict, 
     home = {v.user_id: v.home_sector for v in read_user_features(features_path)}
     errors = RowErrorLog(strict=strict)
     topups = read_topups(topup, errors)
+    if errors.count:
+        log.warning("topup: %s", errors.summary())
     series, outputs, stats = _stage_rolling(
         topups, errors, home, window_days, denominator, stock_path, out_dir
     )
