@@ -11,7 +11,6 @@ from .ingest import (  # noqa: F401
     StrictModeError,
     SurveyTable,
     TopUpColumns,
-    TowerSectorMap,
     load_survey,
     load_tower_map,
     read_cdr,

@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 AGGREGATORS = ("mean", "median", "std", "cv")
 USER_FEATURES = ("topup_sum", "topup_mean", "topup_min", "topup_max", "social_diversity")
+MOBILE_COLUMNS = tuple(f"{feat}.{agg}" for feat in USER_FEATURES for agg in AGGREGATORS)
 DEFAULT_MIN_USERS = 30
 
 
@@ -46,8 +47,9 @@ class SectorMatrix:
         return len(self.sectors)
 
 
-def aggregate_sector(values: Sequence[float], aggregators: Iterable[str] = AGGREGATORS) -> dict:
-    """Reduce one sector's values; undefined results come back as None.
+def aggregate_sector(values: Sequence[float]) -> dict:
+    """Reduce one sector's values by each of ``AGGREGATORS``; undefined
+    results come back as None.
 
     std uses the sample (n-1) denominator, so it needs n >= 2; cv = std/mean
     is undefined when the mean is 0. The median of an even count is the
@@ -56,38 +58,29 @@ def aggregate_sector(values: Sequence[float], aggregators: Iterable[str] = AGGRE
     arr = np.asarray([float(v) for v in values], dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty sector")
-    out: dict[str, float | None] = {}
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size >= 2 else None
-    for agg in aggregators:
-        if agg == "mean":
-            out[agg] = mean
-        elif agg == "median":
-            out[agg] = float(np.median(arr))
-        elif agg == "std":
-            out[agg] = std
-        elif agg == "cv":
-            out[agg] = None if (std is None or mean == 0.0) else std / mean
-        else:
-            raise ValueError(f"unknown aggregator {agg!r}")
-    return out
+    return {
+        "mean": mean,
+        "median": float(np.median(arr)),
+        "std": std,
+        "cv": None if (std is None or mean == 0.0) else std / mean,
+    }
 
 
 def build_sector_matrix(
     features: Iterable[UserFeatureVector],
     min_users: int = DEFAULT_MIN_USERS,
-    aggregators: Sequence[str] = AGGREGATORS,
-    feature_names: Sequence[str] = USER_FEATURES,
     columns: Sequence[str] | None = None,
 ) -> tuple[SectorMatrix, dict[str, int]]:
     """Sector x mobile-variable matrix from user feature vectors.
 
     Sectors with fewer than ``min_users`` users are excluded and returned in
     the second element as {sector_id: user_count}. The default column set is
-    the full cross of the user features with the four aggregators; pass
-    ``columns`` (names of the form ``feature.aggregator``) to prune it.
+    ``MOBILE_COLUMNS``, the full cross of the user features with the four
+    aggregators; pass ``columns`` (a subset of it) to prune it.
     """
-    wanted = [f"{feat}.{agg}" for feat in feature_names for agg in aggregators]
+    wanted = list(MOBILE_COLUMNS)
     if columns is not None:
         unknown = [c for c in columns if c not in wanted]
         if unknown:
@@ -121,7 +114,7 @@ def build_sector_matrix(
             # Fixed reduction order: the matrix is bit-identical no matter
             # how the input was ordered or partitioned.
             defined.sort()
-            result = aggregate_sector(defined, aggregators)
+            result = aggregate_sector(defined)
             for agg, value in result.items():
                 j = col_index.get(f"{feat}.{agg}")
                 if j is None:

@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the pipeline stages (``synth``,
 ``features``, ``aggregate``, ``indices``, ``correlate``, ``null``, ``fit``,
 ``rolling``, ``verify``) plus ``all``, which runs the whole chain over a
-directory of canonical input files. Every run writes a machine-readable
-``run_manifest.json`` (inputs, outputs, resolved config and its hash, seed,
-versions; no timestamps, so re-runs are byte-identical).
+directory of canonical input files. Each stage is one ``_stage_*`` function
+that the subcommand and ``all`` both call, so ``all`` writes what the
+subcommands would. Every run writes a machine-readable ``run_manifest.json``
+(inputs, outputs, the command's options and their hash, seed, versions; no
+timestamps, so re-runs are byte-identical).
 
 Configuration precedence: built-in defaults < ``--config`` key=value file <
 ``FOODSEC_*`` environment variables < explicit flags.
@@ -29,6 +31,7 @@ import click
 from . import __version__
 from .aggregate import (
     DEFAULT_MIN_USERS,
+    MOBILE_COLUMNS,
     build_sector_matrix,
     read_sector_matrix,
     write_sector_matrix,
@@ -48,6 +51,7 @@ from .features import (
     write_user_features,
 )
 from .indices import (
+    COMPOSITE_CATEGORIES,
     FoodGroupWeights,
     build_survey_matrix,
     load_csi_weights,
@@ -58,6 +62,7 @@ from .ingest import (
     FormatError,
     RowErrorLog,
     load_survey,
+    load_survey_metadata,
     load_tower_map,
     read_cdr,
     read_topups,
@@ -75,6 +80,12 @@ log = logging.getLogger(__name__)
 
 # --threads stays so existing command lines run; it changes nothing, so no manifest records it.
 THREADS_HELP = "accepted for compatibility; has no effect (the null runs in batches)"
+CI_LEVEL = click.FloatRange(0, 1, min_open=True, max_open=True)
+
+# the files `all` reads from --in, each as <name>.csv; the optional ones may be absent
+ALL_INPUTS = ("cdr", "topup", "towers", "survey", "survey_meta",
+              "poverty", "fcs_weights", "csi_weights")
+ALL_OPTIONAL = ("poverty", "fcs_weights", "csi_weights")
 
 
 class VerificationFailed(Exception):
@@ -87,11 +98,14 @@ def _require(value, key: str):
     return value
 
 
-def _require_file(path, key: str) -> Path:
-    p = Path(_require(path, key))
-    if not p.exists():
-        raise ConfigError(f"config key {key!r}: file not found: {p}")
-    return p
+def _inputs(**paths) -> dict[str, Path]:
+    """The given input files by config key, each checked to exist; a None
+    path is an optional input left out."""
+    inputs = {key: Path(p) for key, p in paths.items() if p is not None}
+    for key, p in inputs.items():
+        if not p.exists():
+            raise ConfigError(f"config key {key!r}: file not found: {p}")
+    return inputs
 
 
 def _out_dir(path) -> Path:
@@ -102,20 +116,26 @@ def _out_dir(path) -> Path:
 
 def _write_manifest(
     out_dir: Path,
-    subcommand: str,
     inputs: dict,
     outputs: list[str],
-    config: dict,
     seed: int | None = None,
-    extra: dict | None = None,
+    stats: dict | None = None,
+    config: dict | None = None,
 ) -> None:
+    """Write ``run_manifest.json`` for the running command. ``config``
+    defaults to the command's own options: every parameter except the
+    path-typed ones and ``seed``."""
     import numpy
     import scipy
 
+    ctx = click.get_current_context()
+    if config is None:
+        paths = {p.name for p in ctx.command.params if isinstance(p.type, click.Path)}
+        config = {k: v for k, v in ctx.params.items() if k not in paths and k != "seed"}
     resolved = {k: (str(v) if isinstance(v, (Path, date)) else v) for k, v in config.items()}
     payload = {
-        "subcommand": subcommand,
-        "inputs": {k: str(v) for k, v in inputs.items() if v is not None},
+        "subcommand": ctx.command.name,
+        "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": sorted(outputs),
         "config": resolved,
         "config_hash": hashlib.sha256(
@@ -129,8 +149,8 @@ def _write_manifest(
             "scipy": scipy.__version__,
         },
     }
-    if extra:
-        payload.update(extra)
+    if stats is not None:
+        payload["stats"] = stats
     with open(out_dir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -162,18 +182,20 @@ def cli(ctx, config_path, verbose):
         ctx.default_map = _config_defaults(config_path)
 
 
-# --- stage helpers shared by the individual subcommands and `all` ---
+# --- stages: each validates its options, does its work, writes its artifacts
+# into ``out`` and returns (result, outputs, stats) ---
 
 
-def _stage_features(cdr, topup, towers, out, night_window, strict, home_hours, direction):
-    """Features from one pass over each input; the top-up columns and their
-    row errors are returned too, for the rolling series."""
-    tower_map = load_tower_map(towers)
+def _stage_features(cdr, topup, towers, night_window, home_hours, diversity_direction,
+                    strict, out):
+    """Features from one pass over each input. The result also carries the
+    top-up columns and their row errors, for the rolling stage of ``all``."""
     cfg = FeatureConfig(
         night_window=parse_night_window(night_window),
         home_hours=home_hours,
-        diversity_direction=direction,
+        diversity_direction=diversity_direction,
     )
+    tower_map = load_tower_map(towers)
     cdr_errors = RowErrorLog(strict=strict)
     topup_errors = RowErrorLog(strict=strict)
     calls = read_cdr(cdr, cdr_errors, cfg.night_window, cfg.utc_offset_minutes)
@@ -187,14 +209,26 @@ def _stage_features(cdr, topup, towers, out, night_window, strict, home_hours, d
         "excluded": dict(exclusions),
         "row_errors": {"cdr": cdr_errors.count, "topup": topup_errors.count},
     }
-    return features, stats, topups, topup_errors
+    return (features, topups, topup_errors), ["user_features.csv"], stats
 
 
-def _stage_indices(survey, survey_meta, fcs_weights, poor_max, borderline_max,
+def _stage_aggregate(vectors, min_users, columns, out):
+    wanted = [c.strip() for c in columns.split(",")] if columns else None
+    unknown = [c for c in wanted or () if c not in MOBILE_COLUMNS]
+    if unknown:
+        raise ConfigError(f"config key 'columns': unknown column(s) {', '.join(unknown)}")
+    matrix, excluded = build_sector_matrix(vectors, min_users=min_users, columns=wanted)
+    write_sector_matrix(matrix, out / "sector_mobile.csv")
+    stats = {"sectors_out": len(matrix), "sectors_excluded": excluded}
+    return matrix, ["sector_mobile.csv"], stats
+
+
+def _stage_indices(survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderline_max,
                    csi_weights, poverty, variables, strict, out):
-    defaults = FoodGroupWeights()
-    poor_max = defaults.poor_max if poor_max is None else poor_max
-    borderline_max = defaults.borderline_max if borderline_max is None else borderline_max
+    """The result is the survey matrix and its column -> category map."""
+    fcs = FoodGroupWeights()
+    poor_max = fcs.poor_max if fcs_poor_max is None else fcs_poor_max
+    borderline_max = fcs.borderline_max if fcs_borderline_max is None else fcs_borderline_max
     if not poor_max < borderline_max:
         raise ConfigError(
             f"config key 'fcs_poor_max' ({poor_max}) must be below "
@@ -204,21 +238,45 @@ def _stage_indices(survey, survey_meta, fcs_weights, poor_max, borderline_max,
     table = load_survey(survey, survey_meta, errors)
     if errors.count:
         log.warning("survey: %s", errors.summary())
+    wanted = [v.strip() for v in variables.split(",")] if variables else None
+    unknown = [v for v in wanted or () if v not in table.variables]
+    if unknown:
+        raise ConfigError(
+            f"config key 'variables': unknown survey variable(s) {', '.join(unknown)}"
+        )
     if fcs_weights is not None:
         fcs = load_fcs_weights(fcs_weights, poor_max, borderline_max)
     else:
         fcs = FoodGroupWeights(poor_max=poor_max, borderline_max=borderline_max)
     csi = load_csi_weights(csi_weights) if csi_weights else None
     pov = load_poverty(poverty) if poverty else None
-    wanted = [v.strip() for v in variables.split(",")] if variables else None
     matrix, categories = build_survey_matrix(
         table, fcs_weights=fcs, csi_weights=csi, poverty=pov, variables=wanted
     )
     write_sector_matrix(matrix, out / "sector_survey.csv", count_column="n_households")
-    return matrix, categories, {"row_errors": {"survey": errors.count}}
+    return (matrix, categories), ["sector_survey.csv"], {"row_errors": {"survey": errors.count}}
 
 
-def _stage_fit(mobile, survey, target, variables, degree, scatter, out):
+def _stage_correlate(mobile, survey, ci_level, categories, out):
+    """``categories`` (survey column -> tag), when given, adds heatmap.csv."""
+    entries = correlation_matrix(mobile, survey, level=ci_level)
+    if not any(e.defined for e in entries):
+        raise FormatError("no defined correlations: do the matrices share sectors?")
+    outputs = ["correlations.csv"]
+    write_correlations(entries, out / outputs[0])
+    if categories is not None:
+        outputs.append("heatmap.csv")
+        write_heatmap_data(entries, categories, out / outputs[1])
+    return entries, outputs, {}
+
+
+def _stage_null(mobile, survey, trials, seed, out):
+    summary = shuffle_null(mobile, survey, trials=trials, seed=seed)
+    write_null_summary(summary, out / "null_summary.csv")
+    return summary, ["null_summary.csv"], {}
+
+
+def _stage_fit(mobile, survey, target, variables, degree, scatter_data, out):
     names = [v.strip() for v in variables.split(",") if v.strip()]
     if target not in survey.columns:
         raise ConfigError(f"config key 'target': {target!r} not in the survey matrix")
@@ -230,26 +288,30 @@ def _stage_fit(mobile, survey, target, variables, degree, scatter, out):
     repeated = sorted({v for v in names if names.count(v) > 1})
     if repeated:
         raise ConfigError(f"config key 'variables': repeated variable(s) {', '.join(repeated)}")
-    model, joined, y = fit_from_matrices(
-        mobile, survey, target, degree=degree, variables=names
-    )
+    model, joined, y = fit_from_matrices(mobile, survey, target, degree=degree, variables=names)
     outputs = [f"model_{target}.csv"]
     write_model(model, out / outputs[0])
-    if scatter:
+    if scatter_data:
         outputs.append(f"scatter_{target}.csv")
         write_scatter_data(joined.sectors, predict_rows(model, joined), y, out / outputs[1])
-    return model, outputs
+    return model, outputs, {"fit_r": model.fit_r, "n": model.n}
 
 
-def _stage_rolling(topups, errors, home, window_days, denominator, stock, out):
-    series = rolling_sector_series(
-        topups, home, period=None, window_days=window_days, denominator=denominator
-    )
+def _stage_rolling(topups, topup_errors, vectors, window_days, denominator, stock, out):
+    home = {v.user_id: v.home_sector for v in vectors}
+    series = rolling_sector_series(topups, home, window_days=window_days, denominator=denominator)
     outputs = [f"rolling_{window_days}.csv", "overlay.csv"]
     write_rolling(series, out / outputs[0])
-    stock_rows = load_stock_series(stock) if stock else None
-    emit_overlay(series, out / outputs[1], stock_rows)
-    return series, outputs, {"row_errors": {"topup": errors.count}}
+    emit_overlay(series, out / outputs[1], load_stock_series(stock) if stock else None)
+    return series, outputs, {"row_errors": {"topup": topup_errors.count}}
+
+
+def _read_matrices(inputs: dict) -> tuple:
+    """The (mobile, survey) sector matrices of a command's inputs."""
+    return (
+        read_sector_matrix(inputs["mobile"]),
+        read_sector_matrix(inputs["survey_matrix"], count_column="n_households"),
+    )
 
 
 # --- subcommands ---
@@ -271,12 +333,11 @@ def synth(synth_config, out, seed):
     paths = generate(cfg, out_dir)
     _write_manifest(
         out_dir,
-        "synth",
-        inputs={"synth_config": synth_config} if synth_config else {},
-        outputs=[p.name for p in paths.values()],
+        _inputs(synth_config=synth_config),
+        [p.name for p in paths.values()],
+        seed=cfg.seed,
         config={f.name: getattr(cfg, f.name) for f in cfg.__dataclass_fields__.values()
                 if f.name != "food_items"},
-        seed=cfg.seed,
     )
     click.echo(f"wrote {len(paths)} files to {out_dir}")
 
@@ -292,26 +353,13 @@ def synth(synth_config, out, seed):
 @click.option("--strict", is_flag=True, help="promote row errors to fatal")
 def features(cdr, topup, towers, out, night_window, home_hours, diversity_direction, strict):
     """Per-user features: home sector, top-up stats, social diversity."""
-    cdr = _require_file(cdr, "cdr")
-    topup = _require_file(topup, "topup")
-    towers = _require_file(towers, "towers")
+    inputs = _inputs(cdr=cdr, topup=topup, towers=towers)
     out_dir = _out_dir(out)
-    _, stats, _, _ = _stage_features(
-        cdr, topup, towers, out_dir, night_window, strict, home_hours, diversity_direction
+    _, outputs, stats = _stage_features(
+        inputs["cdr"], inputs["topup"], inputs["towers"], night_window, home_hours,
+        diversity_direction, strict, out_dir,
     )
-    _write_manifest(
-        out_dir,
-        "features",
-        inputs={"cdr": cdr, "topup": topup, "towers": towers},
-        outputs=["user_features.csv"],
-        config={
-            "night_window": night_window,
-            "home_hours": home_hours,
-            "diversity_direction": diversity_direction,
-            "strict": strict,
-        },
-        extra={"stats": stats},
-    )
+    _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"{stats['users_out']} user feature vector(s)")
 
 
@@ -322,21 +370,13 @@ def features(cdr, topup, towers, out, night_window, home_hours, diversity_direct
 @click.option("--columns", default=None, help="comma list pruning feature.aggregator columns")
 def aggregate(user_features_path, out, min_users, columns):
     """Aggregate user features into the sector x mobile-variable matrix."""
-    path = _require_file(user_features_path, "user_features")
+    inputs = _inputs(user_features=user_features_path)
     out_dir = _out_dir(out)
-    vectors = read_user_features(path)
-    wanted = [c.strip() for c in columns.split(",")] if columns else None
-    matrix, excluded = build_sector_matrix(vectors, min_users=min_users, columns=wanted)
-    write_sector_matrix(matrix, out_dir / "sector_mobile.csv")
-    _write_manifest(
-        out_dir,
-        "aggregate",
-        inputs={"user_features": path},
-        outputs=["sector_mobile.csv"],
-        config={"min_users": min_users, "columns": columns},
-        extra={"stats": {"sectors_out": len(matrix), "sectors_excluded": excluded}},
+    matrix, outputs, stats = _stage_aggregate(
+        read_user_features(inputs["user_features"]), min_users, columns, out_dir
     )
-    click.echo(f"{len(matrix)} sector(s), {len(excluded)} excluded")
+    _write_manifest(out_dir, inputs, outputs, stats=stats)
+    click.echo(f"{len(matrix)} sector(s), {len(stats['sectors_excluded'])} excluded")
 
 
 @cli.command()
@@ -354,69 +394,38 @@ def aggregate(user_features_path, out, min_users, columns):
 def indices(survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderline_max,
             csi_weights, poverty, variables, strict, out):
     """Household indices (FCS, CSI, MPI) and sector survey means."""
-    survey = _require_file(survey, "survey")
-    survey_meta = _require_file(survey_meta, "survey_meta")
+    inputs = _inputs(survey=survey, survey_meta=survey_meta, fcs_weights=fcs_weights,
+                     csi_weights=csi_weights, poverty=poverty)
     out_dir = _out_dir(out)
-    matrix, _, stats = _stage_indices(
-        survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderline_max,
-        csi_weights, poverty, variables, strict, out_dir,
+    (matrix, _), outputs, stats = _stage_indices(
+        inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"), fcs_poor_max,
+        fcs_borderline_max, inputs.get("csi_weights"), inputs.get("poverty"), variables,
+        strict, out_dir,
     )
-    _write_manifest(
-        out_dir,
-        "indices",
-        inputs={"survey": survey, "survey_meta": survey_meta, "fcs_weights": fcs_weights,
-                "csi_weights": csi_weights, "poverty": poverty},
-        outputs=["sector_survey.csv"],
-        config={"variables": variables, "fcs_poor_max": fcs_poor_max,
-                "fcs_borderline_max": fcs_borderline_max, "strict": strict},
-        extra={"stats": stats},
-    )
+    _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"{len(matrix)} sector(s) x {len(matrix.columns)} column(s)")
 
 
 @cli.command()
 @click.option("--mobile", type=click.Path(), required=True)
 @click.option("--survey-matrix", type=click.Path(), required=True)
-@click.option("--ci-level", type=float, default=0.95, show_default=True)
+@click.option("--ci-level", type=CI_LEVEL, default=0.95, show_default=True)
 @click.option("--heatmap-data", is_flag=True, help="also write heatmap.csv (|r| long format)")
 @click.option("--survey-meta", type=click.Path(), default=None,
               help="category tags for heatmap output")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def correlate(mobile, survey_matrix, ci_level, heatmap_data, survey_meta, out):
     """Mobile x survey Pearson correlation matrix with p-values and CIs."""
-    mobile_path = _require_file(mobile, "mobile")
-    survey_path = _require_file(survey_matrix, "survey_matrix")
+    inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix, survey_meta=survey_meta)
     out_dir = _out_dir(out)
-    mobile_m = read_sector_matrix(mobile_path)
-    survey_m = read_sector_matrix(survey_path, count_column="n_households")
-    entries = correlation_matrix(mobile_m, survey_m, level=ci_level)
-    outputs = ["correlations.csv"]
-    write_correlations(entries, out_dir / outputs[0])
+    categories = None
     if heatmap_data:
-        categories = _heatmap_categories(survey_meta)
-        outputs.append("heatmap.csv")
-        write_heatmap_data(entries, categories, out_dir / outputs[1])
-    _write_manifest(
-        out_dir,
-        "correlate",
-        inputs={"mobile": mobile_path, "survey_matrix": survey_path,
-                "survey_meta": survey_meta},
-        outputs=outputs,
-        config={"ci_level": ci_level, "heatmap_data": heatmap_data},
-    )
-    defined = sum(1 for e in entries if e.defined)
-    if defined == 0:
-        raise FormatError("no defined correlations: do the matrices share sectors?")
-    click.echo(f"{len(entries)} pair(s), {defined} defined")
-
-
-def _heatmap_categories(survey_meta) -> dict[str, str]:
-    from .ingest import load_survey_metadata
-
-    categories = {"fcs_mean": "composite", "csi_mean": "composite", "mpi": "poverty"}
-    if survey_meta:
-        categories.update(load_survey_metadata(_require_file(survey_meta, "survey_meta")))
-    return categories
+        meta = load_survey_metadata(inputs["survey_meta"]) if survey_meta else {}
+        categories = {**meta, **COMPOSITE_CATEGORIES}
+    entries, outputs, _ = _stage_correlate(*_read_matrices(inputs), ci_level, categories,
+                                           out_dir)
+    _write_manifest(out_dir, inputs, outputs)
+    click.echo(f"{len(entries)} pair(s), {sum(e.defined for e in entries)} defined")
 
 
 @cli.command()
@@ -430,24 +439,10 @@ def _heatmap_categories(survey_meta) -> dict[str, str]:
 def null(mobile, survey_matrix, trials, seed, out):
     """Shuffled-sector null distribution of |r|."""
     seed = _require(seed, "seed")
-    mobile_path = _require_file(mobile, "mobile")
-    survey_path = _require_file(survey_matrix, "survey_matrix")
+    inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix)
     out_dir = _out_dir(out)
-    summary = shuffle_null(
-        read_sector_matrix(mobile_path),
-        read_sector_matrix(survey_path, count_column="n_households"),
-        trials=trials,
-        seed=seed,
-    )
-    write_null_summary(summary, out_dir / "null_summary.csv")
-    _write_manifest(
-        out_dir,
-        "null",
-        inputs={"mobile": mobile_path, "survey_matrix": survey_path},
-        outputs=["null_summary.csv"],
-        config={"trials": trials},
-        seed=seed,
-    )
+    summary, outputs, _ = _stage_null(*_read_matrices(inputs), trials, seed, out_dir)
+    _write_manifest(out_dir, inputs, outputs, seed=seed)
     click.echo(
         f"null |r| p95={summary.abs_r_p95:.4f} p99={summary.abs_r_p99:.4f} "
         f"max={summary.abs_r_max:.4f} over {trials} trial(s)"
@@ -464,26 +459,13 @@ def null(mobile, survey_matrix, trials, seed, out):
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def fit(mobile, survey_matrix, target, variables, degree, scatter_data, out):
     """Fit a polynomial proxy model for one survey indicator."""
-    mobile_path = _require_file(mobile, "mobile")
-    survey_path = _require_file(survey_matrix, "survey_matrix")
+    inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix)
     out_dir = _out_dir(out)
-    model, outputs = _stage_fit(
-        read_sector_matrix(mobile_path),
-        read_sector_matrix(survey_path, count_column="n_households"),
-        target,
-        variables,
-        degree,
-        scatter_data,
-        out_dir,
+    model, outputs, _ = _stage_fit(
+        *_read_matrices(inputs), target, variables, degree, scatter_data, out_dir
     )
-    _write_manifest(
-        out_dir,
-        "fit",
-        inputs={"mobile": mobile_path, "survey_matrix": survey_path},
-        outputs=outputs,
-        config={"target": target, "variables": variables, "degree": degree,
-                "scatter_data": scatter_data},
-    )
+    # the fit's stats go into the manifest of `all` only
+    _write_manifest(out_dir, inputs, outputs)
     click.echo(f"fit_r={model.fit_r:.4f} over {model.n} sector(s)")
 
 
@@ -497,26 +479,17 @@ def fit(mobile, survey_matrix, target, variables, degree, scatter_data, out):
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def rolling(topup, user_features_path, window_days, denominator, stock, strict, out):
     """Rolling-window top-up expenditure series per sector."""
-    topup = _require_file(topup, "topup")
-    features_path = _require_file(user_features_path, "user_features")
-    stock_path = _require_file(stock, "stock") if stock else None
+    inputs = _inputs(topup=topup, user_features=user_features_path, stock=stock)
     out_dir = _out_dir(out)
-    home = {v.user_id: v.home_sector for v in read_user_features(features_path)}
+    vectors = read_user_features(inputs["user_features"])
     errors = RowErrorLog(strict=strict)
-    topups = read_topups(topup, errors)
+    topups = read_topups(inputs["topup"], errors)
     if errors.count:
         log.warning("topup: %s", errors.summary())
     series, outputs, stats = _stage_rolling(
-        topups, errors, home, window_days, denominator, stock_path, out_dir
+        topups, errors, vectors, window_days, denominator, inputs.get("stock"), out_dir
     )
-    _write_manifest(
-        out_dir,
-        "rolling",
-        inputs={"topup": topup, "user_features": features_path, "stock": stock_path},
-        outputs=outputs,
-        config={"window_days": window_days, "denominator": denominator, "strict": strict},
-        extra={"stats": stats},
-    )
+    _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"{len(series)} sector series")
 
 
@@ -527,7 +500,7 @@ def rolling(topup, user_features_path, window_days, denominator, stock, strict, 
               help="report directory (default: the outputs directory)")
 def verify(truth, outputs_dir, out):
     """Check pipeline outputs against a synthetic dataset's ground truth."""
-    truth = _require_file(truth, "truth")
+    truth = _inputs(truth=truth)["truth"]
     outputs_path = Path(outputs_dir)
     if not outputs_path.is_dir():
         raise ConfigError(f"config key 'outputs': not a directory: {outputs_path}")
@@ -545,7 +518,8 @@ def verify(truth, outputs_dir, out):
 
 @cli.command(name="all")
 @click.option("--in", "in_dir", type=click.Path(file_okay=False), required=True,
-              help="directory with cdr/topup/towers/survey/survey_meta/poverty csv files")
+              help="directory with cdr/topup/towers/survey/survey_meta csv files "
+              "(poverty/fcs_weights/csi_weights optional)")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
@@ -553,7 +527,7 @@ def verify(truth, outputs_dir, out):
 @click.option("--strict", is_flag=True)
 @click.option("--night-window", default="18:00-08:00", show_default=True)
 @click.option("--min-users", type=int, default=DEFAULT_MIN_USERS, show_default=True)
-@click.option("--ci-level", type=float, default=0.95, show_default=True)
+@click.option("--ci-level", type=CI_LEVEL, default=0.95, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--target", default="food_expenditure", show_default=True)
 @click.option("--variables", default="topup_sum.mean,topup_mean.mean", show_default=True)
@@ -564,78 +538,35 @@ def verify(truth, outputs_dir, out):
 def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
             trials, target, variables, degree, window_days, heatmap_data, scatter_data):
     """Run the full chain: features, aggregate, indices, correlate, null,
-    fit, rolling."""
+    fit, rolling, each as its subcommand would with these options."""
     seed = _require(seed, "seed")
-    base = Path(in_dir)
-    paths = {name: base / f"{name}.csv"
-             for name in ("cdr", "topup", "towers", "survey", "survey_meta", "poverty")}
-    for key in ("cdr", "topup", "towers", "survey", "survey_meta"):
-        _require_file(paths[key], key)
-    poverty_path = paths["poverty"] if paths["poverty"].exists() else None
-    fcs_path = base / "fcs_weights.csv"
-    csi_path = base / "csi_weights.csv"
+    paths = {name: Path(in_dir) / f"{name}.csv" for name in ALL_INPUTS}
+    inputs = _inputs(**{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
     out_dir = _out_dir(out)
     outputs: list[str] = []
     stats: dict = {}
 
-    vectors, feature_stats, topups, topup_errors = _stage_features(
-        paths["cdr"], paths["topup"], paths["towers"], out_dir,
-        night_window, strict, "night", "both",
+    def run(stage, *args):
+        result, written, stage_stats = stage(*args, out_dir)
+        outputs.extend(written)
+        if stage_stats:
+            stats[stage.__name__.removeprefix("_stage_")] = stage_stats
+        return result
+
+    vectors, topups, topup_errors = run(
+        _stage_features, inputs["cdr"], inputs["topup"], inputs["towers"], night_window,
+        "night", "both", strict,
     )
-    stats["features"] = feature_stats
-    outputs.append("user_features.csv")
-
-    mobile_matrix, excluded = build_sector_matrix(vectors, min_users=min_users)
-    write_sector_matrix(mobile_matrix, out_dir / "sector_mobile.csv")
-    stats["aggregate"] = {"sectors_out": len(mobile_matrix), "sectors_excluded": excluded}
-    outputs.append("sector_mobile.csv")
-
-    survey_matrix, categories, index_stats = _stage_indices(
-        paths["survey"], paths["survey_meta"],
-        fcs_path if fcs_path.exists() else None, None, None,
-        csi_path if csi_path.exists() else None,
-        poverty_path, None, strict, out_dir,
+    mobile = run(_stage_aggregate, vectors, min_users, None)
+    survey, categories = run(
+        _stage_indices, inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"),
+        None, None, inputs.get("csi_weights"), inputs.get("poverty"), None, strict,
     )
-    stats["indices"] = index_stats
-    outputs.append("sector_survey.csv")
-
-    entries = correlation_matrix(mobile_matrix, survey_matrix, level=ci_level)
-    write_correlations(entries, out_dir / "correlations.csv")
-    outputs.append("correlations.csv")
-    if heatmap_data:
-        write_heatmap_data(entries, categories, out_dir / "heatmap.csv")
-        outputs.append("heatmap.csv")
-
-    summary = shuffle_null(mobile_matrix, survey_matrix, trials=trials, seed=seed)
-    write_null_summary(summary, out_dir / "null_summary.csv")
-    outputs.append("null_summary.csv")
-
-    model, fit_outputs = _stage_fit(
-        mobile_matrix, survey_matrix, target, variables, degree, scatter_data, out_dir
-    )
-    outputs.extend(fit_outputs)
-    stats["fit"] = {"fit_r": model.fit_r, "n": model.n}
-
-    home = {v.user_id: v.home_sector for v in vectors}
-    _, rolling_outputs, rolling_stats = _stage_rolling(
-        topups, topup_errors, home, window_days, "period", None, out_dir
-    )
-    outputs.extend(rolling_outputs)
-    stats["rolling"] = rolling_stats
-
-    _write_manifest(
-        out_dir,
-        "all",
-        inputs={k: p for k, p in paths.items() if p.exists()},
-        outputs=outputs,
-        config={"night_window": night_window, "min_users": min_users,
-                "ci_level": ci_level, "trials": trials,
-                "target": target, "variables": variables, "degree": degree,
-                "window_days": window_days, "strict": strict,
-                "heatmap_data": heatmap_data, "scatter_data": scatter_data},
-        seed=seed,
-        extra={"stats": stats},
-    )
+    run(_stage_correlate, mobile, survey, ci_level, categories if heatmap_data else None)
+    run(_stage_null, mobile, survey, trials, seed)
+    run(_stage_fit, mobile, survey, target, variables, degree, scatter_data)
+    run(_stage_rolling, topups, topup_errors, vectors, window_days, "period", None)
+    _write_manifest(out_dir, inputs, outputs, seed=seed, stats=stats)
     click.echo(f"wrote {len(outputs)} artifact(s) to {out_dir}")
 
 
@@ -646,9 +577,6 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
-        return 1
-    except click.UsageError as exc:
-        exc.show()
         return 1
     except click.ClickException as exc:
         exc.show()

@@ -28,7 +28,6 @@ from .ingest import (
     CallColumns,
     FormatError,
     TopUpColumns,
-    TowerSectorMap,
 )
 
 log = logging.getLogger(__name__)
@@ -173,7 +172,7 @@ def social_diversity(volumes: Mapping[str, int] | Iterable[int]) -> float:
 def user_features(
     calls: CallColumns,
     topups: TopUpColumns,
-    tower_map: TowerSectorMap,
+    tower_map: Mapping[str, str],
     config: FeatureConfig | None = None,
 ) -> tuple[list[UserFeatureVector], Counter]:
     """One vector per user with calls and top-ups, sorted by user_id.

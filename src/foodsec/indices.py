@@ -38,6 +38,8 @@ DEFAULT_FCS_WEIGHTS = {
     "condiments": 0.0,
 }
 DEFAULT_FCS_THRESHOLDS = (21.0, 35.0)
+# heatmap category tags of the composite columns build_survey_matrix appends
+COMPOSITE_CATEGORIES = {"fcs_mean": "composite", "csi_mean": "composite", "mpi": "poverty"}
 
 FCS_CLASSES = ("poor", "borderline", "acceptable")
 
@@ -295,5 +297,4 @@ def build_survey_matrix(
         counts=base.counts,
     )
     categories = {v: table.categories[v] for v in variables}
-    categories.update({"fcs_mean": "composite", "csi_mean": "composite", "mpi": "poverty"})
-    return matrix, categories
+    return matrix, {**categories, **COMPOSITE_CATEGORIES}

@@ -263,32 +263,10 @@ def read_topups(
     )
 
 
-@dataclass(frozen=True)
-class TowerSectorMap:
-    """Total mapping tower_id -> sector_id over the known towers."""
-
-    entries: dict[str, str]
-
-    @property
-    def sectors(self) -> set[str]:
-        return set(self.entries.values())
-
-    def get(self, tower_id: str) -> str | None:
-        return self.entries.get(tower_id)
-
-    def __getitem__(self, tower_id: str) -> str:
-        return self.entries[tower_id]
-
-    def __contains__(self, tower_id: str) -> bool:
-        return tower_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_tower_map(source) -> TowerSectorMap:
-    """Load ``towers.csv``. A tower mapped to two different sectors is fatal;
-    an exact duplicate row is accepted with a warning."""
+def load_tower_map(source) -> dict[str, str]:
+    """Load ``towers.csv`` as a tower_id -> sector_id dict. A tower mapped to
+    two different sectors is fatal; an exact duplicate row is accepted with a
+    warning."""
     handle, owned = _open_text(source)
     try:
         reader = csv.reader(handle)
@@ -312,7 +290,7 @@ def load_tower_map(source) -> TowerSectorMap:
                 )
         if duplicates:
             log.warning("towers: %d duplicate identical mapping(s) ignored", duplicates)
-        return TowerSectorMap(entries)
+        return entries
     finally:
         if owned:
             handle.close()

@@ -23,8 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
+from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,6 +49,20 @@ class SectorSeries:
     window_days: int
     n_users: int
     points: tuple[tuple[date, Decimal], ...]  # (label_date, value), daily step
+
+    @cached_property
+    def _values_text(self) -> str:
+        # formatted once for both writers; one joined string keeps it small
+        return "\n".join(str(value) for _, value in self.points)
+
+    def text_points(self) -> Iterator[tuple[str, str]]:
+        """Each point's label and value as the writers print them."""
+        labels = (_day_text(label) for label, _ in self.points)
+        return zip(labels, self._values_text.split("\n"))
+
+
+# every sector's series carries the same label dates
+_day_text = lru_cache(maxsize=4096)(date.isoformat)
 
 
 def window_label(start: date, window_days: int) -> date:
@@ -172,8 +187,8 @@ def write_rolling(series: Iterable[SectorSeries], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(ROLLING_HEADER) + "\n")
         for s in series:
-            for label, value in s.points:
-                f.write(f"{s.sector_id},{label.isoformat()},{value},{s.n_users}\n")
+            tail = f",{s.n_users}\n"
+            f.writelines(f"{s.sector_id},{label},{value}{tail}" for label, value in s.text_points())
 
 
 def load_stock_series(source) -> list[tuple[date, str, float]]:
@@ -212,8 +227,9 @@ def emit_overlay(
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(OVERLAY_HEADER) + "\n")
         for s in series:
-            for label_date, value in s.points:
-                f.write(f"{label_date.isoformat()},topup_rolling,{s.sector_id},{value}\n")
+            f.writelines(
+                f"{label},topup_rolling,{s.sector_id},{value}\n" for label, value in s.text_points()
+            )
         if stock_rows is not None:
             for d, label, value in stock_rows:
                 f.write(f"{d.isoformat()},food_stock,{label},{format_number(value)}\n")

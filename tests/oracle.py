@@ -40,7 +40,6 @@ from foodsec.ingest import (
     RowErrorLog,
     SurveyTable,
     TopUpColumns,
-    TowerSectorMap,
     _check_header,
     _open_text,
     format_number,
@@ -227,7 +226,7 @@ class FeatureAccumulator:
                 self.topup_mins[user] = other.topup_mins[user]
                 self.topup_maxs[user] = other.topup_maxs[user]
 
-    def finalize(self, tower_map: TowerSectorMap) -> tuple[list[UserFeatureVector], Counter]:
+    def finalize(self, tower_map: Mapping[str, str]) -> tuple[list[UserFeatureVector], Counter]:
         exclusions: Counter = Counter()
         out: list[UserFeatureVector] = []
         for user in sorted(set(self.all_counts) | set(self.topup_sums)):
@@ -266,7 +265,7 @@ class FeatureAccumulator:
 def rowwise_features(
     cdr: Iterable[CallRecord],
     topups: Iterable[TopUpRecord],
-    tower_map: TowerSectorMap,
+    tower_map: Mapping[str, str],
     config: FeatureConfig | None = None,
 ) -> tuple[list[UserFeatureVector], Counter]:
     acc = FeatureAccumulator(config or FeatureConfig())
@@ -307,11 +306,11 @@ def write_topups(records: Iterable[TopUpRecord], path) -> None:
         f.write(topup_csv(records).getvalue())
 
 
-def write_tower_map(tower_map: TowerSectorMap, path) -> None:
+def write_tower_map(tower_map: Mapping[str, str], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(TOWER_HEADER) + "\n")
-        for tower in sorted(tower_map.entries):
-            f.write(f"{tower},{tower_map.entries[tower]}\n")
+        for tower in sorted(tower_map):
+            f.write(f"{tower},{tower_map[tower]}\n")
 
 
 def write_survey(table: SurveyTable, data_path, meta_path=None) -> None:
@@ -359,7 +358,7 @@ def topup_columns(records: Iterable[TopUpRecord], period=None) -> TopUpColumns:
 def build_user_features(
     cdr: Iterable[CallRecord],
     topups: Iterable[TopUpRecord],
-    tower_map: TowerSectorMap,
+    tower_map: Mapping[str, str],
     config: FeatureConfig | None = None,
 ) -> tuple[list[UserFeatureVector], Counter]:
     cfg = config or FeatureConfig()

@@ -138,6 +138,37 @@ class TestExitCodes:
         assert rc == 1
         assert "fcs_borderline_max" in capsys.readouterr().err
 
+    def test_unknown_aggregate_column_is_config_error(self, medium_pipeline, tmp_path, capsys):
+        rc = run(["aggregate", "--user-features", medium_pipeline / "user_features.csv",
+                  "--columns", "topup_sum.mean,bogus.mean", "--out", tmp_path])
+        assert rc == 1
+        assert "unknown column(s) bogus.mean" in capsys.readouterr().err
+
+    def test_unknown_survey_variable_is_config_error(self, medium_dataset, tmp_path, capsys):
+        _, paths = medium_dataset
+        rc = run(["indices", "--survey", paths["survey"], "--survey-meta", paths["survey_meta"],
+                  "--variables", "household_size,bogus", "--out", tmp_path])
+        assert rc == 1
+        assert "unknown survey variable(s) bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.2"])
+    def test_correlate_ci_level_outside_unit_interval_is_config_error(
+        self, medium_pipeline, tmp_path, level
+    ):
+        rc = run(["correlate", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                  "--ci-level", level, "--out", tmp_path])
+        assert rc == 1
+
+    @pytest.mark.parametrize("level", ["0", "1.5"])
+    def test_all_ci_level_outside_unit_interval_is_config_error(
+        self, medium_dataset, tmp_path, level
+    ):
+        _, paths = medium_dataset
+        rc = run(["all", "--in", paths["cdr"].parent, "--out", tmp_path,
+                  "--seed", "1", "--min-users", "5", "--ci-level", level])
+        assert rc == 1
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     """``scipy.stats`` costs about a second of import; nothing may pull it in."""
@@ -188,6 +219,36 @@ class TestAllPipeline:
 
 
 class TestDeterminismAndOverrides:
+    def test_chain_of_subcommands_equals_all(self, medium_dataset, tmp_path):
+        """`all` is the seven stage subcommands run with its defaults."""
+        _, paths = medium_dataset
+        seed, trials = "3", "20"
+        whole, chain = tmp_path / "all", tmp_path / "chain"
+        assert run(["all", "--in", paths["cdr"].parent, "--out", whole, "--seed", seed,
+                    "--trials", trials, "--heatmap-data", "--scatter-data"]) == 0
+        mobile = ["--mobile", chain / "sector_mobile.csv",
+                  "--survey-matrix", chain / "sector_survey.csv"]
+        for args in (
+            ["features", "--cdr", paths["cdr"], "--topup", paths["topup"],
+             "--towers", paths["towers"]],
+            ["aggregate", "--user-features", chain / "user_features.csv"],
+            ["indices", "--survey", paths["survey"], "--survey-meta", paths["survey_meta"],
+             "--poverty", paths["poverty"]],
+            ["correlate", *mobile, "--heatmap-data", "--survey-meta", paths["survey_meta"]],
+            ["null", *mobile, "--trials", trials, "--seed", seed],
+            ["fit", *mobile, "--target", "food_expenditure",
+             "--variables", "topup_sum.mean,topup_mean.mean", "--degree", "2",
+             "--scatter-data"],
+            ["rolling", "--topup", paths["topup"],
+             "--user-features", chain / "user_features.csv"],
+        ):
+            assert run([*args, "--out", chain]) == 0, args[0]
+        artifacts = sorted(p.name for p in whole.glob("*.csv"))
+        assert len(artifacts) == 10
+        assert sorted(p.name for p in chain.glob("*.csv")) == artifacts
+        for name in artifacts:
+            assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
+
     def test_correlate_reruns_are_byte_identical(self, medium_pipeline, tmp_path):
         args = ["correlate", "--mobile", medium_pipeline / "sector_mobile.csv",
                 "--survey-matrix", medium_pipeline / "sector_survey.csv"]
@@ -266,6 +327,45 @@ class TestInputContracts:
                   "--survey-matrix", medium_pipeline / "sector_survey.csv",
                   "--out", tmp_path / "out"])
         assert rc == 2
+
+    def test_failed_correlate_leaves_no_manifest(self, medium_pipeline, tmp_path, capsys):
+        mobile = (medium_pipeline / "sector_mobile.csv").read_text().splitlines()
+        (tmp_path / "renamed.csv").write_text(
+            "\n".join([mobile[0]] + ["zz" + line for line in mobile[1:]]) + "\n"
+        )
+        rc = run(["correlate", "--mobile", tmp_path / "renamed.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                  "--out", tmp_path / "out"])
+        assert rc == 2
+        assert "no defined correlations" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_all_reports_an_empty_join_as_correlate_does(self, medium_dataset, tmp_path,
+                                                          capsys):
+        _, paths = medium_dataset
+        rc = run(["all", "--in", paths["cdr"].parent, "--out", tmp_path,
+                  "--seed", "1", "--trials", "5", "--min-users", "100000"])
+        assert rc == 2
+        assert "no defined correlations: do the matrices share sectors?" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_all_records_weight_tables_as_inputs(self, medium_dataset, tmp_path):
+        import shutil
+
+        _, paths = medium_dataset
+        data = tmp_path / "data"
+        shutil.copytree(paths["cdr"].parent, data)
+        (data / "fcs_weights.csv").write_text(
+            "food_group,weight\nstaples,2\npulses,3\nvegetables,1\nfruit,1\n"
+        )
+        rc = run(["all", "--in", data, "--out", tmp_path / "out",
+                  "--seed", "1", "--trials", "5", "--min-users", "5"])
+        assert rc == 0
+        inputs = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["inputs"]
+        assert inputs["fcs_weights"] == str(data / "fcs_weights.csv")
+        assert "csi_weights" not in inputs
 
 
 class TestOptionalOutputs:

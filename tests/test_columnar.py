@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec.features import FeatureConfig, user_features
-from foodsec.ingest import RowErrorLog, StrictModeError, TowerSectorMap, read_cdr, read_topups
+from foodsec.ingest import RowErrorLog, StrictModeError, read_cdr, read_topups
 from oracle import in_night_local, parse_cdr_stream, parse_topup_stream, rowwise_features
 
 # first-seen order differs from sorted order, and some IDs need quoting
@@ -97,7 +97,7 @@ configs = st.builds(
 )
 mostly = st.sampled_from([True, True, True, False])
 tower_maps = st.lists(mostly, min_size=len(TOWERS), max_size=len(TOWERS)).map(
-    lambda keep: TowerSectorMap({t: f"s{i % 2}" for i, t in enumerate(TOWERS) if keep[i]})
+    lambda keep: {t: f"s{i % 2}" for i, t in enumerate(TOWERS) if keep[i]}
 )
 periods = st.sampled_from([None, None, (datetime(2012, 1, 1, 12), datetime(2012, 1, 3))])
 stricts = mostly.map(lambda lenient: not lenient)
@@ -159,7 +159,7 @@ def test_row_error_lines_count_physical_lines():
     cdr = ('caller_id,callee_id,tower_id,timestamp\n"u\n1",u2,t1,2012-01-01T20:00:00Z\n\n'
            "u3,u4,t1,nope\n")
     topup = "user_id,amount,timestamp\n"
-    args = (cdr, topup, TowerSectorMap({"t1": "s1"}), FeatureConfig(), None, False)
+    args = (cdr, topup, {"t1": "s1"}, FeatureConfig(), None, False)
     expected = outcome(oracle_side, *args)
     assert outcome(columnar_side, *args) == expected
     assert expected[3][0][1][0].line == 5

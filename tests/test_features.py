@@ -12,7 +12,7 @@ from foodsec.features import (
     social_diversity,
     write_user_features,
 )
-from foodsec.ingest import StrictModeError, TowerSectorMap, in_night_window
+from foodsec.ingest import StrictModeError, in_night_window
 from oracle import (
     CallRecord,
     FeatureAccumulator,
@@ -196,7 +196,7 @@ class TestSocialDiversity:
         assert after >= before - 1e-12
 
 
-TOWERS = TowerSectorMap({"t1": "s1", "t2": "s2"})
+TOWERS = {"t1": "s1", "t2": "s2"}
 
 
 class TestBuildUserFeatures:
