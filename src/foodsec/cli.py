@@ -226,9 +226,9 @@ def _stage_aggregate(vectors, min_users, columns, out):
 def _stage_indices(survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderline_max,
                    csi_weights, poverty, variables, strict, out):
     """The result is the survey matrix and its column -> category map."""
-    fcs = FoodGroupWeights()
-    poor_max = fcs.poor_max if fcs_poor_max is None else fcs_poor_max
-    borderline_max = fcs.borderline_max if fcs_borderline_max is None else fcs_borderline_max
+    default = FoodGroupWeights()
+    poor_max = default.poor_max if fcs_poor_max is None else fcs_poor_max
+    borderline_max = default.borderline_max if fcs_borderline_max is None else fcs_borderline_max
     if not poor_max < borderline_max:
         raise ConfigError(
             f"config key 'fcs_poor_max' ({poor_max}) must be below "

@@ -187,8 +187,8 @@ def write_rolling(series: Iterable[SectorSeries], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(ROLLING_HEADER) + "\n")
         for s in series:
-            tail = f",{s.n_users}\n"
-            f.writelines(f"{s.sector_id},{label},{value}{tail}" for label, value in s.text_points())
+            head, tail = f"{s.sector_id},", f",{s.n_users}\n"
+            f.writelines(f"{head}{label},{value}{tail}" for label, value in s.text_points())
 
 
 def load_stock_series(source) -> list[tuple[date, str, float]]:
@@ -227,9 +227,8 @@ def emit_overlay(
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(OVERLAY_HEADER) + "\n")
         for s in series:
-            f.writelines(
-                f"{label},topup_rolling,{s.sector_id},{value}\n" for label, value in s.text_points()
-            )
+            middle = f",topup_rolling,{s.sector_id},"
+            f.writelines(f"{label}{middle}{value}\n" for label, value in s.text_points())
         if stock_rows is not None:
             for d, label, value in stock_rows:
                 f.write(f"{d.isoformat()},food_stock,{label},{format_number(value)}\n")
