@@ -109,8 +109,11 @@ def _inputs(**paths) -> dict[str, Path]:
 
 
 def _out_dir(path) -> Path:
+    """The output directory, created if needed and cleared of an earlier
+    run's manifest, so a run that fails leaves none behind."""
     out = Path(_require(path, "out"))
     out.mkdir(parents=True, exist_ok=True)
+    (out / "run_manifest.json").unlink(missing_ok=True)
     return out
 
 
@@ -250,11 +253,14 @@ def _stage_indices(survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderlin
         fcs = FoodGroupWeights(poor_max=poor_max, borderline_max=borderline_max)
     csi = load_csi_weights(csi_weights) if csi_weights else None
     pov = load_poverty(poverty) if poverty else None
-    matrix, categories = build_survey_matrix(
+    matrix, categories, incomplete = build_survey_matrix(
         table, fcs_weights=fcs, csi_weights=csi, poverty=pov, variables=wanted
     )
     write_sector_matrix(matrix, out / "sector_survey.csv", count_column="n_households")
-    return (matrix, categories), ["sector_survey.csv"], {"row_errors": {"survey": errors.count}}
+    stats = {"row_errors": {"survey": errors.count}}
+    if incomplete:
+        stats["incomplete_households"] = incomplete
+    return (matrix, categories), ["sector_survey.csv"], stats
 
 
 def _stage_correlate(mobile, survey, ci_level, categories, out):
@@ -461,11 +467,10 @@ def fit(mobile, survey_matrix, target, variables, degree, scatter_data, out):
     """Fit a polynomial proxy model for one survey indicator."""
     inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix)
     out_dir = _out_dir(out)
-    model, outputs, _ = _stage_fit(
+    model, outputs, stats = _stage_fit(
         *_read_matrices(inputs), target, variables, degree, scatter_data, out_dir
     )
-    # the fit's stats go into the manifest of `all` only
-    _write_manifest(out_dir, inputs, outputs)
+    _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"fit_r={model.fit_r:.4f} over {model.n} sector(s)")
 
 
@@ -504,7 +509,9 @@ def verify(truth, outputs_dir, out):
     outputs_path = Path(outputs_dir)
     if not outputs_path.is_dir():
         raise ConfigError(f"config key 'outputs': not a directory: {outputs_path}")
-    report_dir = _out_dir(out) if out else outputs_path
+    # the report may go into a run's output directory: keep its manifest
+    report_dir = Path(out) if out else outputs_path
+    report_dir.mkdir(parents=True, exist_ok=True)
     report = verify_outputs(truth, outputs_path)
     write_verify_report(report, report_dir / "verify_report.csv")
     for line in report.lines():

@@ -233,54 +233,56 @@ def build_survey_matrix(
     csi_weights: Mapping[str, float] | None = None,
     poverty: Mapping[str, tuple[float, float]] | None = None,
     variables: Sequence[str] | None = None,
-) -> tuple[SectorMatrix, dict[str, str]]:
+) -> tuple[SectorMatrix, dict[str, str], dict[str, int]]:
     """Sector x survey-variable matrix with composite index columns.
 
     Columns are the requested variables (default: every survey variable)
     followed by ``fcs_mean``, ``csi_mean``, and ``mpi``. FCS uses the survey
     columns whose names match the weight table's food groups (absent groups
     score 0); CSI likewise selects columns named after the weighted
-    strategies and stays undefined without a weight table. MPI is undefined
-    for sectors missing from the poverty table.
+    strategies and stays undefined without a weight table. A household with
+    a blank cell in a column of non-zero weight has no score and is left out
+    of that mean; a sector without a scored household has none. MPI is
+    undefined for sectors missing from the poverty table.
 
-    Returns the matrix plus a column -> category map for heatmap output.
+    Returns the matrix, a column -> category map for heatmap output, and the
+    number of households left out of each composite mean (only those with
+    any).
     """
     fcs = fcs_weights or FoodGroupWeights()
     if variables is None:
         variables = list(table.variables)
     base = sector_survey_means(table, variables)
-
-    n_rows = len(table)
-    fcs_scores = np.zeros(n_rows, dtype=np.float64)
-    for group in fcs.weights:
-        if group in table.variables:
-            col = np.nan_to_num(table.column(group), nan=0.0)
-            fcs_scores += fcs.weights[group] * col
-
-    csi_scores = None
-    if csi_weights:
-        matched = [s for s in csi_weights if s in table.variables]
-        if matched:
-            csi_scores = np.zeros(n_rows, dtype=np.float64)
-            for strategy in matched:
-                csi_scores += csi_weights[strategy] * np.nan_to_num(
-                    table.column(strategy), nan=0.0
-                )
-        else:
-            log.warning("csi: no weighted strategy matches a survey column")
-
     sectors = base.sectors
     sector_index = {s: i for i, s in enumerate(sectors)}
     rows = np.fromiter((sector_index[s] for s in table.sector_ids), dtype=np.int64)
+    incomplete: dict[str, int] = {}
 
-    def sector_mean(scores: np.ndarray) -> np.ndarray:
-        sums = np.bincount(rows, weights=scores, minlength=len(sectors))
-        return sums / np.maximum(base.counts, 1)
+    def sector_mean(name: str, weights: Mapping[str, float]) -> np.ndarray:
+        """Per-sector mean of the weighted sum of the columns in ``weights``."""
+        scores = np.zeros(len(table), dtype=np.float64)
+        for column, weight in weights.items():
+            if weight:
+                scores += weight * table.column(column)
+        scored = ~np.isnan(scores)
+        if not scored.all():
+            incomplete[name] = int((~scored).sum())
+            log.warning("%s: %d household(s) with a blank weighted cell left out",
+                        name, incomplete[name])
+        sums = np.bincount(rows[scored], weights=scores[scored], minlength=len(sectors))
+        counts = np.bincount(rows[scored], minlength=len(sectors))
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
     extra = np.full((len(sectors), 3), np.nan, dtype=np.float64)
-    extra[:, 0] = sector_mean(fcs_scores)
-    if csi_scores is not None:
-        extra[:, 1] = sector_mean(csi_scores)
+    extra[:, 0] = sector_mean(
+        "fcs_mean", {g: w for g, w in fcs.weights.items() if g in table.variables}
+    )
+    if csi_weights:
+        matched = {s: w for s, w in csi_weights.items() if s in table.variables}
+        if matched:
+            extra[:, 1] = sector_mean("csi_mean", matched)
+        else:
+            log.warning("csi: no weighted strategy matches a survey column")
     if poverty:
         for sector, (h, a) in poverty.items():
             i = sector_index.get(sector)
@@ -297,4 +299,4 @@ def build_survey_matrix(
         counts=base.counts,
     )
     categories = {v: table.categories[v] for v in variables}
-    return matrix, {**categories, **COMPOSITE_CATEGORIES}
+    return matrix, {**categories, **COMPOSITE_CATEGORIES}, incomplete

@@ -10,6 +10,15 @@ columns (:class:`CallColumns`, :class:`TopUpColumns`): IDs are interned to
 codes in first-seen order, and each call keeps only what the features use,
 its codes and whether it fell in the night window.
 
+The data readers take their input in chunks of whole lines. A clean chunk
+(no quote, carriage return or NUL, every line with the header's field count
+and no empty field where one is an error, fixed-layout ``...Z`` timestamps,
+valid amounts and cells) is split and checked in bulk; any other chunk goes
+through the reader's row-wise loop with the same line numbers, and from the
+first quote on, the rest of the input does. An open handle should split
+lines as the csv module asks (``newline=""``): a row-wise chunk ends a line
+at a lone carriage return, as a file the reader opens itself does.
+
 Malformed data rows are quarantined into a :class:`RowErrorLog` and parsing
 continues; structural problems (bad header, conflicting tower map rows) raise
 :class:`FormatError`. ``records_out + row_errors == data_rows_in`` always
@@ -19,12 +28,15 @@ holds: no row is silently dropped.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from typing import IO
+from itertools import chain
+from math import nan
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -138,6 +150,153 @@ def _open_text(source) -> tuple[IO[str], bool]:
     return open(source, "r", encoding="utf-8", newline=""), True
 
 
+#: Characters read per chunk; a chunk then runs on to the end of its last line.
+_CHUNK_CHARS = 1 << 15
+
+_NL = ord("\n")
+_EPOCH = datetime(1970, 1, 1)
+_US = timedelta(microseconds=1)
+_DAY_US = 86_400 * 10**6
+# A timestamp field of a clean chunk: its comma, then YYYY-MM-DDTHH:MM:SSZ with
+# the Z folded to lower case. Byte bounds check the layout and the tens digits
+# of month, day, hour, minute and second, so minute and second are in range.
+_TS_BACK = np.arange(-21, 0)
+_TS_LO = np.frombuffer(b",0000-00-00T00:00:00z", np.uint8)
+_TS_HI = np.frombuffer(b",9999-19-39T29:59:59z", np.uint8)
+# digit place values giving year, month, day and second of day
+_TS_PLACES = np.zeros((19, 4))
+_TS_PLACES[0:4, 0] = 1000, 100, 10, 1
+_TS_PLACES[5:7, 1] = 10, 1
+_TS_PLACES[8:10, 2] = 10, 1
+_TS_PLACES[[11, 12, 14, 15, 17, 18], 3] = 36_000, 3_600, 600, 60, 10, 1
+_TS_ZERO = ord("0") * _TS_PLACES.sum(axis=0)
+# the second-of-day bound keeps the hour below 24; years 1 and 9999 take the
+# row-wise path, where a UTC offset can overflow them
+_TS_MIN = np.array([2, 1, 1, 0])
+_TS_MAX = np.array([9998, 12, 31, 86_399])
+# calendar tables as in date.toordinal; rows of the month tables: common, leap year
+_YEARS = np.arange(10_000)
+_LEAP = ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))).astype(np.intp)
+_DAYS_BEFORE_YEAR = (
+    365 * (_YEARS - 1) + (_YEARS - 1) // 4 - (_YEARS - 1) // 100 + (_YEARS - 1) // 400
+)
+_MONTH_DAYS = np.array([[0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31],
+                        [0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]])
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS
+
+
+class _Chunk(NamedTuple):
+    """A chunk whose lines all have the same number of fields."""
+
+    raw: np.ndarray  # the chunk's UTF-8 bytes
+    ends: np.ndarray  # (rows, n_fields) byte offset of the separator after each field
+    fields: list[str]  # row-major
+
+
+def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
+    """``text`` split into ``n_fields`` fields per line, or None if it holds a
+    carriage return (a line end of its own when lone) or NUL (an error to
+    csv before Python 3.11), a line with another number of fields (blank
+    lines included), an empty field among the first ``ids``, or a field
+    longer than the csv field limit. Quotes never get here."""
+    if "\r" in text or "\0" in text or text.startswith(",") or "\n," in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    newline = raw == _NL
+    ends = np.flatnonzero(newline | (raw == ord(",")))
+    rows = np.count_nonzero(newline)
+    if len(ends) != rows * n_fields:
+        return None
+    ends = ends.reshape(rows, n_fields)
+    # rows newlines, each closing a row: every line has n_fields - 1 commas
+    if not (raw[ends[:, -1]] == _NL).all():
+        return None
+    if ids > 1 and not (np.diff(ends[:, :ids], axis=1) > 1).all():
+        return None
+    limit = csv.field_size_limit()
+    if len(raw) > limit and np.diff(ends.ravel(), prepend=-1).max() > limit + 1:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the final newline
+    return _Chunk(raw, ends, fields)
+
+
+def _fixed_timestamps(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray] | None:
+    """Day ordinals (``date.toordinal``) and seconds of day of the chunk's
+    last field, or None unless every one is a valid ``YYYY-MM-DDTHH:MM:SSZ``
+    (or ``z``) in years 2..9998."""
+    stamp = chunk.raw[chunk.ends[:, -1:] + _TS_BACK]
+    stamp[:, -1] |= 0x20
+    if not ((stamp >= _TS_LO) & (stamp <= _TS_HI)).all():
+        return None
+    parts = (stamp[:, 1:-1] @ _TS_PLACES - _TS_ZERO).astype(np.int64)
+    if not ((parts >= _TS_MIN) & (parts <= _TS_MAX)).all():
+        return None
+    year, month, day, second = parts.T
+    leap = _LEAP[year]
+    if not (day <= _MONTH_DAYS[leap, month]).all():
+        return None
+    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[leap, month] + day, second
+
+
+def _within(ordinal: np.ndarray, second: np.ndarray, period: tuple[datetime, datetime]) -> bool:
+    """Whether every UTC time lies in ``period`` (``[start, end)``)."""
+    start, end = ((p - _EPOCH) // _US for p in period)
+    when = ((ordinal - _EPOCH.toordinal()) * 86_400 + second) * 10**6
+    return bool(((when >= start) & (when < end)).all())
+
+
+def _night_flags(second: np.ndarray, offset: timedelta, window: tuple[time, time]) -> np.ndarray:
+    """:func:`in_night_window` of each local time, from UTC seconds of day."""
+    t = (second * 10**6 + offset // _US) % _DAY_US
+    start, end = (((w.hour * 60 + w.minute) * 60 + w.second) * 10**6 + w.microsecond
+                  for w in window)
+    if start <= end:
+        return (t >= start) & (t < end)
+    return (t >= start) | (t < end)
+
+
+def _intern(table: dict[str, int], ids: list[str]) -> None:
+    """Give the IDs not yet in ``table`` the next codes, in first-seen order."""
+    new = [k for k in dict.fromkeys(ids) if k not in table]
+    table.update(zip(new, range(len(table), len(table) + len(new))))
+
+
+def _header(handle: IO[str]) -> tuple[list[str] | None, int]:
+    """The header row and the number of lines it took (a quoted name may
+    span lines)."""
+    reader = csv.reader(iter(handle.readline, ""))
+    return next(reader, None), reader.line_num
+
+
+def _read_chunks(
+    handle: IO[str],
+    line: int,
+    bulk: Callable[[str], int],
+    rowwise: Callable[[Iterator, int], int],
+) -> None:
+    """Feed the data after the header to a reader, chunk by chunk.
+
+    ``bulk(text)`` takes a chunk and returns its line count, or 0 to refuse
+    it; ``rowwise(reader, line)`` reads the rows of a csv reader whose line 1
+    is file line ``line + 1`` and returns the lines read. After the first
+    quote the rest of the input goes row-wise, since a quoted field may hold
+    a newline that straddles chunks.
+    """
+    while text := handle.read(_CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += handle.readline()
+        if '"' in text:
+            rowwise(csv.reader(chain(io.StringIO(text, newline=""), handle)), line)
+            return
+        lines = bulk(text)
+        if not lines:
+            lines = rowwise(csv.reader(io.StringIO(text, newline="")), line)
+        line += lines
+
+
 def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
     if got != want:
         raise FormatError(
@@ -168,32 +327,59 @@ def read_cdr(
     caller, callee, tower = array("i"), array("i"), array("i")
     night = bytearray()
     offset = timedelta(minutes=utc_offset_minutes)
-    handle, owned = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), CDR_HEADER, "cdr")
+    # anything else overflows or fails to compare in the row-wise loop only
+    bulk_ok = abs(offset) < timedelta(days=1) and all(t.tzinfo is None for t in night_window)
+
+    def bulk(text: str) -> int:
+        chunk = _split_chunk(text, 4, 3) if bulk_ok else None
+        if chunk is None:
+            return 0
+        stamps = _fixed_timestamps(chunk)
+        if stamps is None or (period is not None and not _within(*stamps, period)):
+            return 0
+        ids = chunk.fields[:]
+        del ids[3::4]
+        del ids[2::3]  # callers and callees, interleaved as the rows meet them
+        _intern(users, ids)
+        codes = list(map(users.__getitem__, ids))
+        caller.fromlist(codes[0::2])
+        callee.fromlist(codes[1::2])
+        tower_ids = chunk.fields[2::4]
+        _intern(towers, tower_ids)
+        tower.fromlist(list(map(towers.__getitem__, tower_ids)))
+        night.extend(_night_flags(stamps[1], offset, night_window).tobytes())
+        return len(chunk.ends)
+
+    def rowwise(reader, line: int) -> int:
         for row in reader:
             if not row:
                 continue
             if len(row) != 4:
-                errors.report(reader.line_num, f"expected 4 fields, got {len(row)}")
+                errors.report(line + reader.line_num, f"expected 4 fields, got {len(row)}")
                 continue
             caller_id, callee_id, tower_id, ts = row
             if not caller_id or not callee_id or not tower_id:
-                errors.report(reader.line_num, "empty identifier field")
+                errors.report(line + reader.line_num, "empty identifier field")
                 continue
             try:
                 when = parse_timestamp(ts)
             except ValueError:
-                errors.report(reader.line_num, f"unparsable timestamp {ts!r}")
+                errors.report(line + reader.line_num, f"unparsable timestamp {ts!r}")
                 continue
             if period is not None and not (period[0] <= when < period[1]):
-                errors.report(reader.line_num, "timestamp outside observation period")
+                errors.report(line + reader.line_num, "timestamp outside observation period")
                 continue
             caller.append(users.setdefault(caller_id, len(users)))
             callee.append(users.setdefault(callee_id, len(users)))
             tower.append(towers.setdefault(tower_id, len(towers)))
             night.append(in_night_window((when + offset).time(), night_window))
+        return reader.line_num
+
+    handle, owned = _open_text(source)
+    try:
+        header, line = _header(handle)
+        _check_header(header, CDR_HEADER, "cdr")
+        _read_chunks(handle, line, bulk, rowwise)
     finally:
         if owned:
             handle.close()
@@ -219,39 +405,64 @@ def read_topups(
     users: dict[str, int] = {}
     user, day = array("i"), array("i")
     amounts: list[Decimal] = []
-    handle, owned = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), TOPUP_HEADER, "topup")
+
+    def bulk(text: str) -> int:
+        chunk = _split_chunk(text, 3, 1)
+        if chunk is None:
+            return 0
+        stamps = _fixed_timestamps(chunk)
+        if stamps is None or (period is not None and not _within(*stamps, period)):
+            return 0
+        try:
+            parsed = list(map(Decimal, chunk.fields[1::3]))
+        except InvalidOperation:
+            return 0
+        if not all(map(Decimal.is_finite, parsed)) or min(parsed) <= 0:
+            return 0
+        user_ids = chunk.fields[0::3]
+        _intern(users, user_ids)
+        user.fromlist(list(map(users.__getitem__, user_ids)))
+        day.frombytes(stamps[0].astype(np.int32).tobytes())
+        amounts.extend(parsed)
+        return len(chunk.ends)
+
+    def rowwise(reader, line: int) -> int:
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                errors.report(reader.line_num, f"expected 3 fields, got {len(row)}")
+                errors.report(line + reader.line_num, f"expected 3 fields, got {len(row)}")
                 continue
             user_id, amount_text, ts = row
             if not user_id:
-                errors.report(reader.line_num, "empty user_id")
+                errors.report(line + reader.line_num, "empty user_id")
                 continue
             try:
                 amount = Decimal(amount_text)
             except InvalidOperation:
-                errors.report(reader.line_num, f"non-numeric amount {amount_text!r}")
+                errors.report(line + reader.line_num, f"non-numeric amount {amount_text!r}")
                 continue
             if not amount.is_finite() or amount <= 0:
-                errors.report(reader.line_num, f"non-positive amount {amount_text!r}")
+                errors.report(line + reader.line_num, f"non-positive amount {amount_text!r}")
                 continue
             try:
                 when = parse_timestamp(ts)
             except ValueError:
-                errors.report(reader.line_num, f"unparsable timestamp {ts!r}")
+                errors.report(line + reader.line_num, f"unparsable timestamp {ts!r}")
                 continue
             if period is not None and not (period[0] <= when < period[1]):
-                errors.report(reader.line_num, "timestamp outside observation period")
+                errors.report(line + reader.line_num, "timestamp outside observation period")
                 continue
             user.append(users.setdefault(user_id, len(users)))
             day.append(when.toordinal())
             amounts.append(amount)
+        return reader.line_num
+
+    handle, owned = _open_text(source)
+    try:
+        header, line = _header(handle)
+        _check_header(header, TOPUP_HEADER, "topup")
+        _read_chunks(handle, line, bulk, rowwise)
     finally:
         if owned:
             handle.close()
@@ -358,8 +569,7 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
     categories = metadata if isinstance(metadata, dict) else load_survey_metadata(metadata)
     handle, owned = _open_text(source)
     try:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header, line = _header(handle)
         if header is None or header[:2] != SURVEY_ID_COLUMNS:
             raise FormatError(
                 f"survey: header must start with {','.join(SURVEY_ID_COLUMNS)!r}"
@@ -379,54 +589,74 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
 
         household_ids: list[str] = []
         sector_ids: list[str] = []
-        rows: list[list[float]] = []
+        values = array("d")  # row-major
         width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != width:
-                errors.report(line, f"expected {width} fields, got {len(row)}")
-                continue
-            household, sector = row[0], row[1]
-            if not household or not sector:
-                errors.report(line, "empty household_id or sector_id")
-                continue
-            parsed: list[float] = []
-            bad = None
-            for name, cell in zip(variables, row[2:]):
-                if cell == "":
-                    parsed.append(float("nan"))
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    bad = f"non-numeric value {cell!r} in {name!r}"
-                    break
-            if bad is None:
-                for i in food_cols:
-                    v = parsed[i]
-                    if v == v and not (v.is_integer() and 0 <= v <= 7):
-                        bad = f"food-group frequency {v!r} in {variables[i]!r} outside 0..7"
-                        break
-            if bad is not None:
-                errors.report(line, bad)
-                continue
-            household_ids.append(household)
-            sector_ids.append(sector)
-            rows.append(parsed)
 
-        values = (
-            np.array(rows, dtype=np.float64)
-            if rows
-            else np.empty((0, len(variables)), dtype=np.float64)
-        )
+        def bulk(text: str) -> int:
+            chunk = _split_chunk(text, width, 2)
+            if chunk is None:
+                return 0
+            cells = chunk.fields[:]
+            del cells[0::width]  # household IDs
+            del cells[0::width - 1]  # sector IDs
+            try:
+                parsed = np.array([float(c) if c else nan for c in cells], dtype=np.float64)
+            except ValueError:
+                return 0
+            food = parsed.reshape(len(chunk.ends), -1)[:, food_cols]
+            if not (np.isnan(food) | ((food >= 0) & (food <= 7) & (food == np.floor(food)))).all():
+                return 0
+            household_ids.extend(chunk.fields[0::width])
+            sector_ids.extend(chunk.fields[1::width])
+            values.frombytes(parsed.tobytes())
+            return len(chunk.ends)
+
+        def rowwise(reader, line: int) -> int:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    errors.report(line + reader.line_num,
+                                  f"expected {width} fields, got {len(row)}")
+                    continue
+                household, sector = row[0], row[1]
+                if not household or not sector:
+                    errors.report(line + reader.line_num, "empty household_id or sector_id")
+                    continue
+                parsed: list[float] = []
+                bad = None
+                for name, cell in zip(variables, row[2:]):
+                    if cell == "":
+                        parsed.append(nan)
+                        continue
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        bad = f"non-numeric value {cell!r} in {name!r}"
+                        break
+                if bad is None:
+                    for i in food_cols:
+                        v = parsed[i]
+                        if v == v and not (v.is_integer() and 0 <= v <= 7):
+                            bad = f"food-group frequency {v!r} in {variables[i]!r} outside 0..7"
+                            break
+                if bad is not None:
+                    errors.report(line + reader.line_num, bad)
+                    continue
+                household_ids.append(household)
+                sector_ids.append(sector)
+                values.extend(parsed)
+            return reader.line_num
+
+        _read_chunks(handle, line, bulk, rowwise)
         return SurveyTable(
             household_ids=household_ids,
             sector_ids=sector_ids,
             variables=variables,
             categories={v: categories[v] for v in variables},
-            values=values,
+            values=np.frombuffer(values, dtype=np.float64).reshape(
+                len(household_ids), len(variables)
+            ),
         )
     finally:
         if owned:

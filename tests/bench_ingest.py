@@ -1,0 +1,68 @@
+"""Micro-benchmarks of the CSV readers.
+
+Run with ``PYTHONPATH=src python -m pytest tests/bench_ingest.py``; the file
+name keeps it out of the default test run. The input has the shape of the
+``c01`` benchmark workload (200 sectors x 40 users x 30 households, 182 days:
+about 255 k calls, 80 k top-ups and 6 k households), generated once per
+session by ``foodsec.synth``. The ``dirty`` variants read copies with one
+malformed row in every chunk, so every chunk takes the row-wise path. No
+timing is asserted.
+"""
+
+import pytest
+
+from foodsec import ingest
+from foodsec.ingest import RowErrorLog, load_survey, read_cdr, read_topups
+from foodsec.synth import SynthConfig, generate
+
+C01 = dict(n_sectors=200, users_per_sector=40, households_per_sector=30, period_days=182,
+           planted_r=0.9, topup_base=2000.0)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("c01")
+    paths = generate(SynthConfig(seed=1, **C01), out)
+    for name in ("cdr", "topup", "survey"):
+        paths[f"{name}_dirty"] = out / f"{name}_dirty.csv"
+        dirty(paths[name], paths[f"{name}_dirty"])
+    return paths
+
+
+def dirty(source, target) -> None:
+    """Copy ``source`` with a one-field row after the first data line of
+    every chunk's worth of text."""
+    with open(source, encoding="utf-8", newline="") as f, \
+            open(target, "w", encoding="utf-8", newline="") as out:
+        out.write(f.readline())
+        while text := f.read(ingest._CHUNK_CHARS):
+            text += f.readline()
+            first = text.index("\n") + 1
+            out.write(text[:first] + "broken\n" + text[first:])
+
+
+@pytest.mark.parametrize("variant", ["clean", "dirty"])
+def test_read_cdr(benchmark, inputs, variant):
+    path = inputs["cdr" if variant == "clean" else "cdr_dirty"]
+    errors = RowErrorLog()
+    calls = benchmark(read_cdr, path, errors)
+    assert len(calls) > 200_000
+    assert (errors.count > 0) == (variant == "dirty")
+
+
+@pytest.mark.parametrize("variant", ["clean", "dirty"])
+def test_read_topups(benchmark, inputs, variant):
+    path = inputs["topup" if variant == "clean" else "topup_dirty"]
+    errors = RowErrorLog()
+    topups = benchmark(read_topups, path, errors)
+    assert len(topups) > 50_000
+    assert (errors.count > 0) == (variant == "dirty")
+
+
+@pytest.mark.parametrize("variant", ["clean", "dirty"])
+def test_load_survey(benchmark, inputs, variant):
+    path = inputs["survey" if variant == "clean" else "survey_dirty"]
+    errors = RowErrorLog()
+    table = benchmark(load_survey, path, inputs["survey_meta"], errors)
+    assert len(table) > 5_000
+    assert (errors.count > 0) == (variant == "dirty")

@@ -1,10 +1,11 @@
 """Row-wise reference implementations and test-only writers.
 
-``parse_cdr_stream``/``parse_topup_stream`` and :class:`FeatureAccumulator`
-are the record-at-a-time ingest and feature rules that the columnar readers
-(``foodsec.ingest.read_cdr``/``read_topups``) and ``foodsec.features`` replace.
-They stay here as a differential oracle: both sides must agree on every
-feature vector, exclusion and row error.
+``parse_cdr_stream``/``parse_topup_stream``, ``load_survey_rows`` and
+:class:`FeatureAccumulator` are the record-at-a-time ingest and feature rules
+that the chunked readers (``foodsec.ingest.read_cdr``/``read_topups``/
+``load_survey``) and ``foodsec.features`` replace. They stay here as a
+differential oracle: both sides must agree on every feature vector,
+exclusion, table cell and row error.
 
 The ``*_csv`` helpers and writers turn records back into CSV, and the
 functions under "src path" run the package's columnar code over such records
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from foodsec.features import (
     FeatureConfig,
@@ -37,6 +40,7 @@ from foodsec.ingest import (
     TOPUP_HEADER,
     TOWER_HEADER,
     CallColumns,
+    FormatError,
     RowErrorLog,
     SurveyTable,
     TopUpColumns,
@@ -145,6 +149,53 @@ def parse_topup_stream(
                 errors.report(line, "timestamp outside observation period")
                 continue
             yield TopUpRecord(user, amount, when)
+    finally:
+        if owned:
+            handle.close()
+
+
+def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) -> SurveyTable:
+    """``survey.csv`` one csv row at a time, every cell through ``float``."""
+    handle, owned = _open_text(source)
+    try:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or header[:2] != SURVEY_ID_COLUMNS:
+            raise FormatError(f"survey: header must start with {','.join(SURVEY_ID_COLUMNS)!r}")
+        variables = header[2:]
+        food_cols = [i for i, v in enumerate(variables) if categories[v] == "food_group"]
+        household_ids, sector_ids, rows = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                errors.report(line, f"expected {len(header)} fields, got {len(row)}")
+                continue
+            if not row[0] or not row[1]:
+                errors.report(line, "empty household_id or sector_id")
+                continue
+            parsed, bad = [], None
+            for name, cell in zip(variables, row[2:]):
+                try:
+                    parsed.append(float(cell) if cell else float("nan"))
+                except ValueError:
+                    bad = f"non-numeric value {cell!r} in {name!r}"
+                    break
+            for i in food_cols if bad is None else ():
+                v = parsed[i]
+                if v == v and not (v.is_integer() and 0 <= v <= 7):
+                    bad = f"food-group frequency {v!r} in {variables[i]!r} outside 0..7"
+                    break
+            if bad is not None:
+                errors.report(line, bad)
+                continue
+            household_ids.append(row[0])
+            sector_ids.append(row[1])
+            rows.append(parsed)
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(variables))
+        return SurveyTable(household_ids, sector_ids, variables,
+                           {v: categories[v] for v in variables}, values)
     finally:
         if owned:
             handle.close()

@@ -48,7 +48,7 @@ def mini_pipeline(paths, min_users=30):
     vectors, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
     mobile, _ = build_sector_matrix(vectors, min_users=min_users)
     table = load_survey(paths["survey"], paths["survey_meta"])
-    survey, _ = build_survey_matrix(table)
+    survey, _, _ = build_survey_matrix(table)
     return vectors, mobile, survey
 
 

@@ -217,6 +217,29 @@ class TestAllPipeline:
         rc = run(["verify", "--truth", paths["truth"], "--outputs", corrupt])
         assert rc == 2
 
+    def test_verify_keeps_the_manifest_of_the_run_it_checks(self, medium_dataset,
+                                                           medium_pipeline, tmp_path):
+        import shutil
+
+        _, paths = medium_dataset
+        outputs = tmp_path / "outputs"
+        shutil.copytree(medium_pipeline, outputs)
+        assert run(["verify", "--truth", paths["truth"], "--outputs", outputs]) == 0
+        assert (outputs / "run_manifest.json").read_bytes() == (
+            medium_pipeline / "run_manifest.json"
+        ).read_bytes()
+
+    def test_fit_manifest_reports_the_stats_of_all(self, medium_pipeline, tmp_path):
+        rc = run(["fit", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                  "--target", "food_expenditure", "--variables", "topup_sum.mean,topup_mean.mean",
+                  "--degree", "2", "--out", tmp_path])
+        assert rc == 0
+        fit = json.loads((tmp_path / "run_manifest.json").read_text())
+        whole = json.loads((medium_pipeline / "run_manifest.json").read_text())
+        assert set(fit["stats"]) == {"fit_r", "n"}
+        assert fit["stats"] == whole["stats"]["fit"]
+
 
 class TestDeterminismAndOverrides:
     def test_chain_of_subcommands_equals_all(self, medium_dataset, tmp_path):
@@ -350,6 +373,32 @@ class TestInputContracts:
             capsys.readouterr().err
         )
         assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, medium_dataset, tmp_path):
+        _, paths = medium_dataset
+        args = ["all", "--in", paths["cdr"].parent, "--out", tmp_path, "--seed", "1",
+                "--trials", "5"]
+        assert run(args + ["--min-users", "5"]) == 0
+        assert (tmp_path / "run_manifest.json").exists()
+        assert run(args + ["--min-users", "100000"]) == 2
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_indices_reports_households_left_out(self, medium_dataset, tmp_path):
+        _, paths = medium_dataset
+        lines = paths["survey"].read_text().splitlines()
+        staples = lines[0].split(",").index("staples")
+        cells = lines[1].split(",")
+        cells[staples] = ""
+        lines[1] = ",".join(cells)
+        (tmp_path / "survey.csv").write_text("\n".join(lines) + "\n")
+        for survey, out in ((paths["survey"], tmp_path / "complete"),
+                            (tmp_path / "survey.csv", tmp_path / "blank")):
+            assert run(["indices", "--survey", survey, "--survey-meta", paths["survey_meta"],
+                        "--out", out]) == 0
+        complete = json.loads((tmp_path / "complete" / "run_manifest.json").read_text())
+        blank = json.loads((tmp_path / "blank" / "run_manifest.json").read_text())
+        assert "incomplete_households" not in complete["stats"]
+        assert blank["stats"]["incomplete_households"] == {"fcs_mean": 1}
 
     def test_all_records_weight_tables_as_inputs(self, medium_dataset, tmp_path):
         import shutil

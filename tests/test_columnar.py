@@ -4,6 +4,10 @@ Hypothesis writes dirty ``cdr.csv``/``topup.csv`` text (wrong field counts,
 empty IDs, unparsable and offset timestamps, bad amounts, quoted fields that
 span lines, blank lines, repeated IDs, tied tower counts) and both sides must
 agree on every feature vector, every exclusion and every row error.
+
+The chunked readers are also run with chunks of tens of characters over
+mostly clean files, so that bulk chunks, row-wise chunks and the row-wise
+rest after a quote alternate, and must read what the oracle reads.
 """
 
 import csv
@@ -15,9 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodsec import ingest
 from foodsec.features import FeatureConfig, user_features
-from foodsec.ingest import RowErrorLog, StrictModeError, read_cdr, read_topups
-from oracle import in_night_local, parse_cdr_stream, parse_topup_stream, rowwise_features
+from foodsec.ingest import (
+    CDR_HEADER,
+    TOPUP_HEADER,
+    RowErrorLog,
+    StrictModeError,
+    load_survey,
+    read_cdr,
+    read_topups,
+)
+from oracle import (
+    in_night_local,
+    load_survey_rows,
+    parse_cdr_stream,
+    parse_topup_stream,
+    rowwise_features,
+)
 
 # first-seen order differs from sorted order, and some IDs need quoting
 USERS = ["u2", "u10", "u1", "ü3", 'q"1', "u\n4"]
@@ -165,3 +184,250 @@ def test_row_error_lines_count_physical_lines():
     assert expected[3][0][1][0].line == 5
     with pytest.raises(StrictModeError, match="line 5: unparsable timestamp 'nope'"):
         columnar_side(*args[:-1], True)
+
+
+# --- chunked readers: bulk and row-wise chunks against the oracle ---
+
+PLAIN_USERS, PLAIN_TOWERS = USERS[:4], TOWERS[:4]
+MONTH_DAYS = [0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+
+
+@st.composite
+def fixed_stamps(draw):
+    """``YYYY-MM-DDTHH:MM:SSZ`` (or ``z``), mostly valid, else off in one
+    part only: Feb 29 of leap and common years, the day after a month's
+    end, a field out of range, or a year at the edge of the datetime range."""
+    y, mo, d, h, mi, s = 2012, draw(st.integers(1, 12)), 1, 12, 30, 0
+    kind = draw(st.sampled_from(["valid"] * 6 + ["feb29", "month_end", "range", "edge_year"]))
+    if kind == "valid":
+        dt = draw(st.datetimes(min_value=datetime(2011, 12, 25), max_value=datetime(2013, 3, 5)))
+        y, mo, d, h, mi, s = dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
+    elif kind == "feb29":
+        y, mo, d = draw(st.sampled_from([1900, 2000, 2012, 2013, 2100, 2400])), 2, 29
+    elif kind == "month_end":
+        d = MONTH_DAYS[mo] + draw(st.integers(0, 1))
+    elif kind == "range":
+        part, value = draw(st.sampled_from(
+            [(1, 0), (1, 13), (2, 0), (2, 32), (3, 24), (3, 23), (4, 60), (4, 59), (5, 60), (5, 59)]
+        ))
+        y, mo, d, h, mi, s = [value if i == part else v for i, v in enumerate((y, mo, d, h, mi, s))]
+    else:
+        y = draw(st.sampled_from([1, 2, 9998, 9999]))
+        mo, d = draw(st.sampled_from([(1, 1), (12, 31)]))
+        h = draw(st.sampled_from([0, 23]))
+    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}" + draw(st.sampled_from("ZZZz"))
+
+
+chunk_stamps = st.one_of(fixed_stamps(), fixed_stamps(), fixed_stamps(), timestamps())
+rare = st.integers(0, 79).map(lambda i: i == 0)
+
+
+def ids(plain, special):
+    return st.tuples(rare, st.sampled_from(plain), st.sampled_from(special)).map(
+        lambda t: t[2] if t[0] else t[1]
+    )
+
+
+@st.composite
+def chunked_text(draw, header, fields):
+    """Mostly clean rows of ``fields``; some broken, blank, CRLF-terminated
+    or needing quotes (from which point the reader goes row-wise)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 40))):
+        row = list(draw(fields))
+        damage = draw(st.sampled_from(["none"] * 40 + ["short", "long", "empty", "blank", "crlf"]))
+        if damage == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif damage == "long":
+            row.append("extra")
+        elif damage == "empty":
+            row[draw(st.integers(0, len(row) - 1))] = ""
+        if damage == "blank":
+            out.write("\n")
+            continue
+        writer.writerow(row)
+        if damage == "crlf":
+            out.seek(out.tell() - 1)
+            out.write("\r\n")
+    text = out.getvalue()
+    return text if draw(st.integers(0, 4)) else text.rstrip("\n")
+
+
+chunked_cdr = chunked_text(
+    ["caller_id", "callee_id", "tower_id", "timestamp"],
+    st.tuples(ids(PLAIN_USERS, USERS[4:]), ids(PLAIN_USERS, USERS[4:]),
+              ids(PLAIN_TOWERS, TOWERS[4:]), chunk_stamps),
+)
+chunked_topup = chunked_text(
+    ["user_id", "amount", "timestamp"],
+    st.tuples(ids(PLAIN_USERS, USERS[4:]), amounts, chunk_stamps),
+)
+SURVEY_VARIABLES = {"staples": "food_group", "size": "V1", "oil": "food_group", "cost": "V3"}
+survey_cells = st.one_of(
+    st.integers(0, 7).map(str), st.integers(0, 7).map(str),
+    st.sampled_from(["", "", "2.5", "8", "-1", "1e0", "nan", "inf", "abc", " 3", "-0"]),
+)
+chunked_survey = chunked_text(
+    ["household_id", "sector_id", *SURVEY_VARIABLES],
+    st.tuples(ids(["h1", "h2", "ü3"], ['h"4', "h\n5"]), ids(["s1", "s2"], ["s,3"]),
+              *[survey_cells] * len(SURVEY_VARIABLES)),
+)
+chunk_periods = st.sampled_from(
+    [None, None, (datetime(2012, 1, 1, 12), datetime(2012, 3, 1)),
+     (datetime(2, 1, 1), datetime(9998, 12, 31, 23, 59, 59, 999999))]
+)
+
+
+def decoded_calls(text, config, period, errors):
+    calls = read_cdr(io.StringIO(text), errors, config.night_window,
+                     config.utc_offset_minutes, period)
+    rows = [(calls.users[a], calls.users[b], calls.towers[t], night) for a, b, t, night in zip(
+        calls.caller.tolist(), calls.callee.tolist(), calls.tower.tolist(), calls.night.tolist())]
+    return calls.users, calls.towers, rows
+
+
+def oracle_calls(text, config, period, errors):
+    rows = [(r.caller_id, r.callee_id, r.tower_id, in_night_local(r.timestamp, config))
+            for r in parse_cdr_stream(io.StringIO(text), errors, period)]
+    users = list(dict.fromkeys(u for r in rows for u in r[:2]))
+    return users, list(dict.fromkeys(r[2] for r in rows)), rows
+
+
+def decoded_topups(text, period, errors):
+    topups = read_topups(io.StringIO(text), errors, period)
+    return topups.users, [(topups.users[u], repr(a), date.fromordinal(d)) for u, d, a in zip(
+        topups.user.tolist(), topups.day.tolist(), topups.amount)]
+
+
+def oracle_topups(text, period, errors):
+    rows = [(r.user_id, repr(r.amount), r.timestamp.date())
+            for r in parse_topup_stream(io.StringIO(text), errors, period)]
+    return list(dict.fromkeys(r[0] for r in rows)), rows
+
+
+def survey_table(load, text, errors):
+    table = load(io.StringIO(text), dict(SURVEY_VARIABLES), errors)
+    return (table.household_ids, table.sector_ids, table.variables, table.values.shape,
+            table.values.tobytes())
+
+
+def read_outcome(read, *args, strict):
+    """What a reader returns and reports, or the error it raises; line
+    numbers and messages of row errors included."""
+    errors = RowErrorLog(strict=strict, keep=10**6)
+    try:
+        result = read(*args, errors)
+    except (StrictModeError, OverflowError) as exc:
+        return type(exc).__name__, str(exc), errors.count
+    return result, errors.count, errors.errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunked_cdr, chunked_topup, chunked_survey, configs, chunk_periods, stricts,
+       st.one_of(st.integers(16, 48), st.integers(49, 400)))
+def test_chunked_readers_equal_rowwise(cdr, topup, survey, config, period, strict, chunk_chars):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        actual = (
+            read_outcome(decoded_calls, cdr, config, period, strict=strict),
+            read_outcome(decoded_topups, topup, period, strict=strict),
+            read_outcome(survey_table, load_survey, survey, strict=strict),
+        )
+    expected = (
+        read_outcome(oracle_calls, cdr, config, period, strict=strict),
+        read_outcome(oracle_topups, topup, period, strict=strict),
+        read_outcome(survey_table, load_survey_rows, survey, strict=strict),
+    )
+    assert actual == expected
+
+
+@pytest.mark.parametrize("chunk_chars", [16, 64])
+def test_lone_carriage_return_splits_lines_as_the_file_does(tmp_path, chunk_chars):
+    """A file opened by the reader ends lines at a lone CR too; the chunk
+    holding one is read row-wise and later line numbers stay right."""
+    path = tmp_path / "cdr.csv"
+    path.write_bytes(b"caller_id,callee_id,tower_id,timestamp\n"
+                     b"u1,u2,t1,2012-01-01T20:00:00Z\ru3,u4,t1,2012-01-01T21:00:00Z\n"
+                     + b"u1,u2,t1,2012-01-01T22:00:00Z\n" * 40
+                     + b"u1,u2\rx,t1,2012-01-01T22:00:00Z\nu1,u2,t1,nope\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        errors = RowErrorLog()
+        calls = read_cdr(path, errors)
+    oracle_errors = RowErrorLog()
+    with open(path, encoding="utf-8", newline="") as handle:
+        records = list(parse_cdr_stream(handle, oracle_errors))
+    assert len(calls) == len(records) == 42
+    assert errors.errors == oracle_errors.errors
+    assert [e.line for e in errors.errors] == [44, 45, 46]
+
+
+EDGE_STAMPS = (
+    [f"{y:04d}-02-29T12:00:00Z" for y in (1900, 2000, 2012, 2013, 2100, 2400)]
+    + [f"2013-{m:02d}-{MONTH_DAYS[m] + k:02d}T12:00:00Z" for m in range(1, 13) for k in (0, 1)]
+    + [f"2012-{md}T{hms}Z" for md, hms in [
+        ("00-10", "12:00:00"), ("13-10", "12:00:00"), ("01-00", "12:00:00"), ("01-32", "12:00:00"),
+        ("01-10", "24:00:00"), ("01-10", "23:60:00"), ("01-10", "23:59:60"), ("01-10", "23:59:59"),
+        ("01-10", "00:00:00"), ("1-10-", "12:00:00"), ("01-1a", "12:00:00"), ("01-10", "12 00:00"),
+    ]]
+    + ["2012-01-10T12:00:00z", "2012-01-10t12:00:00Z", "2012-01-10 12:00:00Z",
+       "2012-01-10T12:00:00ZZ", "2012-01-10T12:00:0Z", "0000-01-01T00:00:00Z",
+       "0001-01-01T00:30:00Z", "0002-01-01T00:30:00Z", "9998-12-31T23:00:00Z",
+       "9999-12-31T23:00:00Z"]
+)
+
+
+@pytest.mark.parametrize("stamp", EDGE_STAMPS)
+@pytest.mark.parametrize("minutes", [0, -90, 180])
+def test_fixed_layout_edges_equal_rowwise(stamp, minutes):
+    """Each near miss of the fixed layout, alone in its chunk, reads as the
+    row-wise oracle reads it."""
+    config = FeatureConfig(utc_offset_minutes=minutes)
+    cdr = f"caller_id,callee_id,tower_id,timestamp\nu1,u2,t1,{stamp}\n"
+    topup = f"user_id,amount,timestamp\nu1,5.00,{stamp}\n"
+    for period in (None, (datetime(2012, 1, 10, 12), datetime(2012, 1, 10, 12, 0, 1))):
+        assert read_outcome(decoded_calls, cdr, config, period, strict=False) == read_outcome(
+            oracle_calls, cdr, config, period, strict=False)
+        assert read_outcome(decoded_topups, topup, period, strict=False) == read_outcome(
+            oracle_topups, topup, period, strict=False)
+
+
+STAMP = "2012-01-10T21:15:00Z"
+DAMAGED_ROWS = {
+    "cdr": [f",u2,t1,{STAMP}", f"u1,,t1,{STAMP}", f"u1,u2,,{STAMP}", "u1,u2,t1,", "u1,u2,t1",
+            f"u1,u2,t1,{STAMP},x", "", f"u1,u2,t1,{STAMP}\r", f"u\0,u2,t1,{STAMP}",
+            "u1,u2,t1,2012-01-10T21:15:00", "u1,u2,t1,2012-01-10T21:15:00+02:00",
+            f"u1,u2,t1,x{STAMP}", f'"u1",u2,t1,{STAMP}'],
+    "topup": [f",5,{STAMP}", f"u1,,{STAMP}", "u1,5,", "u1,5", f"u1,5,{STAMP},x", "",
+              f"u1,0,{STAMP}", f"u1,-1,{STAMP}", f"u1,NaN,{STAMP}", f"u1,Infinity,{STAMP}",
+              f"u1,abc,{STAMP}", f"u1, 5,{STAMP}", f"u1,5,{STAMP}\r"],
+    "survey": [",s1,1,2,3,4", "h1,,1,2,3,4", "h1,s1,,,,", "h1,s1,1,2,3", "h1,s1,1,2,3,4,5", "",
+               "h1,s1,8,2,3,4", "h1,s1,1,2,3.5,4", "h1,s1,1,2,-1,4", "h1,s1,x,2,3,4",
+               "h1,s1,1,inf,nan,4", "h1,s1,1,2,3,4\r"],
+}
+CLEAN_ROWS = {"cdr": f"u3,u4,t2,{STAMP}", "topup": f"u3,2.50,{STAMP}", "survey": "h2,s2,7,1.5,0,9"}
+SURVEY_HEADER = "household_id,sector_id,staples,size,oil,cost"
+HEADERS = {"cdr": ",".join(CDR_HEADER), "topup": ",".join(TOPUP_HEADER), "survey": SURVEY_HEADER}
+
+
+@pytest.mark.parametrize("chunk_chars", [16, 100, 1 << 15])
+@pytest.mark.parametrize("what, damaged", [(what, row) for what, rows in DAMAGED_ROWS.items()
+                                           for row in rows])
+def test_one_damaged_row_equals_rowwise(what, damaged, chunk_chars):
+    """A clean file with one row that breaks a clean-chunk condition reads
+    as the row-wise oracle reads it, in chunks of one line, of a few, or of
+    the whole file."""
+    rows = [CLEAN_ROWS[what]] * 8
+    text = "\n".join([HEADERS[what], *rows[:4], damaged, *rows[4:]]) + "\n"
+    config = FeatureConfig(utc_offset_minutes=180)
+    chunked, rowwise = {
+        "cdr": ((decoded_calls, text, config, None), (oracle_calls, text, config, None)),
+        "topup": ((decoded_topups, text, None), (oracle_topups, text, None)),
+        "survey": ((survey_table, load_survey, text), (survey_table, load_survey_rows, text)),
+    }[what]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        actual = read_outcome(*chunked, strict=False)
+    assert actual == read_outcome(*rowwise, strict=False)

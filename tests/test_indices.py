@@ -213,31 +213,52 @@ class TestBuildSurveyMatrix:
         return load_survey(stream(FULL_BODY), stream(FULL_META))
 
     def test_fcs_mean_from_matching_groups(self):
-        matrix, categories = build_survey_matrix(self.load())
+        matrix, categories, _ = build_survey_matrix(self.load())
         # h1: 7*2 + 7*0.5 = 17.5; h2: 0 -> mean 8.75 in s1.
         assert matrix.column("fcs_mean").tolist()[0] == pytest.approx(8.75)
         assert matrix.column("fcs_mean").tolist()[1] == pytest.approx(3 * 2 + 2 * 0.5)
         assert categories["fcs_mean"] == "composite"
 
     def test_csi_with_weights(self):
-        matrix, _ = build_survey_matrix(self.load(), csi_weights={"skip_meals": 4.0})
+        matrix, _, _ = build_survey_matrix(self.load(), csi_weights={"skip_meals": 4.0})
         assert matrix.column("csi_mean").tolist() == [pytest.approx(4.0), pytest.approx(4.0)]
 
     def test_csi_undefined_without_weights(self):
-        matrix, _ = build_survey_matrix(self.load())
+        matrix, _, _ = build_survey_matrix(self.load())
         assert all(math.isnan(v) for v in matrix.column("csi_mean"))
 
     def test_mpi_from_poverty_table(self):
-        matrix, _ = build_survey_matrix(self.load(), poverty={"s1": (0.4, 0.5), "s2": (0.2, 0.5)})
+        matrix, _, _ = build_survey_matrix(self.load(), poverty={"s1": (0.4, 0.5), "s2": (0.2, 0.5)})
         assert matrix.column("mpi").tolist() == [pytest.approx(0.2), pytest.approx(0.1)]
 
     def test_mpi_undefined_for_missing_sector(self):
-        matrix, _ = build_survey_matrix(self.load(), poverty={"s1": (0.4, 0.5)})
+        matrix, _, _ = build_survey_matrix(self.load(), poverty={"s1": (0.4, 0.5)})
         assert matrix.column("mpi")[0] == pytest.approx(0.2)
         assert math.isnan(matrix.column("mpi")[1])
 
+    def test_blank_weighted_cell_leaves_the_household_out(self):
+        body = FULL_BODY.replace("h2,s1,0,0,0,50", "h2,s1,,0,0,50").replace(
+            "h3,s2,3,2,1,80", "h3,s2,3,2,,80"
+        )
+        table = load_survey(stream(body), stream(FULL_META))
+        matrix, _, incomplete = build_survey_matrix(table, csi_weights={"skip_meals": 4.0})
+        # s1: h2 has no staples answer, so only h1 scores (a blank read as 0 gave 8.75)
+        assert matrix.column("fcs_mean").tolist() == [pytest.approx(17.5), pytest.approx(7.0)]
+        # s2: its only household has no skip_meals answer, so no mean, not 0
+        assert matrix.column("csi_mean")[0] == pytest.approx(4.0)
+        assert math.isnan(matrix.column("csi_mean")[1])
+        assert incomplete == {"fcs_mean": 1, "csi_mean": 1}
+
+    def test_blank_cell_of_zero_weight_keeps_the_household(self):
+        body = FULL_BODY.replace("h2,s1,0,0,", "h2,s1,0,,")
+        table = load_survey(stream(body), stream(FULL_META))
+        weights = FoodGroupWeights(weights={"staples": 2.0, "sugar": 0.0})
+        matrix, _, incomplete = build_survey_matrix(table, fcs_weights=weights)
+        assert matrix.column("fcs_mean").tolist() == [pytest.approx(7.0), pytest.approx(6.0)]
+        assert incomplete == {}
+
     def test_variable_subset(self):
-        matrix, categories = build_survey_matrix(self.load(), variables=["expense"])
+        matrix, categories, _ = build_survey_matrix(self.load(), variables=["expense"])
         assert matrix.columns == ["expense", "fcs_mean", "csi_mean", "mpi"]
         assert categories["expense"] == "V3"
 

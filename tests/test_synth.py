@@ -34,7 +34,7 @@ def run_mini_pipeline(paths, min_users=1):
     vectors, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
     mobile, _ = build_sector_matrix(vectors, min_users=min_users)
     table = load_survey(paths["survey"], paths["survey_meta"])
-    survey, _ = build_survey_matrix(table, poverty=load_poverty(paths["poverty"]))
+    survey, _, _ = build_survey_matrix(table, poverty=load_poverty(paths["poverty"]))
     return vectors, mobile, survey
 
 
@@ -88,7 +88,7 @@ class TestValidity:
         _, paths = small_dataset
         poverty = load_poverty(paths["poverty"])
         table = load_survey(paths["survey"], paths["survey_meta"])
-        survey, _ = build_survey_matrix(table, poverty=poverty)
+        survey, _, _ = build_survey_matrix(table, poverty=poverty)
         mpi = survey.column("mpi")
         for i, sector in enumerate(survey.sectors):
             h, a = poverty[sector]
