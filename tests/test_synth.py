@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,155 @@ from foodsec.synth import (
 
 FILES = ["cdr.csv", "topup.csv", "towers.csv", "survey.csv", "survey_meta.csv",
          "poverty.csv", "truth.csv"]
+
+
+# Each generated file's sha256, computed once and pinned: generation is part
+# of the oracle's contract, so a change that moves any byte (a draw made in
+# another order, a number formatted differently) must show up here. The
+# small configs reach the generator's edge cases: no planted target, the
+# quadratic link, one tower per sector, never/always calling from home, a
+# single top-up, the 3-cents-per-top-up floor on a negative planted mean,
+# users with no day calls, no night calls or no calls at all, wealth-dependent
+# contact diversity, the fewest users the contact draw allows, and a one-day
+# period.
+PINNED_SMALL = dict(n_sectors=4, users_per_sector=15, households_per_sector=12, period_days=20)
+PINNED_CONFIGS = {
+    "default": {},
+    "unplanted": dict(PINNED_SMALL, seed=2, planted_r=None, sector_noise_mobile=0.3,
+                      sector_noise_survey=0.6),
+    "quadratic": dict(PINNED_SMALL, seed=3, expense_link="quadratic"),
+    "one-tower": dict(PINNED_SMALL, seed=4, towers_per_sector=1),
+    "never-home": dict(PINNED_SMALL, seed=5, p_home=0.0),
+    "always-home": dict(PINNED_SMALL, seed=6, p_home=1.0),
+    "one-topup": dict(PINNED_SMALL, seed=7, topup_events_mean=1.0),
+    "cents-floor": dict(PINNED_SMALL, seed=8, topup_base=-500.0),
+    "no-day-calls": dict(PINNED_SMALL, seed=9, day_calls_mean=0.0),
+    "no-night-calls": dict(PINNED_SMALL, seed=10, night_calls_min=0, night_calls_extra_mean=0.0,
+                           day_calls_mean=1.0),
+    "no-calls": dict(PINNED_SMALL, seed=11, night_calls_min=0, night_calls_extra_mean=0.0,
+                     day_calls_mean=0.0),
+    "edges": dict(PINNED_SMALL, seed=12, diversity_wealth_slope=0.7, users_per_sector=9,
+                  period_days=1),
+}
+
+PINNED_DIGESTS = {
+    'default': {
+        'cdr': 'f03c9198bee09ec0040eaca704a8454144bc72c76a67a05d63af853e48aadcab',
+        'topup': '45aab19e0e8e03e01050f83974e0d838c2c06dc123d0d2be8ccea1484dd37e18',
+        'towers': '6ba017bcd18a1979ce16af42db6d094d8669c3ccd28c34aadc0482bfb90b07b3',
+        'survey': '09cb6f3ef9451d687d72ac203c0d829a8fbaad69986a8536113f0ee1f0e9a277',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '3964d5e550b336c6364c32e1053994d4d8b4ad750f5431c939132da2357e6591',
+        'truth': 'd0b72c439aefdbed12ead55c3fc0dbbe7d8c7cedc967dc7ef7763a38087f3d11',
+    },
+    'unplanted': {
+        'cdr': '6fcd21fa13268979c3d860d0beedb65dce46cfd865ab9a360c285cce85f11f14',
+        'topup': 'f87625dd689086c2e5adefb81f909792d85957a1f6f5a97c7833f7460331f721',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '32986a6269c379bef7622ec668d5e9ef6840cb06e34eb63ccb70d4f5858faabc',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': 'b23e2853cb9687c5e109ae51318dc939ec8e25eac69f687c6330f9a967a2f2af',
+        'truth': '2ab32852c8a656d53e895bc8a482529be56f97438f9269c1a51dbb013fb5d9b3',
+    },
+    'quadratic': {
+        'cdr': '0a5b6cbec49213b574a9af1ba17963698a8ed19f675b274443c02b4f01c89167',
+        'topup': '6c6eaae86e58cd0e797492544d9997cd43f7471c0bd41a2b24e9155a57daa908',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '8a54c1eaad7426721a6e6cb554d401aa6589d1c86e8fc2fe0ffb70fb3fd5ccea',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '13f8c61765c2bdb3082233567253b03f3ce3d06febdff37ea268b268262e19c6',
+        'truth': '518149fac0f01acda0676b4773e04f44cfb353fae543100d3b1884ebedf8aa08',
+    },
+    'one-tower': {
+        'cdr': '9dbf9a88af7b0843575b4a735b3fe6d43852e823c376d91b216c719380a37b74',
+        'topup': '6d5510fb7f5140c30679963bb14372b96f1ef9fee1903a88e1b3d520f421cf5a',
+        'towers': '7ccfd2cb9ec4cb2ba5698cc3922e902adcb65fbc3e56106e72b6f013959bb665',
+        'survey': 'cbbbd217ca3eff5d9b876bbd8a8de91bd890ea785c2ce9daa6a2a1c04a547b52',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': 'e769ec6d2f855d5a4b79b8de8ced86b848e7ddad9fa411cb7527f2a32ae145cf',
+        'truth': '2b6c769386e27aec021cdee07b71c19d763152377a155d15f2b5ff928a662187',
+    },
+    'never-home': {
+        'cdr': '5cb07df2f4ef11e07b9371fa6ae778385dc02f72f549bbdf5a475ed0c156c44d',
+        'topup': '11cafe35d57392c69e9ffd1b7a7f222187a470ea88aedcd98678b5a8b63c76a3',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': 'fbd04254fea83aac4b4d86a6719bdd95e20ff5e6de2e9e7b49f394fb8a5b769f',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '0bec6be0fdf80dfc6f887f372ea418d4f8a3e2ca3799beed23981093f5653292',
+        'truth': '30a2b6ad29e5c12664a128055be081d19f2949f2b059a96f98a66e4c45e67d77',
+    },
+    'always-home': {
+        'cdr': 'bd6af3402d18f85403166009d22a763a0f4f0fa61ded1a81e6f5ad4a7ab22628',
+        'topup': '518c8e36f35db34fa67013ffbcc8f3e3aa228f4d60c2721d6ba3364248a152ad',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '4364ffe5f9fc9a417a64c20cf2c1435c37450e8a7f0042a1de33c15734b0e5b2',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': 'd2254f74dbd854cecc8aa60ac1fd0851e9abcf31957503b3e3d9f5f87db3ce9b',
+        'truth': 'aea20eaaac124ec4c2478eafec70f332f2207d029b7391dbd0f287c5fda99bd8',
+    },
+    'one-topup': {
+        'cdr': 'a8e0839b49d1c946eb13a2139a488e2727bed815236e49a751336fc3ed712dcf',
+        'topup': 'fbeeb503df990642a1df91b871cee96d9cb27294fcaf30be062b01958a0ef37c',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '7dd5b0a57a34073de52d5be4d652c2cecfe84273bf59a8e5ecd12a93680d4c35',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': 'b3b2a842a408c531d59c69df0fd64b99e4b99b65a9985659e7c15b85d684893a',
+        'truth': 'f25cefeac868994242c515d552e822b4c2b1a5cd34228b125ee15ff9a07a50c5',
+    },
+    'cents-floor': {
+        'cdr': '398f2abbae24449cb1872236a131b4c0c92a6028e1e19b5a3ef05ab7f490ee6f',
+        'topup': 'f99e463a3de766409261ebce6fc5941a86f6ca98175dbd31afeeea8ae5170fb4',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '1fee630d624fc023f639441ea411bc68994602995ea129eb80076654de2d7fad',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '55c77df548b050bca2b9e5c88892f6ecc2db186f150bd37282bb7660c250553a',
+        'truth': 'faf2b52c04881d5d69394f392bb34136368a1cef982c795919c55ce32b99de3d',
+    },
+    'no-day-calls': {
+        'cdr': '901db9a48a944fc063e44ec2cea621f7e84232ce106b72dab0f813a46e8d79b9',
+        'topup': '96f870fb104752d6ed8e9e0207d729c1b46d343d680c66b0147e39c1bc91d92e',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '1bcb35386f0e41ef8bc6add53c7bb570cf036fa83770b9e87fa26e396066bc39',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '3ffffbb3d4b0fa3e8a4f6928b876bf19af79379de1b73eb0c8c82b9f84219096',
+        'truth': '203520d48eb7a8e215551b44b868eee27ea61e6ab1365403790bac7cff330d84',
+    },
+    'no-night-calls': {
+        'cdr': 'f0a208d9f7514e3b25dfd4d0b71e8dc2ea226336d1c070582c47869f901617a2',
+        'topup': '984fcd423da43eaecb37d01b2e6cc1b2fcf6985fd5a939fa91a4e89eb096501b',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': 'ac65e686c8660d4edd2f6140233ce2d31c62a85553a576253e700b4226fcc7c1',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '5af0773fb5552e92ac4ebdff5a586535cdcd5e6abfe4a05575f876615a1cead7',
+        'truth': 'e52e517ab5582c18ac1f40cfe4670389962bc89c24bff980992acd46a56d6dfa',
+    },
+    'no-calls': {
+        'cdr': 'cc05cc38923c22f9c60ef607da183d29c5a6c4b2dad13e186558d10a12d4b7c5',
+        'topup': '61015b30850c8a9b3eb1f74b1173396a02bf60a970008964e73f3c02316361a8',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': 'a275059b0e8d39a55d3a6055ae533938b6d1852903ab7dd86cc899fe9c142a13',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': '7fdfdf7f596d713ac9b07b622c9f3f151f9effe78ecbf8556a6034d885ede3c5',
+        'truth': '3eec190bdb7c8c75f7348db089097c1cc2ef3cbedbc5cc0127e5427b090fbdec',
+    },
+    'edges': {
+        'cdr': 'd9d6542b4dc8f24fca8ba73076222bf57da5adbf3cd9537d6131466a62c4c6b2',
+        'topup': 'd02bbb3777b354b77fe95ccb1c46082d6afe8740c47638053052ce6aef9183ba',
+        'towers': '5acef2bddb9b7c3e7a24922ca4aeb8862a5323b246d1d8d36694973b03c7531a',
+        'survey': '788683c52568a307f26147afb8c287a9107280ea552494dc6d865a11eddd9196',
+        'survey_meta': '31b35343435a1e7c06f36680828aa3145d12b28c688e946b52b35a477ca32420',
+        'poverty': 'e8ccc1f571a836e74fe1dcd9ab4ed69d782f5fb632af31727201cb69fa466b04',
+        'truth': '74102d3647dc6bc6bb4da2863ec821800afbe26135cd8274c1ac3e7237f8b6e1',
+    },
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGS)
+def test_generated_bytes_are_pinned(name, tmp_path):
+    paths = generate(SynthConfig(**PINNED_CONFIGS[name]), tmp_path)
+    digests = {key: hashlib.sha256(path.read_bytes()).hexdigest()
+               for key, path in paths.items()}
+    assert digests == PINNED_DIGESTS[name]
 
 
 def run_mini_pipeline(paths, min_users=1):
