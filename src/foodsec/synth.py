@@ -234,10 +234,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _cents_str(cents: int) -> str:
-    return f"{cents // 100}.{cents % 100:02d}"
-
-
 @dataclass
 class _SectorLatents:
     wealth: np.ndarray
@@ -277,12 +273,142 @@ def _expense_mu(cfg: SynthConfig, y: np.ndarray) -> np.ndarray:
     return cfg.expense_base + cfg.expense_scale * g
 
 
+def _stamper(period_start: date, period_days: int):
+    """A function from seconds since the start of the period to ISO-8601
+    UTC stamps, looked up in tables of the period's dates and of the
+    minutes and seconds of a day."""
+    days = np.datetime64(period_start, "D") + np.arange(period_days)
+    dates = [f"{d}T" for d in np.datetime_as_string(days, unit="D").tolist()]
+    minutes = [f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
+    seconds = [f"{s:02d}Z" for s in range(60)]
+
+    def stamp(offsets: np.ndarray) -> list[str]:
+        minute, second = np.divmod(offsets, 60)
+        day, minute = np.divmod(minute, 24 * 60)
+        return [
+            dates[d] + minutes[m] + seconds[s]
+            for d, m, s in zip(day.tolist(), minute.tolist(), second.tolist())
+        ]
+
+    return stamp
+
+
+def _user_rows(cfg, rng, si, sector, tower_ids, topup_mu, wealth, stamp):
+    """One sector's cdr.csv rows, topup.csv rows and truth.csv user_home rows.
+
+    The per-user loop only draws from ``rng``: the order, sizes and arguments
+    of its draws fix the stream, and with it every byte written. All else is
+    done once for the sector: placing and sorting each user's calls (night
+    calls before day calls on a tie), splitting each user's top-up total
+    into exact cents, and formatting the rows.
+    """
+    n_users = cfg.users_per_sector
+    n_towers = cfg.n_sectors * cfg.towers_per_sector
+    period_secs = cfg.period_days * SECONDS_PER_DAY
+    conc = cfg.contact_skew * math.exp(cfg.diversity_wealth_slope * wealth)
+
+    home, n_night, n_day, n_contacts, k_top, z, mult_sum = [], [], [], [], [], [], []
+    picks, contact, night_p, night_away, day_tower = [], [], [], [], []
+    night_day, night_sec, day_day, day_sec, mult, top_ts = [], [], [], [], [], []
+    for _ in range(n_users):
+        home.append(rng.integers(cfg.towers_per_sector))
+        nn = cfg.night_calls_min + int(rng.poisson(cfg.night_calls_extra_mean))
+        nd = int(rng.poisson(cfg.day_calls_mean))
+        k = int(rng.integers(cfg.contacts_min, cfg.contacts_max + 1))
+        n_night.append(nn)
+        n_day.append(nd)
+        n_contacts.append(k)
+        picks.append(rng.choice(n_users - 1, size=k, replace=False))
+        weights = rng.dirichlet(np.full(k, conc))
+        contact.append(rng.choice(k, size=nn + nd, p=weights))
+        night_p.append(rng.random(nn))
+        night_away.append(rng.integers(0, n_towers, nn))
+        day_tower.append(rng.integers(0, n_towers, nd))
+        night_day.append(rng.integers(0, cfg.period_days, nn))
+        night_sec.append(rng.integers(0, NIGHT_SPAN_SEC, nn))
+        day_day.append(rng.integers(0, cfg.period_days, nd))
+        day_sec.append(rng.integers(0, DAY_SPAN_SEC, nd))
+        kt = 1 + int(rng.poisson(max(cfg.topup_events_mean - 1.0, 0.0)))
+        k_top.append(kt)
+        z.append(rng.standard_normal())
+        mult.append(0.5 + rng.random(kt))
+        # numpy sums pairwise, so a segmented sum could round differently
+        mult_sum.append(mult[-1].sum())
+        top_ts.append(rng.integers(0, period_secs, kt))
+
+    cat = np.concatenate
+    home, n_night, n_day, n_contacts, k_top, z, mult_sum = map(
+        np.array, (home, n_night, n_day, n_contacts, k_top, z, mult_sum)
+    )
+    users = np.array([f"u{si:04d}_{k:05d}" for k in range(n_users)])
+    user = np.arange(n_users)
+    home_tower = si * cfg.towers_per_sector + home
+
+    # calls laid out user by user, each user's night calls before its day calls
+    n_calls = n_night + n_day
+    caller = np.repeat(user, n_calls)
+    call_first = np.cumsum(n_calls) - n_calls
+    night = np.arange(len(caller)) - call_first[caller] < n_night[caller]
+    towers = np.empty(len(caller), np.int64)
+    towers[night] = np.where(
+        cat(night_p) < cfg.p_home, home_tower[caller[night]], cat(night_away)
+    )
+    towers[~night] = cat(day_tower)
+    ts = np.empty(len(caller), np.int64)
+    ts[night] = (
+        cat(night_day) * SECONDS_PER_DAY + NIGHT_START_SEC + cat(night_sec)
+    ) % period_secs
+    ts[~night] = cat(day_day) * SECONDS_PER_DAY + DAY_START_SEC + cat(day_sec)
+    # a user's contacts are the other users of the sector, skipping itself
+    picks = cat(picks)
+    picks += picks >= np.repeat(user, n_contacts)
+    callee = picks[(np.cumsum(n_contacts) - n_contacts)[caller] + cat(contact)]
+    # each user's calls in time order, ties in draw order; users stay in place
+    order = np.lexsort((ts, caller))
+    cdr_text = "".join([
+        f"{a},{b},{t},{s}\n"
+        for a, b, t, s in zip(
+            users[caller].tolist(),
+            users[callee[order]].tolist(),
+            tower_ids[towers[order]].tolist(),
+            stamp(ts[order]),
+        )
+    ])
+
+    # top-ups: an exact integer-cent split of each user's total
+    total = topup_mu + cfg.topup_user_sd * z
+    cents = np.maximum(3 * k_top, np.round(100.0 * total).astype(np.int64))
+    payer = np.repeat(user, k_top)
+    parts = np.floor(
+        np.repeat(cents, k_top) * (cat(mult) / np.repeat(mult_sum, k_top))
+    ).astype(np.int64)
+    top_first = np.cumsum(k_top) - k_top
+    parts[top_first] += cents - np.add.reduceat(parts, top_first)
+    top_ts = cat(top_ts)
+    top_text = "".join([
+        f"{u},{p // 100}.{p % 100:02d},{s}\n"
+        for u, p, s in zip(
+            users[payer].tolist(),
+            parts.tolist(),
+            stamp(top_ts[np.lexsort((top_ts, payer))]),
+        )
+    ])
+
+    home_text = "".join([
+        f"user_home,{u},{sector},{t}\n"
+        for u, t in zip(users.tolist(), tower_ids[home_tower].tolist())
+    ])
+    return cdr_text, top_text, home_text
+
+
 def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
     """Write the full synthetic dataset into ``out_dir``; returns the paths.
 
     Files: cdr.csv, topup.csv, towers.csv, survey.csv, survey_meta.csv,
     poverty.csv, truth.csv. Assembly is ordered sector then user (calls
     time-sorted within a user), so output bytes depend only on the config.
+    Rows are built and written one sector at a time, so memory is bounded
+    by one sector's rows.
     """
     cfg = config
     cfg.validate()
@@ -300,16 +426,11 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
     expense_mu = _expense_mu(cfg, latents.survey)
     topup_mu = cfg.topup_base + cfg.topup_scale * latents.mobile
 
-    n_towers = cfg.n_sectors * cfg.towers_per_sector
     sector_ids = [f"s{i:04d}" for i in range(cfg.n_sectors)]
     tower_ids = np.array(
         [f"t{i:04d}_{j}" for i in range(cfg.n_sectors) for j in range(cfg.towers_per_sector)]
     )
-    period_secs = cfg.period_days * SECONDS_PER_DAY
-    time_base = np.datetime64(cfg.period_start.isoformat(), "s")
-
-    def stamp(seconds: np.ndarray) -> np.ndarray:
-        return np.datetime_as_string(time_base + seconds.astype("timedelta64[s]"), unit="s")
+    stamp = _stamper(cfg.period_start, cfg.period_days)
 
     items = [
         replace(item, beta=item.beta * cfg.food_slope_scale) for item in cfg.food_items
@@ -337,69 +458,12 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
         for si in range(cfg.n_sectors):
             rng = np.random.default_rng(sector_seeds[si])
             sector = sector_ids[si]
-            users = np.array(
-                [f"u{si:04d}_{k:05d}" for k in range(cfg.users_per_sector)]
+            cdr_text, top_text, home_text = _user_rows(
+                cfg, rng, si, sector, tower_ids, topup_mu[si], latents.wealth[si], stamp
             )
-            cdr_rows: list[str] = []
-            top_rows: list[str] = []
-            for ui in range(cfg.users_per_sector):
-                uid = users[ui]
-                home_idx = si * cfg.towers_per_sector + rng.integers(cfg.towers_per_sector)
-                user_home_rows.append(f"user_home,{uid},{sector},{tower_ids[home_idx]}\n")
-
-                # calls
-                n_night = cfg.night_calls_min + rng.poisson(cfg.night_calls_extra_mean)
-                n_day = int(rng.poisson(cfg.day_calls_mean))
-                n_calls = n_night + n_day
-                conc = cfg.contact_skew * math.exp(
-                    cfg.diversity_wealth_slope * latents.wealth[si]
-                )
-                k_contacts = int(rng.integers(cfg.contacts_min, cfg.contacts_max + 1))
-                picks = rng.choice(cfg.users_per_sector - 1, size=k_contacts, replace=False)
-                picks = np.where(picks >= ui, picks + 1, picks)
-                weights = rng.dirichlet(np.full(k_contacts, conc))
-                callees = users[picks[rng.choice(k_contacts, size=n_calls, p=weights)]]
-
-                night_towers = np.where(
-                    rng.random(n_night) < cfg.p_home,
-                    home_idx,
-                    rng.integers(0, n_towers, n_night),
-                )
-                day_towers = rng.integers(0, n_towers, n_day)
-                towers = tower_ids[np.concatenate([night_towers, day_towers])]
-
-                night_ts = (
-                    rng.integers(0, cfg.period_days, n_night) * SECONDS_PER_DAY
-                    + NIGHT_START_SEC
-                    + rng.integers(0, NIGHT_SPAN_SEC, n_night)
-                ) % period_secs
-                day_ts = (
-                    rng.integers(0, cfg.period_days, n_day) * SECONDS_PER_DAY
-                    + DAY_START_SEC
-                    + rng.integers(0, DAY_SPAN_SEC, n_day)
-                )
-                ts = np.concatenate([night_ts, day_ts])
-                order = np.argsort(ts, kind="stable")
-                stamps = stamp(ts[order])
-                towers = towers[order]
-                callees = callees[order]
-                for j in range(n_calls):
-                    cdr_rows.append(f"{uid},{callees[j]},{towers[j]},{stamps[j]}Z\n")
-
-                # top-ups: an exact integer-cent split of the user's total
-                k_top = 1 + int(rng.poisson(max(cfg.topup_events_mean - 1.0, 0.0)))
-                total = topup_mu[si] + cfg.topup_user_sd * rng.standard_normal()
-                cents = max(3 * k_top, int(round(100.0 * total)))
-                mult = 0.5 + rng.random(k_top)
-                parts = np.floor(cents * (mult / mult.sum())).astype(np.int64)
-                parts[0] += cents - int(parts.sum())
-                top_ts = np.sort(rng.integers(0, period_secs, k_top))
-                top_stamps = stamp(top_ts)
-                for j in range(k_top):
-                    top_rows.append(f"{uid},{_cents_str(int(parts[j]))},{top_stamps[j]}Z\n")
-
-            f_cdr.writelines(cdr_rows)
-            f_top.writelines(top_rows)
+            f_cdr.write(cdr_text)
+            f_top.write(top_text)
+            user_home_rows.append(home_text)
 
             # households
             n_h = cfg.households_per_sector
@@ -444,15 +508,14 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
                 ),
                 2,
             )
-            survey_rows = []
-            for h in range(n_h):
-                freq_cells = ",".join(str(v) for v in freqs[h])
-                survey_rows.append(
-                    f"h{si:04d}_{h:04d},{sector},{size[h]},{crowding[h]},{share[h]},"
-                    f"{freq_cells},{_cents_str(int(expense_cents[h]))},"
-                    f"{_cents_str(int(total_cents[h]))},{income[h]}\n"
-                )
-            f_survey.writelines(survey_rows)
+            f_survey.write("".join([
+                f"h{si:04d}_{h:04d},{sector},{n},{crowd},{own},{','.join(map(str, freq))},"
+                f"{food // 100}.{food % 100:02d},{total // 100}.{total % 100:02d},{inc}\n"
+                for h, (n, crowd, own, freq, food, total, inc) in enumerate(zip(
+                    size.tolist(), crowding.tolist(), share.tolist(), freqs.tolist(),
+                    expense_cents.tolist(), total_cents.tolist(), income.tolist(),
+                ))
+            ]))
 
     with open(paths["towers"], "w", encoding="utf-8", newline="\n") as f:
         f.write("tower_id,sector_id\n")
