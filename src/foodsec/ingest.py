@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import chain
-from math import nan
+from math import isfinite, nan
 from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -562,7 +562,8 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
     ``metadata`` is a path/handle for ``survey_meta.csv`` or an already-loaded
     ``{variable: category}`` mapping. A data variable missing from the
     metadata is fatal (silent category misassignment is worse than a crash);
-    bad cells quarantine the whole row.
+    bad cells (not a number, not finite, or a food-group frequency outside
+    0..7) quarantine the whole row. Blank cells are missing.
     """
     if errors is None:
         errors = RowErrorLog()
@@ -603,6 +604,9 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
                 parsed = np.array([float(c) if c else nan for c in cells], dtype=np.float64)
             except ValueError:
                 return 0
+            # only blank cells may read as NaN
+            if len(parsed) - np.count_nonzero(np.isfinite(parsed)) != cells.count(""):
+                return 0
             food = parsed.reshape(len(chunk.ends), -1)[:, food_cols]
             if not (np.isnan(food) | ((food >= 0) & (food <= 7) & (food == np.floor(food)))).all():
                 return 0
@@ -633,6 +637,9 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
                         parsed.append(float(cell))
                     except ValueError:
                         bad = f"non-numeric value {cell!r} in {name!r}"
+                        break
+                    if not isfinite(parsed[-1]):
+                        bad = f"non-finite value {cell!r} in {name!r}"
                         break
                 if bad is None:
                     for i in food_cols:

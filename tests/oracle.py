@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
@@ -181,6 +182,9 @@ def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) ->
                     parsed.append(float(cell) if cell else float("nan"))
                 except ValueError:
                     bad = f"non-numeric value {cell!r} in {name!r}"
+                    break
+                if cell and not math.isfinite(parsed[-1]):
+                    bad = f"non-finite value {cell!r} in {name!r}"
                     break
             for i in food_cols if bad is None else ():
                 v = parsed[i]

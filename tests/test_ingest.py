@@ -221,6 +221,19 @@ class TestSurvey:
         table = load_survey(stream(body), stream(SURVEY_META))
         assert np.isnan(table.column("expense")[0])
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_non_finite_cell_is_row_error(self, cell, quoted):
+        """In a clean file (bulk path) and after a quoted ID (row-wise path);
+        a blank cell stays missing."""
+        lead = '"h0",s1,1,2,3\n' if quoted else ""
+        body = (f"household_id,sector_id,fcs_a,expense,size\n{lead}"
+                f"h1,s1,3,{cell},4\nh2,s1,3,,4\n")
+        errors = RowErrorLog()
+        table = load_survey(stream(body), stream(SURVEY_META), errors)
+        assert table.household_ids == (["h0", "h2"] if quoted else ["h2"])
+        assert [e.message for e in errors.errors] == [f"non-finite value {cell!r} in 'expense'"]
+
     def test_synth_survey_round_trips(self, small_dataset, tmp_path):
         _, paths = small_dataset
         table = load_survey(paths["survey"], paths["survey_meta"])
