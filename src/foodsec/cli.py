@@ -81,6 +81,9 @@ log = logging.getLogger(__name__)
 # --threads stays so existing command lines run; it changes nothing, so no manifest records it.
 THREADS_HELP = "accepted for compatibility; has no effect (the null runs in batches)"
 CI_LEVEL = click.FloatRange(0, 1, min_open=True, max_open=True)
+# local wall clock = UTC + this many minutes; the night window is judged in local time
+UTC_OFFSET = dict(type=click.IntRange(-1439, 1439), default=0, show_default=True,
+                  metavar="MINUTES", help="local time minus UTC, for the night window")
 
 # the files `all` reads from --in, each as <name>.csv; the optional ones may be absent
 ALL_INPUTS = ("cdr", "topup", "towers", "survey", "survey_meta",
@@ -189,12 +192,13 @@ def cli(ctx, config_path, verbose):
 # into ``out`` and returns (result, outputs, stats) ---
 
 
-def _stage_features(cdr, topup, towers, night_window, home_hours, diversity_direction,
-                    strict, out):
+def _stage_features(cdr, topup, towers, night_window, utc_offset, home_hours,
+                    diversity_direction, strict, out):
     """Features from one pass over each input. The result also carries the
     top-up columns and their row errors, for the rolling stage of ``all``."""
     cfg = FeatureConfig(
         night_window=parse_night_window(night_window),
+        utc_offset_minutes=utc_offset,
         home_hours=home_hours,
         diversity_direction=diversity_direction,
     )
@@ -354,16 +358,18 @@ def synth(synth_config, out, seed):
 @click.option("--towers", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--night-window", default="18:00-08:00", show_default=True)
+@click.option("--utc-offset", **UTC_OFFSET)
 @click.option("--home-hours", type=click.Choice(["night", "all"]), default="night")
 @click.option("--diversity-direction", type=click.Choice(["both", "out"]), default="both")
 @click.option("--strict", is_flag=True, help="promote row errors to fatal")
-def features(cdr, topup, towers, out, night_window, home_hours, diversity_direction, strict):
+def features(cdr, topup, towers, out, night_window, utc_offset, home_hours,
+             diversity_direction, strict):
     """Per-user features: home sector, top-up stats, social diversity."""
     inputs = _inputs(cdr=cdr, topup=topup, towers=towers)
     out_dir = _out_dir(out)
     _, outputs, stats = _stage_features(
-        inputs["cdr"], inputs["topup"], inputs["towers"], night_window, home_hours,
-        diversity_direction, strict, out_dir,
+        inputs["cdr"], inputs["topup"], inputs["towers"], night_window, utc_offset,
+        home_hours, diversity_direction, strict, out_dir,
     )
     _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"{stats['users_out']} user feature vector(s)")
@@ -533,6 +539,7 @@ def verify(truth, outputs_dir, out):
               expose_value=False, help=THREADS_HELP)
 @click.option("--strict", is_flag=True)
 @click.option("--night-window", default="18:00-08:00", show_default=True)
+@click.option("--utc-offset", **UTC_OFFSET)
 @click.option("--min-users", type=int, default=DEFAULT_MIN_USERS, show_default=True)
 @click.option("--ci-level", type=CI_LEVEL, default=0.95, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
@@ -542,7 +549,7 @@ def verify(truth, outputs_dir, out):
 @click.option("--window-days", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--heatmap-data", is_flag=True)
 @click.option("--scatter-data", is_flag=True)
-def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
+def run_all(in_dir, out, seed, strict, night_window, utc_offset, min_users, ci_level,
             trials, target, variables, degree, window_days, heatmap_data, scatter_data):
     """Run the full chain: features, aggregate, indices, correlate, null,
     fit, rolling, each as its subcommand would with these options."""
@@ -562,7 +569,7 @@ def run_all(in_dir, out, seed, strict, night_window, min_users, ci_level,
 
     vectors, topups, topup_errors = run(
         _stage_features, inputs["cdr"], inputs["topup"], inputs["towers"], night_window,
-        "night", "both", strict,
+        utc_offset, "night", "both", strict,
     )
     mobile = run(_stage_aggregate, vectors, min_users, None)
     survey, categories = run(

@@ -169,6 +169,17 @@ class TestExitCodes:
                   "--seed", "1", "--min-users", "5", "--ci-level", level])
         assert rc == 1
 
+    @pytest.mark.parametrize("offset", ["1440", "-1440", "90.5", "abc"])
+    @pytest.mark.parametrize("command", ["features", "all"])
+    def test_utc_offset_outside_a_day_is_config_error(self, small_dataset, tmp_path, command,
+                                                      offset):
+        _, paths = small_dataset
+        args = {"features": ["--cdr", paths["cdr"], "--topup", paths["topup"],
+                             "--towers", paths["towers"]],
+                "all": ["--in", paths["cdr"].parent, "--seed", "1"]}[command]
+        assert run([command, *args, "--utc-offset", offset, "--out", tmp_path]) == 1
+        assert not (tmp_path / "run_manifest.json").exists()
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     """``scipy.stats`` costs about a second of import; nothing may pull it in."""
@@ -298,6 +309,44 @@ class TestDeterminismAndOverrides:
         assert rc == 0
         summary = (tmp_path / "null_summary.csv").read_text().splitlines()[1]
         assert summary.startswith("7,")
+
+    @pytest.mark.parametrize("offset, home", [("0", "sB"), ("60", "sA"), ("-1439", "sB")])
+    def test_utc_offset_moves_the_night_window(self, tmp_path, offset, home):
+        """A 17:30 UTC call is a night call at UTC+1 (18:30 local) and a day
+        call in UTC, where the user's home falls back to all calls."""
+        (tmp_path / "cdr.csv").write_text(
+            "caller_id,callee_id,tower_id,timestamp\n"
+            "u1,u2,tA,2012-01-02T17:30:00Z\n"
+            "u1,u2,tB,2012-01-03T12:00:00Z\n"
+            "u1,u2,tB,2012-01-04T12:00:00Z\n"
+        )
+        (tmp_path / "topup.csv").write_text(
+            "user_id,amount,timestamp\nu1,5.00,2012-01-05T10:00:00Z\n"
+        )
+        (tmp_path / "towers.csv").write_text("tower_id,sector_id\ntA,sA\ntB,sB\n")
+        out = tmp_path / "out"
+        assert run(["features", "--cdr", tmp_path / "cdr.csv", "--topup", tmp_path / "topup.csv",
+                    "--towers", tmp_path / "towers.csv", "--utc-offset", offset,
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "user_features.csv").read_text().splitlines()]
+        assert [row[:2] for row in rows[1:] if row[0] == "u1"] == [["u1", home]]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["utc_offset"] == int(offset)
+
+    def test_all_passes_utc_offset_to_features(self, small_dataset, tmp_path):
+        _, paths = small_dataset
+        whole, alone, utc = tmp_path / "all", tmp_path / "features", tmp_path / "utc"
+        assert run(["all", "--in", paths["cdr"].parent, "--seed", "1", "--trials", "5",
+                    "--min-users", "5", "--utc-offset", "-300", "--out", whole]) == 0
+        for offset, out in (("-300", alone), ("0", utc)):
+            assert run(["features", "--cdr", paths["cdr"], "--topup", paths["topup"],
+                        "--towers", paths["towers"], "--utc-offset", offset,
+                        "--out", out]) == 0
+        features = (whole / "user_features.csv").read_bytes()
+        assert features == (alone / "user_features.csv").read_bytes()
+        assert features != (utc / "user_features.csv").read_bytes()
+        manifest = json.loads((whole / "run_manifest.json").read_text())
+        assert manifest["config"]["utc_offset"] == -300
 
     def test_config_file_defaults_and_flag_precedence(self, medium_pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"
