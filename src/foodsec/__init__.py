@@ -44,7 +44,6 @@ from .correlate import (  # noqa: F401
 )
 from .models import (  # noqa: F401
     RegressionModel,
-    evaluate_model,
     fit_from_matrices,
     fit_model,
     predict_rows,

@@ -9,16 +9,14 @@ so downstream correlation can exclude them pairwise.
 
 from __future__ import annotations
 
-import csv
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .features import UserFeatureVector
-from .ingest import FormatError, format_number
+from .ingest import FormatError, TableReader, format_number, parse_column
 
 log = logging.getLogger(__name__)
 
@@ -137,33 +135,18 @@ def write_sector_matrix(matrix: SectorMatrix, path, count_column: str = "n_users
 
 
 def read_sector_matrix(path, count_column: str = "n_users") -> SectorMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[0] != "sector_id" or header[-1] != count_column:
-            raise FormatError(
-                f"sector matrix: expected 'sector_id,...,{count_column}' header in {path}"
-            )
-        columns = header[1:-1]
-        sectors: list[str] = []
-        rows: list[list[float]] = []
-        counts: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"sector matrix: malformed row at line {reader.line_num}")
-            sectors.append(row[0])
-            rows.append([float(c) if c else math.nan for c in row[1:-1]])
-            counts.append(int(row[-1]))
-        values = (
-            np.array(rows, dtype=np.float64)
-            if rows
-            else np.empty((0, len(columns)), dtype=np.float64)
-        )
-        return SectorMatrix(
-            sectors=sectors,
-            columns=columns,
-            values=values,
-            counts=np.array(counts, dtype=np.int64),
-        )
+    what = "sector matrix"
+    table = TableReader(path, what, None)
+    header = table.header
+    if not header or header[0] != "sector_id" or header[-1] != count_column:
+        raise FormatError(f"{what}: expected 'sector_id,...,{count_column}' header in {path}")
+    lines, (sectors, *cells, counts) = table.columns()
+    values = np.empty((len(sectors), len(cells)), dtype=np.float64)
+    for j, column in enumerate(cells):
+        values[:, j] = parse_column(what, lines, column, optional=True)
+    return SectorMatrix(
+        sectors=list(sectors),
+        columns=header[1:-1],
+        values=values,
+        counts=np.array(parse_column(what, lines, counts, int), dtype=np.int64),
+    )

@@ -17,7 +17,6 @@ in stacked batches, so results do not depend on the batch size.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .aggregate import SectorMatrix
-from .ingest import FormatError, format_number
+from .ingest import FormatError, TableReader, format_number, parse_column
 
 log = logging.getLogger(__name__)
 
@@ -308,28 +307,17 @@ def write_correlations(entries: Sequence[CorrelationEntry], path) -> None:
 
 
 def read_correlations(path) -> list[CorrelationEntry]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CORRELATION_HEADER:
-            raise FormatError(f"correlations: unexpected header {header}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            out.append(
-                CorrelationEntry(
-                    mobile_var=row[0],
-                    survey_var=row[1],
-                    r=float(row[2]) if row[2] else None,
-                    p=float(row[3]) if row[3] else None,
-                    ci_low=float(row[4]) if row[4] else None,
-                    ci_high=float(row[5]) if row[5] else None,
-                    n=int(row[6]),
-                    defined=row[7] == "true",
-                )
-            )
-        return out
+    what = "correlations"
+    table = TableReader(path, what, CORRELATION_HEADER)
+    lines, (mobile, survey, r, p, ci_low, ci_high, n, defined) = table.columns()
+
+    def optional(cells):
+        return parse_column(what, lines, cells, optional=True)
+
+    return list(map(
+        CorrelationEntry, mobile, survey, optional(r), optional(p), optional(ci_low),
+        optional(ci_high), parse_column(what, lines, n, int), [d == "true" for d in defined],
+    ))
 
 
 def write_heatmap_data(
@@ -353,20 +341,4 @@ def write_null_summary(summary: NullSummary, path) -> None:
             f"{summary.trials},{format_number(summary.abs_r_p50)},"
             f"{format_number(summary.abs_r_p95)},{format_number(summary.abs_r_p99)},"
             f"{format_number(summary.abs_r_max)}\n"
-        )
-
-
-def read_null_summary(path) -> NullSummary:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != NULL_SUMMARY_HEADER:
-            raise FormatError(f"null_summary: unexpected header {header}")
-        row = next(reader)
-        return NullSummary(
-            trials=int(row[0]),
-            abs_r_p50=float(row[1]),
-            abs_r_p95=float(row[2]),
-            abs_r_p99=float(row[3]),
-            abs_r_max=float(row[4]),
         )

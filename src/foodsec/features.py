@@ -12,7 +12,6 @@ order, or in any partitioning merged afterwards, yields identical output.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections import Counter
@@ -26,8 +25,9 @@ import numpy as np
 from .ingest import (
     DEFAULT_NIGHT_WINDOW,
     CallColumns,
-    FormatError,
     TopUpColumns,
+    parse_column,
+    TableReader,
 )
 
 log = logging.getLogger(__name__)
@@ -229,25 +229,15 @@ def write_user_features(features: Iterable[UserFeatureVector], path) -> None:
 
 
 def read_user_features(path) -> list[UserFeatureVector]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != USER_FEATURE_HEADER:
-            raise FormatError(f"user_features: unexpected header {header}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            out.append(
-                UserFeatureVector(
-                    user_id=row[0],
-                    home_sector=row[1],
-                    topup_sum=Decimal(row[2]),
-                    topup_mean=Decimal(row[3]),
-                    topup_min=Decimal(row[4]),
-                    topup_max=Decimal(row[5]),
-                    topup_count=int(row[6]),
-                    social_diversity=None if row[7] == "" else float(row[7]),
-                )
-            )
-        return out
+    what = "user_features"
+    table = TableReader(path, what, USER_FEATURE_HEADER)
+    lines, (users, homes, sums, means, mins, maxs, counts, diversity) = table.columns()
+
+    def money(cells):
+        return parse_column(what, lines, cells, Decimal)
+
+    return list(map(
+        UserFeatureVector, users, homes, money(sums), money(means), money(mins), money(maxs),
+        parse_column(what, lines, counts, int),
+        parse_column(what, lines, diversity, optional=True),
+    ))

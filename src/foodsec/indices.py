@@ -14,7 +14,6 @@ class: a score of exactly 21 classifies as poor.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .aggregate import SectorMatrix
-from .ingest import FormatError, SurveyTable, _open_text
+from .ingest import FormatError, SurveyTable, TableReader, parse_number
 
 log = logging.getLogger(__name__)
 
@@ -169,62 +168,34 @@ def load_csi_weights(source) -> dict[str, float]:
 
 
 def _load_weight_table(source, header: list[str], what: str) -> dict[str, float]:
-    handle, owned = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        got = next(reader, None)
-        if got != header:
-            raise FormatError(f"{what}: expected header {','.join(header)!r}, got {got}")
-        out: dict[str, float] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2 or not row[0]:
-                raise FormatError(f"{what}: malformed row at line {reader.line_num}")
-            try:
-                weight = float(row[1])
-            except ValueError:
-                raise FormatError(f"{what}: non-numeric weight at line {reader.line_num}")
-            if weight < 0:
-                raise FormatError(f"{what}: negative weight at line {reader.line_num}")
-            if row[0] in out:
-                raise FormatError(f"{what}: duplicate entry {row[0]!r}")
-            out[row[0]] = weight
-        if not out:
-            raise FormatError(f"{what}: empty table")
-        return out
-    finally:
-        if owned:
-            handle.close()
+    out: dict[str, float] = {}
+    table = TableReader(source, what, header, ids=1)
+    for key, text in table:
+        weight = parse_number(what, table.line_num, text)
+        if weight < 0:
+            raise FormatError(f"{what}: negative weight at line {table.line_num}")
+        if key in out:
+            raise FormatError(f"{what}: duplicate entry {key!r}")
+        out[key] = weight
+    if not out:
+        raise FormatError(f"{what}: empty table")
+    return out
 
 
 def load_poverty(source) -> dict[str, tuple[float, float]]:
     """Read ``poverty.csv`` (header ``sector_id,headcount,intensity``)."""
-    handle, owned = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        got = next(reader, None)
-        if got != ["sector_id", "headcount", "intensity"]:
-            raise FormatError(f"poverty: unexpected header {got}")
-        out: dict[str, tuple[float, float]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3 or not row[0]:
-                raise FormatError(f"poverty: malformed row at line {reader.line_num}")
-            try:
-                h, a = float(row[1]), float(row[2])
-            except ValueError:
-                raise FormatError(f"poverty: non-numeric value at line {reader.line_num}")
-            if not (0 <= h <= 1 and 0 <= a <= 1):
-                raise FormatError(f"poverty: value outside [0, 1] at line {reader.line_num}")
-            if row[0] in out:
-                raise FormatError(f"poverty: duplicate sector {row[0]!r}")
-            out[row[0]] = (h, a)
-        return out
-    finally:
-        if owned:
-            handle.close()
+    what = "poverty"
+    out: dict[str, tuple[float, float]] = {}
+    table = TableReader(source, what, ["sector_id", "headcount", "intensity"], ids=1)
+    for sector, headcount, intensity in table:
+        line = table.line_num
+        h, a = parse_number(what, line, headcount), parse_number(what, line, intensity)
+        if not (0 <= h <= 1 and 0 <= a <= 1):
+            raise FormatError(f"{what}: value outside [0, 1] at line {line}")
+        if sector in out:
+            raise FormatError(f"{what}: duplicate sector {sector!r}")
+        out[sector] = (h, a)
+    return out
 
 
 def build_survey_matrix(

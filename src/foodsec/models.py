@@ -25,9 +25,11 @@ import scipy.linalg
 
 from .aggregate import SectorMatrix
 from .correlate import pearson
-from .ingest import format_number
+from .ingest import TableReader, format_number, parse_number
 
 log = logging.getLogger(__name__)
+
+MODEL_HEADER = ["term", "coefficient_std", "coefficient_raw"]
 
 
 class FitError(ValueError):
@@ -246,24 +248,10 @@ def predict_rows(model: RegressionModel, x: SectorMatrix) -> np.ndarray:
     return design @ np.asarray(model.coef_std)
 
 
-def evaluate_model(model: RegressionModel, x: SectorMatrix, y: np.ndarray) -> float:
-    """Pearson correlation between predictions and ``y`` on held data
-    (listwise over rows where both are defined)."""
-    y = np.asarray(y, dtype=np.float64)
-    pred = predict_rows(model, x)
-    keep = np.isfinite(pred) & np.isfinite(y)
-    if int(keep.sum()) < 3:
-        raise FitError("fewer than 3 complete rows to evaluate on")
-    r = pearson(pred[keep], y[keep])
-    if r is None:
-        raise FitError("degenerate evaluation: zero variance")
-    return float(r)
-
-
 def write_model(model: RegressionModel, path) -> None:
     """``model_<target>.csv``: one row per term plus fit_r and n footers."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("term,coefficient_std,coefficient_raw\n")
+        f.write(",".join(MODEL_HEADER) + "\n")
         for term, cs, cr in zip(model.terms, model.coef_std, model.coef_raw):
             f.write(f"{term_name(term)},{format_number(cs)},{format_number(cr)}\n")
         f.write(f"fit_r,{format_number(model.fit_r)},\n")
@@ -272,14 +260,12 @@ def write_model(model: RegressionModel, path) -> None:
 
 def read_model_summary(path) -> dict[str, float]:
     """Pull the fit_r / n footer values back out of a model file."""
-    import csv
-
-    out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        for row in csv.reader(f):
-            if row and row[0] in ("fit_r", "n"):
-                out[row[0]] = float(row[1])
-    return out
+    table = TableReader(path, "model", MODEL_HEADER)
+    return {
+        term: parse_number("model", table.line_num, value)
+        for term, value, _ in table
+        if term in ("fit_r", "n")
+    }
 
 
 def write_scatter_data(

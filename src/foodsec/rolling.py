@@ -17,7 +17,6 @@ day enters and down as it leaves.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ingest import FormatError, TopUpColumns, _open_text, format_number
+from .ingest import FormatError, TableReader, TopUpColumns, format_number, parse_number
 
 log = logging.getLogger(__name__)
 
@@ -195,26 +194,16 @@ def load_stock_series(source) -> list[tuple[date, str, float]]:
     """External food-stock overlay input: ``date,label,percentage`` rows.
     Any unparsable content is fatal (the overlay is optional but never
     silently wrong)."""
-    handle, owned = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["date", "label", "percentage"]:
-            raise FormatError(f"stock series: unexpected header {header}")
-        out: list[tuple[date, str, float]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"stock series: malformed row at line {reader.line_num}")
-            try:
-                out.append((date.fromisoformat(row[0]), row[1], float(row[2])))
-            except ValueError as exc:
-                raise FormatError(f"stock series: line {reader.line_num}: {exc}")
-        return out
-    finally:
-        if owned:
-            handle.close()
+    what = "stock series"
+    out: list[tuple[date, str, float]] = []
+    table = TableReader(source, what, ["date", "label", "percentage"])
+    for day, label, value in table:
+        try:
+            when = date.fromisoformat(day)
+        except ValueError as exc:
+            raise FormatError(f"{what}: line {table.line_num}: {exc}")
+        out.append((when, label, parse_number(what, table.line_num, value)))
+    return out
 
 
 def emit_overlay(

@@ -28,8 +28,8 @@ within half a cent.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ConfigError, coerce, parse_kv_file
-from .ingest import FormatError
+from .ingest import FormatError, TableReader
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -569,17 +569,10 @@ def _write_truth(cfg, path, sector_ids, latents, topup_mu, items, user_home_rows
 
 def read_truth(path) -> dict[str, list[tuple[str, str, str]]]:
     """truth.csv grouped by kind: {kind: [(key, value, extra), ...]}."""
-    out: dict[str, list[tuple[str, str, str]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != TRUTH_HEADER:
-            raise FormatError(f"truth: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            out.setdefault(row[0], []).append((row[1], row[2], row[3]))
-    return out
+    out: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
+    for kind, key, value, extra in TableReader(path, "truth", TRUTH_HEADER):
+        out[kind].append((key, value, extra))
+    return dict(out)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ exclusion, table cell and row error.
 The ``*_csv`` helpers and writers turn records back into CSV, and the
 functions under "src path" run the package's columnar code over such records
 behind the per-rule signatures the tests were written against.
+``evaluate_model`` and ``read_null_summary`` check a fitted model on held
+data and read a null summary back; the pipeline itself needs neither.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from foodsec.aggregate import SectorMatrix
+from foodsec.correlate import NULL_SUMMARY_HEADER, NullSummary, pearson
 from foodsec.features import (
     FeatureConfig,
     UserFeatureVector,
@@ -48,11 +52,13 @@ from foodsec.ingest import (
     _check_header,
     _open_text,
     format_number,
+    parse_number,
     parse_timestamp,
     read_cdr,
+    TableReader,
     read_topups,
 )
-from foodsec.models import RegressionModel
+from foodsec.models import FitError, RegressionModel, predict_rows
 
 
 class CallRecord(NamedTuple):
@@ -82,8 +88,7 @@ def parse_cdr_stream(
 ) -> Iterator[CallRecord]:
     if errors is None:
         errors = RowErrorLog()
-    handle, owned = _open_text(source)
-    try:
+    with _open_text(source) as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), CDR_HEADER, "cdr")
         for row in reader:
@@ -106,9 +111,6 @@ def parse_cdr_stream(
                 errors.report(line, "timestamp outside observation period")
                 continue
             yield CallRecord(caller, callee, tower, when)
-    finally:
-        if owned:
-            handle.close()
 
 
 def parse_topup_stream(
@@ -118,8 +120,7 @@ def parse_topup_stream(
 ) -> Iterator[TopUpRecord]:
     if errors is None:
         errors = RowErrorLog()
-    handle, owned = _open_text(source)
-    try:
+    with _open_text(source) as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), TOPUP_HEADER, "topup")
         for row in reader:
@@ -136,6 +137,8 @@ def parse_topup_stream(
             try:
                 amount = Decimal(amount_text)
             except InvalidOperation:
+                amount = None
+            if amount is None or "_" in amount_text:
                 errors.report(line, f"non-numeric amount {amount_text!r}")
                 continue
             if not amount.is_finite() or amount <= 0:
@@ -150,15 +153,11 @@ def parse_topup_stream(
                 errors.report(line, "timestamp outside observation period")
                 continue
             yield TopUpRecord(user, amount, when)
-    finally:
-        if owned:
-            handle.close()
 
 
 def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) -> SurveyTable:
     """``survey.csv`` one csv row at a time, every cell through ``float``."""
-    handle, owned = _open_text(source)
-    try:
+    with _open_text(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or header[:2] != SURVEY_ID_COLUMNS:
@@ -181,6 +180,8 @@ def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) ->
                 try:
                     parsed.append(float(cell) if cell else float("nan"))
                 except ValueError:
+                    parsed.append(None)
+                if parsed[-1] is None or "_" in cell:
                     bad = f"non-numeric value {cell!r} in {name!r}"
                     break
                 if cell and not math.isfinite(parsed[-1]):
@@ -200,9 +201,6 @@ def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) ->
         values = np.array(rows, dtype=np.float64).reshape(len(rows), len(variables))
         return SurveyTable(household_ids, sector_ids, variables,
                            {v: categories[v] for v in variables}, values)
-    finally:
-        if owned:
-            handle.close()
 
 
 # --- row-wise features ---
@@ -393,6 +391,30 @@ def predict(model: RegressionModel, row: Mapping[str, float]) -> float:
             value *= (row[v] - model.means[v]) / model.stds[v]
         total += value
     return total
+
+
+def evaluate_model(model: RegressionModel, x: SectorMatrix, y: np.ndarray) -> float:
+    """Pearson correlation between predictions and ``y`` on held data
+    (listwise over rows where both are defined)."""
+    y = np.asarray(y, dtype=np.float64)
+    pred = predict_rows(model, x)
+    keep = np.isfinite(pred) & np.isfinite(y)
+    if int(keep.sum()) < 3:
+        raise FitError("fewer than 3 complete rows to evaluate on")
+    r = pearson(pred[keep], y[keep])
+    if r is None:
+        raise FitError("degenerate evaluation: zero variance")
+    return float(r)
+
+
+def read_null_summary(path) -> NullSummary:
+    what = "null_summary"
+    table = TableReader(path, what, NULL_SUMMARY_HEADER)
+    trials, *quantiles = next(iter(table))
+    line = table.line_num
+    return NullSummary(
+        parse_number(what, line, trials, int), *(parse_number(what, line, q) for q in quantiles)
+    )
 
 
 # --- src path behind per-rule signatures ---

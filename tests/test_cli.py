@@ -503,3 +503,83 @@ class TestOptionalOutputs:
         rolling = (tmp_path / "out" / "rolling_30.csv").read_text().splitlines()
         assert rolling[0] == "sector_id,label_date,value,n_users"
         assert len(rolling) > 60
+
+
+def replace_field(path, first, field, text):
+    """Set field ``field`` of the first line of ``path`` after the header
+    whose first field is ``first`` (any line if None) to ``text``, or drop
+    it if ``text`` is None."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines[1:], 1)
+             if first is None or line.split(",")[0] == first)
+    cells = lines[i].split(",")
+    if text is None:
+        del cells[field]
+    else:
+        cells[field] = text
+    lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+MATRICES = ["--mobile", "{out}/sector_mobile.csv", "--survey-matrix", "{out}/sector_survey.csv"]
+COMMANDS = {
+    "aggregate": ["aggregate", "--user-features", "{out}/user_features.csv", "--min-users", "5"],
+    "rolling": ["rolling", "--topup", "{topup}", "--user-features", "{out}/user_features.csv"],
+    "correlate": ["correlate", *MATRICES],
+    "null": ["null", *MATRICES, "--seed", "1", "--trials", "5"],
+    "fit": ["fit", *MATRICES, "--target", "food_expenditure", "--variables", "topup_sum.mean"],
+    "verify": ["verify", "--truth", "{truth}", "--outputs", "{out}"],
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("file, first, field, text, command", [
+        ("user_features.csv", None, -1, None, "aggregate"),
+        ("user_features.csv", None, -1, None, "rolling"),
+        ("user_features.csv", None, 2, "12a", "aggregate"),
+        ("sector_mobile.csv", None, 1, "x", "correlate"),
+        ("sector_mobile.csv", None, 1, "x", "null"),
+        ("sector_mobile.csv", None, 1, "x", "fit"),
+        ("sector_survey.csv", None, -1, "n", "correlate"),
+        ("truth.csv", None, -1, None, "verify"),
+        ("model_food_expenditure.csv", "fit_r", 1, "abc", "verify"),
+    ])
+    def test_malformed_file_between_stages_is_data_error(
+        self, medium_dataset, medium_pipeline, tmp_path, capsys, file, first, field, text,
+        command,
+    ):
+        import shutil
+
+        _, paths = medium_dataset
+        out = tmp_path / "outputs"
+        shutil.copytree(medium_pipeline, out)
+        truth = tmp_path / "truth.csv"
+        # a planted model makes verify read the model file
+        truth.write_text(paths["truth"].read_text()
+                         + "planted_model,food_expenditure,0.89,degree=2\n")
+        replace_field(truth if file == "truth.csv" else out / file, first, field, text)
+        args = [a.format(out=out, topup=paths["topup"], truth=truth)
+                for a in COMMANDS[command]]
+        assert run(args + ["--out", tmp_path / "result"]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, body", [
+        ("indices", "--fcs-weights", "food_group,weight\nstaples,2\npulses,nan\n"),
+        ("indices", "--csi-weights", "strategy,weight\nless_preferred,inf\n"),
+        ("indices", "--poverty", "sector_id,headcount,intensity\ns001,nan,0.5\n"),
+        ("rolling", "--stock", "date,label,percentage\n2012-01-20,season_a,inf\n"),
+    ])
+    def test_non_finite_table_value_is_data_error(
+        self, medium_dataset, medium_pipeline, tmp_path, capsys, command, flag, body
+    ):
+        _, paths = medium_dataset
+        table = tmp_path / "table.csv"
+        table.write_text(body)
+        args = {
+            "indices": ["indices", "--survey", paths["survey"],
+                        "--survey-meta", paths["survey_meta"]],
+            "rolling": ["rolling", "--topup", paths["topup"],
+                        "--user-features", medium_pipeline / "user_features.csv"],
+        }[command]
+        assert run(args + [flag, table, "--out", tmp_path / "out"]) == 2
+        assert "bad number" in capsys.readouterr().err

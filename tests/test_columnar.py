@@ -402,10 +402,10 @@ DAMAGED_ROWS = {
             f"u1,u2,t1,x{STAMP}", f'"u1",u2,t1,{STAMP}'],
     "topup": [f",5,{STAMP}", f"u1,,{STAMP}", "u1,5,", "u1,5", f"u1,5,{STAMP},x", "",
               f"u1,0,{STAMP}", f"u1,-1,{STAMP}", f"u1,NaN,{STAMP}", f"u1,Infinity,{STAMP}",
-              f"u1,abc,{STAMP}", f"u1, 5,{STAMP}", f"u1,5,{STAMP}\r"],
+              f"u1,abc,{STAMP}", f"u1, 5,{STAMP}", f"u1,5,{STAMP}\r", f"u1,1_5,{STAMP}"],
     "survey": [",s1,1,2,3,4", "h1,,1,2,3,4", "h1,s1,,,,", "h1,s1,1,2,3", "h1,s1,1,2,3,4,5", "",
                "h1,s1,8,2,3,4", "h1,s1,1,2,3.5,4", "h1,s1,1,2,-1,4", "h1,s1,x,2,3,4",
-               "h1,s1,1,inf,nan,4", "h1,s1,1,2,3,4\r"],
+               "h1,s1,1,inf,nan,4", "h1,s1,1,2,3,4\r", "h1,s1,1,2_0,3,4"],
 }
 CLEAN_ROWS = {"cdr": f"u3,u4,t2,{STAMP}", "topup": f"u3,2.50,{STAMP}", "survey": "h2,s2,7,1.5,0,9"}
 SURVEY_HEADER = "household_id,sector_id,staples,size,oil,cost"

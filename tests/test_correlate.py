@@ -18,13 +18,13 @@ from foodsec.correlate import (
     pearson,
     pearson_p,
     read_correlations,
-    read_null_summary,
     shuffle_null,
     write_correlations,
     write_heatmap_data,
     write_null_summary,
 )
 from foodsec.ingest import FormatError
+from oracle import read_null_summary
 
 
 def pearson_textbook(x, y):

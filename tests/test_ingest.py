@@ -1,12 +1,15 @@
+import ast
 import io
 from datetime import date, datetime, time
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foodsec
 from foodsec.ingest import (
     FormatError,
     RowErrorLog,
@@ -118,6 +121,18 @@ class TestParseCdr:
             assert columns.night.tolist() == [night]
 
 
+@pytest.mark.parametrize("reader, header, row", [
+    (read_cdr, "caller_id,callee_id,tower_id,timestamp", "a,b,c,"),
+    (read_topups, "user_id,amount,timestamp", "ü3,5.0,"),
+    (read_topups, "user_id,amount,timestamp", "u,5,x"),
+])
+def test_short_last_line_is_row_error(reader, header, row):
+    """A final chunk of one line too short to hold a timestamp."""
+    errors = RowErrorLog()
+    assert len(reader(stream(f"{header}\n{row}\n"), errors)) == 0
+    assert errors.count == 1
+
+
 class TestParseTopup:
     def test_single_row(self):
         columns = read_topups(stream("user_id,amount,timestamp\nu1,500,2012-03-01T08:00:00Z\n"))
@@ -152,6 +167,21 @@ class TestParseTopup:
         errors = RowErrorLog()
         read_topups(stream("user_id,amount,timestamp\nu1,abc,2012-03-01T08:00:00Z\n"), errors)
         assert errors.count == 1
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_digit_group_underscore_is_row_error(self, quoted):
+        """Decimal reads 1_5 as 15; in a clean file (bulk path) and after a
+        quoted ID (row-wise path) it is a row error instead."""
+        lead = '"u0",5,2012-03-01T08:00:00Z\n' if quoted else ""
+        body = (f"user_id,amount,timestamp\n{lead}"
+                "u1,1_5,2012-03-01T08:00:00Z\nu2,5,2012-03-01T08:00:00Z\n")
+        errors = RowErrorLog()
+        columns = read_topups(stream(body), errors)
+        assert [user for user, _, _ in topup_rows(columns)] == (["u0", "u2"] if quoted else ["u2"])
+        assert [e.message for e in errors.errors] == ["non-numeric amount '1_5'"]
+        oracle_errors = RowErrorLog()
+        assert len(list(parse_topup_stream(stream(body), oracle_errors))) == len(columns)
+        assert oracle_errors.errors == errors.errors
 
 
 class TestTowerMap:
@@ -234,6 +264,16 @@ class TestSurvey:
         assert table.household_ids == (["h0", "h2"] if quoted else ["h2"])
         assert [e.message for e in errors.errors] == [f"non-finite value {cell!r} in 'expense'"]
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_digit_group_underscore_is_row_error(self, quoted):
+        lead = '"h0",s1,1,2,3\n' if quoted else ""
+        body = (f"household_id,sector_id,fcs_a,expense,size\n{lead}"
+                "h1,s1,3,1_5,4\nh2,s1,3,15,4\n")
+        errors = RowErrorLog()
+        table = load_survey(stream(body), stream(SURVEY_META), errors)
+        assert table.household_ids == (["h0", "h2"] if quoted else ["h2"])
+        assert [e.message for e in errors.errors] == ["non-numeric value '1_5' in 'expense'"]
+
     def test_synth_survey_round_trips(self, small_dataset, tmp_path):
         _, paths = small_dataset
         table = load_survey(paths["survey"], paths["survey_meta"])
@@ -302,3 +342,16 @@ def test_parse_timestamp_accepts_z_and_offset():
     assert parse_timestamp("2012-03-01T19:22:05Z") == datetime(2012, 3, 1, 19, 22, 5)
     assert parse_timestamp("2012-03-01T19:22:05") == datetime(2012, 3, 1, 19, 22, 5)
     assert parse_timestamp("2012-03-01T19:22:05+01:00") == datetime(2012, 3, 1, 18, 22, 5)
+
+
+def test_only_ingest_imports_csv():
+    """Every CSV file is read through foodsec.ingest (TableReader for the
+    small ones), so no other module parses CSV on its own."""
+    importers = []
+    for path in sorted(Path(foodsec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.append(path.name)
+    assert importers == ["ingest.py"]

@@ -6,7 +6,6 @@ from foodsec.correlate import pearson
 from foodsec.models import (
     FitError,
     RegressionModel,
-    evaluate_model,
     fit_from_matrices,
     fit_model,
     polynomial_terms,
@@ -15,7 +14,7 @@ from foodsec.models import (
     term_name,
     write_model,
 )
-from oracle import predict
+from oracle import evaluate_model, predict
 
 
 def make_matrix(values, columns=None, sectors=None):
