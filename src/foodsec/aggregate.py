@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .features import UserFeatureVector
-from .ingest import FormatError, TableReader, format_number, parse_column
+from .ingest import FormatError, TableReader, format_number, parse_column, write_table
 
 log = logging.getLogger(__name__)
 
@@ -127,11 +127,10 @@ def build_sector_matrix(
 
 
 def write_sector_matrix(matrix: SectorMatrix, path, count_column: str = "n_users") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(["sector_id"] + matrix.columns + [count_column]) + "\n")
-        for i, sector in enumerate(matrix.sectors):
-            cells = ",".join(format_number(v) for v in matrix.values[i])
-            f.write(f"{sector},{cells},{matrix.counts[i]}\n")
+    rows = zip(matrix.sectors, matrix.values.tolist(), matrix.counts.tolist())
+    write_table(path, ["sector_id", *matrix.columns, count_column], (
+        [sector, *map(format_number, values), str(count)] for sector, values, count in rows
+    ))
 
 
 def read_sector_matrix(path, count_column: str = "n_users") -> SectorMatrix:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .aggregate import SectorMatrix
-from .ingest import FormatError, TableReader, format_number, parse_column
+from .ingest import FormatError, TableReader, format_number, parse_column, write_table
 
 log = logging.getLogger(__name__)
 
@@ -294,16 +294,11 @@ def shuffle_null(
 
 
 def write_correlations(entries: Sequence[CorrelationEntry], path) -> None:
-    def cell(v) -> str:
-        return "" if v is None else format_number(v)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(CORRELATION_HEADER) + "\n")
-        for e in entries:
-            f.write(
-                f"{e.mobile_var},{e.survey_var},{cell(e.r)},{cell(e.p)},"
-                f"{cell(e.ci_low)},{cell(e.ci_high)},{e.n},{str(e.defined).lower()}\n"
-            )
+    write_table(path, CORRELATION_HEADER, (
+        (e.mobile_var, e.survey_var, *map(format_number, (e.r, e.p, e.ci_low, e.ci_high)),
+         str(e.n), str(e.defined).lower())
+        for e in entries
+    ))
 
 
 def read_correlations(path) -> list[CorrelationEntry]:
@@ -325,20 +320,12 @@ def write_heatmap_data(
 ) -> None:
     """Long-format |r| file for external heatmap rendering (defined entries
     only, tagged with the survey variable's category)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("mobile_var,survey_var,abs_r,category\n")
-        for e in entries:
-            if not e.defined:
-                continue
-            category = categories.get(e.survey_var, "")
-            f.write(f"{e.mobile_var},{e.survey_var},{format_number(abs(e.r))},{category}\n")
+    write_table(path, ["mobile_var", "survey_var", "abs_r", "category"], (
+        (e.mobile_var, e.survey_var, format_number(abs(e.r)), categories.get(e.survey_var, ""))
+        for e in entries if e.defined
+    ))
 
 
 def write_null_summary(summary: NullSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(NULL_SUMMARY_HEADER) + "\n")
-        f.write(
-            f"{summary.trials},{format_number(summary.abs_r_p50)},"
-            f"{format_number(summary.abs_r_p95)},{format_number(summary.abs_r_p99)},"
-            f"{format_number(summary.abs_r_max)}\n"
-        )
+    numbers = (summary.abs_r_p50, summary.abs_r_p95, summary.abs_r_p99, summary.abs_r_max)
+    write_table(path, NULL_SUMMARY_HEADER, [(str(summary.trials), *map(format_number, numbers))])

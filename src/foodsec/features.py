@@ -28,20 +28,13 @@ from .ingest import (
     TopUpColumns,
     parse_column,
     TableReader,
+    write_table,
 )
 
 log = logging.getLogger(__name__)
 
-USER_FEATURE_HEADER = [
-    "user_id",
-    "home_sector",
-    "topup_sum",
-    "topup_mean",
-    "topup_min",
-    "topup_max",
-    "topup_count",
-    "social_diversity",
-]
+USER_FEATURE_HEADER = ["user_id", "home_sector", "topup_sum", "topup_mean", "topup_min",
+                       "topup_max", "topup_count", "social_diversity"]
 
 
 @dataclass(frozen=True)
@@ -218,14 +211,12 @@ def user_features(
 
 
 def write_user_features(features: Iterable[UserFeatureVector], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(USER_FEATURE_HEADER) + "\n")
-        for v in features:
-            diversity = "" if v.social_diversity is None else repr(v.social_diversity)
-            f.write(
-                f"{v.user_id},{v.home_sector},{v.topup_sum},{v.topup_mean},"
-                f"{v.topup_min},{v.topup_max},{v.topup_count},{diversity}\n"
-            )
+    write_table(path, USER_FEATURE_HEADER, (
+        (v.user_id, v.home_sector, str(v.topup_sum), str(v.topup_mean), str(v.topup_min),
+         str(v.topup_max), str(v.topup_count),
+         "" if v.social_diversity is None else repr(v.social_diversity))
+        for v in features
+    ))
 
 
 def read_user_features(path) -> list[UserFeatureVector]:

@@ -1,4 +1,4 @@
-"""Readers for the pipeline's CSV interchange files.
+"""Readers and the one writer of the pipeline's CSV interchange files.
 
 All files are UTF-8, comma-separated, header row mandatory. Timestamps are
 ISO 8601; a trailing ``Z`` or an explicit offset is accepted and normalized
@@ -41,9 +41,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from itertools import chain
+from itertools import chain, islice
 from math import isfinite, nan
-from typing import IO, Callable, ContextManager, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -756,11 +756,37 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
         )
 
 
-def format_number(x: float) -> str:
-    """Shortest exact decimal form; integers lose the trailing ``.0``."""
-    x = float(x)
-    if x != x:
+def format_number(x: float | None) -> str:
+    """Shortest exact decimal form, integers without ``.0``; None and NaN give ""."""
+    if x is None or x != x:
         return ""
+    x = float(x)
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
+
+
+#: Rows per block of :func:`write_table`.
+_WRITE_ROWS = 256
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write ``header`` and ``rows`` (sequences of str) to the CSV file
+    ``path``, ``\\n``-terminated, quoting a field that holds a comma, a quote
+    or a line break (RFC 4180) so that :class:`TableReader` reads it back as
+    written; a block of rows that needs no quotes goes out as joined text."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        block = [header, *islice(rows, _WRITE_ROWS)]
+        while block:
+            text = "\n".join(map(",".join, block)) + "\n"
+            if (len(header) < 2 or '"' in text or "\r" in text
+                    or text.count(",") + text.count("\n") != len(header) * len(block)):
+                text = "".join((",".join(map(_quoted, row)) or '""') + "\n" for row in block)
+            f.write(text)
+            block = list(islice(rows, _WRITE_ROWS))
+
+
+def _quoted(field: str) -> str:
+    # csv.writer is not used: with a "\n" line end it leaves a lone "\r" bare
+    return '"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\r\n') else field

@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .aggregate import SectorMatrix
 from .correlate import pearson
-from .ingest import TableReader, format_number, parse_number
+from .ingest import TableReader, format_number, parse_number, write_table
 
 log = logging.getLogger(__name__)
 
@@ -250,12 +250,10 @@ def predict_rows(model: RegressionModel, x: SectorMatrix) -> np.ndarray:
 
 def write_model(model: RegressionModel, path) -> None:
     """``model_<target>.csv``: one row per term plus fit_r and n footers."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(MODEL_HEADER) + "\n")
-        for term, cs, cr in zip(model.terms, model.coef_std, model.coef_raw):
-            f.write(f"{term_name(term)},{format_number(cs)},{format_number(cr)}\n")
-        f.write(f"fit_r,{format_number(model.fit_r)},\n")
-        f.write(f"n,{model.n},\n")
+    rows = [(term_name(term), format_number(cs), format_number(cr))
+            for term, cs, cr in zip(model.terms, model.coef_std, model.coef_raw)]
+    rows += [("fit_r", format_number(model.fit_r), ""), ("n", str(model.n), "")]
+    write_table(path, MODEL_HEADER, rows)
 
 
 def read_model_summary(path) -> dict[str, float]:
@@ -272,8 +270,7 @@ def write_scatter_data(
     sectors: Sequence[str], predicted: np.ndarray, observed: np.ndarray, path
 ) -> None:
     """(sector, predicted, observed) triples for external scatter plots."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("sector_id,predicted,observed\n")
-        for s, p, o in zip(sectors, predicted, observed):
-            if math.isfinite(p) and math.isfinite(o):
-                f.write(f"{s},{format_number(p)},{format_number(o)}\n")
+    write_table(path, ["sector_id", "predicted", "observed"], (
+        (s, format_number(p), format_number(o))
+        for s, p, o in zip(sectors, predicted, observed) if math.isfinite(p) and math.isfinite(o)
+    ))

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ingest import FormatError, TableReader, TopUpColumns, format_number, parse_number
+from .ingest import FormatError, TableReader, TopUpColumns, format_number, parse_number, write_table
 
 log = logging.getLogger(__name__)
 
@@ -183,11 +183,12 @@ def rolling_sector_series(
 
 
 def write_rolling(series: Iterable[SectorSeries], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(ROLLING_HEADER) + "\n")
-        for s in series:
-            head, tail = f"{s.sector_id},", f",{s.n_users}\n"
-            f.writelines(f"{head}{label},{value}{tail}" for label, value in s.text_points())
+    write_table(path, ROLLING_HEADER, (
+        (s.sector_id, label, value, n_users)
+        for s in series
+        for n_users in [str(s.n_users)]  # formatted once per series
+        for label, value in s.text_points()
+    ))
 
 
 def load_stock_series(source) -> list[tuple[date, str, float]]:
@@ -213,11 +214,9 @@ def emit_overlay(
 ) -> None:
     """Merged long-format file for side-by-side external plotting. No
     statistics are computed across the two sources."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(OVERLAY_HEADER) + "\n")
-        for s in series:
-            middle = f",topup_rolling,{s.sector_id},"
-            f.writelines(f"{label}{middle}{value}\n" for label, value in s.text_points())
-        if stock_rows is not None:
-            for d, label, value in stock_rows:
-                f.write(f"{d.isoformat()},food_stock,{label},{format_number(value)}\n")
+    write_table(path, OVERLAY_HEADER, chain(
+        ((label, "topup_rolling", s.sector_id, value)
+         for s in series for label, value in s.text_points()),
+        ((d.isoformat(), "food_stock", label, format_number(value))
+         for d, label, value in stock_rows or ()),
+    ))

@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ConfigError, coerce, parse_kv_file
-from .ingest import FormatError, TableReader
+from .ingest import FormatError, TableReader, write_table
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -740,8 +740,7 @@ def _ordering_checks(
 
 
 def write_verify_report(report: VerifyReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("check,status,detail\n")
-        for c in report.checks:
-            detail = c.detail.replace(",", ";")
-            f.write(f"{c.name},{'pass' if c.passed else 'fail'},{detail}\n")
+    write_table(path, ["check", "status", "detail"], (
+        (c.name, "pass" if c.passed else "fail", c.detail.replace(",", ";"))
+        for c in report.checks
+    ))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import foodsec
+from foodsec.aggregate import read_sector_matrix
 from foodsec.cli import main
 
 
@@ -252,10 +254,28 @@ class TestAllPipeline:
         assert fit["stats"] == whole["stats"]["fit"]
 
 
+@pytest.fixture(scope="module")
+def quoted_dataset(medium_dataset, tmp_path_factory):
+    """``medium_dataset`` with sector s0003 renamed to an ID that holds a
+    comma and a quote, and survey variable crowding_index to a name that
+    holds a comma; the inputs quote both."""
+    cfg, paths = medium_dataset
+    out = tmp_path_factory.mktemp("quoted_synth")
+    rename = {"s0003": 's,"3', "crowding_index": "crowding,index"}
+    for path in paths.values():
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = [[rename.get(cell, cell) for cell in row] for row in csv.reader(f)]
+        with open(out / path.name, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+    return cfg, {key: out / path.name for key, path in paths.items()}
+
+
 class TestDeterminismAndOverrides:
-    def test_chain_of_subcommands_equals_all(self, medium_dataset, tmp_path):
-        """`all` is the seven stage subcommands run with its defaults."""
-        _, paths = medium_dataset
+    @pytest.mark.parametrize("dataset", ["medium_dataset", "quoted_dataset"])
+    def test_chain_of_subcommands_equals_all(self, request, dataset, tmp_path):
+        """`all` is the seven stage subcommands run with its defaults, also
+        when IDs and variable names need quoting."""
+        _, paths = request.getfixturevalue(dataset)
         seed, trials = "3", "20"
         whole, chain = tmp_path / "all", tmp_path / "chain"
         assert run(["all", "--in", paths["cdr"].parent, "--out", whole, "--seed", seed,
@@ -282,6 +302,10 @@ class TestDeterminismAndOverrides:
         assert sorted(p.name for p in chain.glob("*.csv")) == artifacts
         for name in artifacts:
             assert (chain / name).read_bytes() == (whole / name).read_bytes(), name
+        survey = read_sector_matrix(whole / "sector_survey.csv", count_column="n_households")
+        renamed = {'s,"3', "crowding,index"} & {*survey.sectors, *survey.columns}
+        assert len(renamed) == (2 if dataset == "quoted_dataset" else 0)
+        assert survey.sectors == read_sector_matrix(whole / "sector_mobile.csv").sectors
 
     def test_correlate_reruns_are_byte_identical(self, medium_pipeline, tmp_path):
         args = ["correlate", "--mobile", medium_pipeline / "sector_mobile.csv",

@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foodsec
+from foodsec import ingest
 from foodsec.ingest import (
     FormatError,
     RowErrorLog,
     StrictModeError,
+    TableReader,
     load_survey,
     load_survey_metadata,
     load_tower_map,
     parse_timestamp,
     read_cdr,
     read_topups,
+    write_table,
 )
 from oracle import (
     CallRecord,
@@ -355,3 +358,27 @@ def test_only_ingest_imports_csv():
             if "csv" in names:
                 importers.append(path.name)
     assert importers == ["ingest.py"]
+
+
+table_fields = st.one_of(
+    st.sampled_from(["", ",", '"', "\n", "\r\n", "\r", "a,b", 'say "hi"', "ü,ß", " x "]),
+    st.text(st.characters(blacklist_categories=["Cs"]), max_size=6),
+    st.text("ab,\"\r\n", max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(table_fields, min_size=width, max_size=width),
+    st.lists(st.lists(table_fields, min_size=width, max_size=width), max_size=12),
+)), st.integers(1, 4))
+def test_written_table_reads_back_exactly(tmp_path_factory, table, block_rows):
+    """Fields with commas, quotes and line breaks survive a write and a
+    read, whether a block is written as joined text or quoted."""
+    header, rows = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_WRITE_ROWS", block_rows)
+        write_table(path, header, rows)
+    reader = TableReader(path, "t", header)
+    assert (reader.header, list(reader)) == (header, rows)
