@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import chain, islice
-from math import isfinite, nan
+from math import isfinite, isinf, nan
 from typing import IO, Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -757,10 +757,13 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
 
 
 def format_number(x: float | None) -> str:
-    """Shortest exact decimal form, integers without ``.0``; None and NaN give ""."""
+    """Shortest exact decimal form, integers without ``.0``; None and NaN
+    (undefined) give ""; an infinite value is a :class:`FormatError`."""
     if x is None or x != x:
         return ""
     x = float(x)
+    if isinf(x):
+        raise FormatError(f"non-finite number {x!r}")
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
@@ -774,17 +777,21 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> N
     """Write ``header`` and ``rows`` (sequences of str) to the CSV file
     ``path``, ``\\n``-terminated, quoting a field that holds a comma, a quote
     or a line break (RFC 4180) so that :class:`TableReader` reads it back as
-    written; a block of rows that needs no quotes goes out as joined text."""
+    written; a block of rows that needs no quotes goes out as joined text. A
+    :class:`FormatError` raised while the rows are made names the file."""
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        block = [header, *islice(rows, _WRITE_ROWS)]
-        while block:
-            text = "\n".join(map(",".join, block)) + "\n"
-            if (len(header) < 2 or '"' in text or "\r" in text
-                    or text.count(",") + text.count("\n") != len(header) * len(block)):
-                text = "".join((",".join(map(_quoted, row)) or '""') + "\n" for row in block)
-            f.write(text)
-            block = list(islice(rows, _WRITE_ROWS))
+        try:
+            block = [header, *islice(rows, _WRITE_ROWS)]
+            while block:
+                text = "\n".join(map(",".join, block)) + "\n"
+                if (len(header) < 2 or '"' in text or "\r" in text
+                        or text.count(",") + text.count("\n") != len(header) * len(block)):
+                    text = "".join((",".join(map(_quoted, row)) or '""') + "\n" for row in block)
+                f.write(text)
+                block = list(islice(rows, _WRITE_ROWS))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _quoted(field: str) -> str:

@@ -607,3 +607,29 @@ class TestMalformedFiles:
         }[command]
         assert run(args + [flag, table, "--out", tmp_path / "out"]) == 2
         assert "bad number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file, rows, field, text, artifact", [
+        # a finite Decimal whose float is infinite
+        ("topup.csv", [1], 1, "1e400", "sector_mobile.csv"),
+        # two finite sizes in one sector whose mean overflows
+        ("survey.csv", [1, 2], 2, "1e308", "sector_survey.csv"),
+    ])
+    def test_infinite_sector_mean_is_data_error(
+        self, small_dataset, tmp_path, capsys, file, rows, field, text, artifact
+    ):
+        """An infinite value is neither written nor left empty (empty reads
+        as undefined): the run stops, naming the artifact."""
+        import shutil
+
+        _, paths = small_dataset
+        inputs = tmp_path / "in"
+        shutil.copytree(paths["cdr"].parent, inputs)
+        lines = (inputs / file).read_text().splitlines()
+        for i in rows:
+            cells = lines[i].split(",")
+            cells[field] = text
+            lines[i] = ",".join(cells)
+        (inputs / file).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["all", "--in", inputs, "--out", out, "--seed", "1", "--trials", "5"]) == 2
+        assert f"{out / artifact}: non-finite number inf" in capsys.readouterr().err
