@@ -28,7 +28,8 @@ Every other file, the small inputs and the files the stages hand each other,
 is read through :class:`TableReader` and its numbers through
 :func:`parse_number` or :func:`parse_column`: exact header, blank lines
 skipped, the header's field count on every row, and numbers finite and
-written without ``_``. Any breach there is a :class:`FormatError`.
+written without ``_``. Any breach there is a :class:`FormatError`, as is a
+field over the csv field limit in any file.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import csv
 import io
 import logging
 from array import array
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
@@ -275,15 +276,27 @@ def _intern(table: dict[str, int], ids: list[str]) -> None:
     table.update(zip(new, range(len(table), len(table) + len(new))))
 
 
-def _header(handle: IO[str]) -> tuple[list[str] | None, int]:
+@contextmanager
+def _csv_errors(what: str, reader, line: int = 0) -> Iterator[None]:
+    """Turn what ``reader``, whose line 1 is file line ``line + 1``, raises
+    (a field longer than the csv field limit) into a :class:`FormatError`."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise FormatError(f"{what}: {exc} at line {line + reader.line_num}") from None
+
+
+def _header(handle: IO[str], what: str) -> tuple[list[str] | None, int]:
     """The header row and the number of lines it took (a quoted name may
     span lines)."""
     reader = csv.reader(iter(handle.readline, ""))
-    return next(reader, None), reader.line_num
+    with _csv_errors(what, reader):
+        return next(reader, None), reader.line_num
 
 
 def _read_chunks(
     handle: IO[str],
+    what: str,
     line: int,
     bulk: Callable[[str], int],
     rowwise: Callable[[Iterator, int], int],
@@ -299,12 +312,13 @@ def _read_chunks(
     while text := handle.read(_CHUNK_CHARS):
         if not text.endswith("\n"):
             text += handle.readline()
-        if '"' in text:
-            rowwise(csv.reader(chain(io.StringIO(text, newline=""), handle)), line)
-            return
-        lines = bulk(text)
+        quoted = '"' in text
+        lines = 0 if quoted else bulk(text)
         if not lines:
-            lines = rowwise(csv.reader(io.StringIO(text, newline="")), line)
+            chunk = io.StringIO(text, newline="")
+            reader = csv.reader(chain(chunk, handle) if quoted else chunk)
+            with _csv_errors(what, reader, line):
+                lines = rowwise(reader, line)
         line += lines
 
 
@@ -358,16 +372,17 @@ def _table_rows(source, what: str, header: list[str] | None, ids: int) -> Iterat
     checked, then the rows."""
     with _open_text(source) as handle:
         reader = csv.reader(handle)
-        got = next(reader, None)
-        if header is not None:
-            _check_header(got, header, what)
-        yield reader, got
-        width = len(got or ())
-        for row in reader:
-            if len(row) == width and (not ids or all(row[:ids])):
-                yield row
-            elif row:
-                raise FormatError(f"{what}: malformed row at line {reader.line_num}")
+        with _csv_errors(what, reader):
+            got = next(reader, None)
+            if header is not None:
+                _check_header(got, header, what)
+            yield reader, got
+            width = len(got or ())
+            for row in reader:
+                if len(row) == width and (not ids or all(row[:ids])):
+                    yield row
+                elif row:
+                    raise FormatError(f"{what}: malformed row at line {reader.line_num}")
 
 
 #: what float, int and Decimal raise on text that is no number
@@ -490,9 +505,9 @@ def read_cdr(
         return reader.line_num
 
     with _open_text(source) as handle:
-        header, line = _header(handle)
+        header, line = _header(handle, "cdr")
         _check_header(header, CDR_HEADER, "cdr")
-        _read_chunks(handle, line, bulk, rowwise)
+        _read_chunks(handle, "cdr", line, bulk, rowwise)
     return CallColumns(
         users=list(users),
         towers=list(towers),
@@ -574,9 +589,9 @@ def read_topups(
         return reader.line_num
 
     with _open_text(source) as handle:
-        header, line = _header(handle)
+        header, line = _header(handle, "topup")
         _check_header(header, TOPUP_HEADER, "topup")
-        _read_chunks(handle, line, bulk, rowwise)
+        _read_chunks(handle, "topup", line, bulk, rowwise)
     return TopUpColumns(
         users=list(users),
         user=np.frombuffer(user, dtype=np.int32),
@@ -654,7 +669,7 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
         errors = RowErrorLog()
     categories = metadata if isinstance(metadata, dict) else load_survey_metadata(metadata)
     with _open_text(source) as handle:
-        header, line = _header(handle)
+        header, line = _header(handle, "survey")
         if header is None or header[:2] != SURVEY_ID_COLUMNS:
             raise FormatError(
                 f"survey: header must start with {','.join(SURVEY_ID_COLUMNS)!r}"
@@ -744,7 +759,7 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
                 values.extend(parsed)
             return reader.line_num
 
-        _read_chunks(handle, line, bulk, rowwise)
+        _read_chunks(handle, "survey", line, bulk, rowwise)
         return SurveyTable(
             household_ids=household_ids,
             sector_ids=sector_ids,

@@ -50,6 +50,7 @@ from foodsec.ingest import (
     SurveyTable,
     TopUpColumns,
     _check_header,
+    _csv_errors,
     _open_text,
     format_number,
     parse_number,
@@ -90,27 +91,28 @@ def parse_cdr_stream(
         errors = RowErrorLog()
     with _open_text(source) as handle:
         reader = csv.reader(handle)
-        _check_header(next(reader, None), CDR_HEADER, "cdr")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 4:
-                errors.report(line, f"expected 4 fields, got {len(row)}")
-                continue
-            caller, callee, tower, ts = row
-            if not caller or not callee or not tower:
-                errors.report(line, "empty identifier field")
-                continue
-            try:
-                when = parse_timestamp(ts)
-            except ValueError:
-                errors.report(line, f"unparsable timestamp {ts!r}")
-                continue
-            if period is not None and not (period[0] <= when < period[1]):
-                errors.report(line, "timestamp outside observation period")
-                continue
-            yield CallRecord(caller, callee, tower, when)
+        with _csv_errors("cdr", reader):
+            _check_header(next(reader, None), CDR_HEADER, "cdr")
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != 4:
+                    errors.report(line, f"expected 4 fields, got {len(row)}")
+                    continue
+                caller, callee, tower, ts = row
+                if not caller or not callee or not tower:
+                    errors.report(line, "empty identifier field")
+                    continue
+                try:
+                    when = parse_timestamp(ts)
+                except ValueError:
+                    errors.report(line, f"unparsable timestamp {ts!r}")
+                    continue
+                if period is not None and not (period[0] <= when < period[1]):
+                    errors.report(line, "timestamp outside observation period")
+                    continue
+                yield CallRecord(caller, callee, tower, when)
 
 
 def parse_topup_stream(
@@ -122,85 +124,87 @@ def parse_topup_stream(
         errors = RowErrorLog()
     with _open_text(source) as handle:
         reader = csv.reader(handle)
-        _check_header(next(reader, None), TOPUP_HEADER, "topup")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 3:
-                errors.report(line, f"expected 3 fields, got {len(row)}")
-                continue
-            user, amount_text, ts = row
-            if not user:
-                errors.report(line, "empty user_id")
-                continue
-            try:
-                amount = Decimal(amount_text)
-            except InvalidOperation:
-                amount = None
-            if amount is None or "_" in amount_text:
-                errors.report(line, f"non-numeric amount {amount_text!r}")
-                continue
-            if not amount.is_finite() or amount <= 0:
-                errors.report(line, f"non-positive amount {amount_text!r}")
-                continue
-            try:
-                when = parse_timestamp(ts)
-            except ValueError:
-                errors.report(line, f"unparsable timestamp {ts!r}")
-                continue
-            if period is not None and not (period[0] <= when < period[1]):
-                errors.report(line, "timestamp outside observation period")
-                continue
-            yield TopUpRecord(user, amount, when)
+        with _csv_errors("topup", reader):
+            _check_header(next(reader, None), TOPUP_HEADER, "topup")
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != 3:
+                    errors.report(line, f"expected 3 fields, got {len(row)}")
+                    continue
+                user, amount_text, ts = row
+                if not user:
+                    errors.report(line, "empty user_id")
+                    continue
+                try:
+                    amount = Decimal(amount_text)
+                except InvalidOperation:
+                    amount = None
+                if amount is None or "_" in amount_text:
+                    errors.report(line, f"non-numeric amount {amount_text!r}")
+                    continue
+                if not amount.is_finite() or amount <= 0:
+                    errors.report(line, f"non-positive amount {amount_text!r}")
+                    continue
+                try:
+                    when = parse_timestamp(ts)
+                except ValueError:
+                    errors.report(line, f"unparsable timestamp {ts!r}")
+                    continue
+                if period is not None and not (period[0] <= when < period[1]):
+                    errors.report(line, "timestamp outside observation period")
+                    continue
+                yield TopUpRecord(user, amount, when)
 
 
 def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) -> SurveyTable:
     """``survey.csv`` one csv row at a time, every cell through ``float``."""
     with _open_text(source) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:2] != SURVEY_ID_COLUMNS:
-            raise FormatError(f"survey: header must start with {','.join(SURVEY_ID_COLUMNS)!r}")
-        variables = header[2:]
-        food_cols = [i for i, v in enumerate(variables) if categories[v] == "food_group"]
-        household_ids, sector_ids, rows = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                errors.report(line, f"expected {len(header)} fields, got {len(row)}")
-                continue
-            if not row[0] or not row[1]:
-                errors.report(line, "empty household_id or sector_id")
-                continue
-            parsed, bad = [], None
-            for name, cell in zip(variables, row[2:]):
-                try:
-                    parsed.append(float(cell) if cell else float("nan"))
-                except ValueError:
-                    parsed.append(None)
-                if parsed[-1] is None or "_" in cell:
-                    bad = f"non-numeric value {cell!r} in {name!r}"
-                    break
-                if cell and not math.isfinite(parsed[-1]):
-                    bad = f"non-finite value {cell!r} in {name!r}"
-                    break
-            for i in food_cols if bad is None else ():
-                v = parsed[i]
-                if v == v and not (v.is_integer() and 0 <= v <= 7):
-                    bad = f"food-group frequency {v!r} in {variables[i]!r} outside 0..7"
-                    break
-            if bad is not None:
-                errors.report(line, bad)
-                continue
-            household_ids.append(row[0])
-            sector_ids.append(row[1])
-            rows.append(parsed)
-        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(variables))
-        return SurveyTable(household_ids, sector_ids, variables,
-                           {v: categories[v] for v in variables}, values)
+        with _csv_errors("survey", reader):
+            header = next(reader, None)
+            if header is None or header[:2] != SURVEY_ID_COLUMNS:
+                raise FormatError(f"survey: header must start with {','.join(SURVEY_ID_COLUMNS)!r}")
+            variables = header[2:]
+            food_cols = [i for i, v in enumerate(variables) if categories[v] == "food_group"]
+            household_ids, sector_ids, rows = [], [], []
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    errors.report(line, f"expected {len(header)} fields, got {len(row)}")
+                    continue
+                if not row[0] or not row[1]:
+                    errors.report(line, "empty household_id or sector_id")
+                    continue
+                parsed, bad = [], None
+                for name, cell in zip(variables, row[2:]):
+                    try:
+                        parsed.append(float(cell) if cell else float("nan"))
+                    except ValueError:
+                        parsed.append(None)
+                    if parsed[-1] is None or "_" in cell:
+                        bad = f"non-numeric value {cell!r} in {name!r}"
+                        break
+                    if cell and not math.isfinite(parsed[-1]):
+                        bad = f"non-finite value {cell!r} in {name!r}"
+                        break
+                for i in food_cols if bad is None else ():
+                    v = parsed[i]
+                    if v == v and not (v.is_integer() and 0 <= v <= 7):
+                        bad = f"food-group frequency {v!r} in {variables[i]!r} outside 0..7"
+                        break
+                if bad is not None:
+                    errors.report(line, bad)
+                    continue
+                household_ids.append(row[0])
+                sector_ids.append(row[1])
+                rows.append(parsed)
+            values = np.array(rows, dtype=np.float64).reshape(len(rows), len(variables))
+            return SurveyTable(household_ids, sector_ids, variables,
+                               {v: categories[v] for v in variables}, values)
 
 
 # --- row-wise features ---

@@ -12,6 +12,7 @@ rest after a quote alternate, and must read what the oracle reads.
 
 import csv
 import io
+from contextlib import contextmanager
 from datetime import date, datetime, time
 from decimal import Decimal
 
@@ -24,6 +25,7 @@ from foodsec.features import FeatureConfig, user_features
 from foodsec.ingest import (
     CDR_HEADER,
     TOPUP_HEADER,
+    FormatError,
     RowErrorLog,
     StrictModeError,
     load_survey,
@@ -319,27 +321,43 @@ def read_outcome(read, *args, strict):
     errors = RowErrorLog(strict=strict, keep=10**6)
     try:
         result = read(*args, errors)
-    except (StrictModeError, OverflowError) as exc:
+    except (FormatError, OverflowError) as exc:
         return type(exc).__name__, str(exc), errors.count
     return result, errors.count, errors.errors
 
 
+@contextmanager
+def field_size_limit(limit):
+    """The csv module's field limit set to ``limit`` (None: left as is)."""
+    old = csv.field_size_limit()
+    csv.field_size_limit(limit or old)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+# a limit of 20 characters lets through a Z timestamp, not one with an offset
+field_limits = st.sampled_from([None, None, None, 20])
+
+
 @settings(max_examples=200, deadline=None)
 @given(chunked_cdr, chunked_topup, chunked_survey, configs, chunk_periods, stricts,
-       st.one_of(st.integers(16, 48), st.integers(49, 400)))
-def test_chunked_readers_equal_rowwise(cdr, topup, survey, config, period, strict, chunk_chars):
-    with pytest.MonkeyPatch.context() as patch:
+       st.one_of(st.integers(16, 48), st.integers(49, 400)), field_limits)
+def test_chunked_readers_equal_rowwise(cdr, topup, survey, config, period, strict, chunk_chars,
+                                       field_limit):
+    with pytest.MonkeyPatch.context() as patch, field_size_limit(field_limit):
         patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         actual = (
             read_outcome(decoded_calls, cdr, config, period, strict=strict),
             read_outcome(decoded_topups, topup, period, strict=strict),
             read_outcome(survey_table, load_survey, survey, strict=strict),
         )
-    expected = (
-        read_outcome(oracle_calls, cdr, config, period, strict=strict),
-        read_outcome(oracle_topups, topup, period, strict=strict),
-        read_outcome(survey_table, load_survey_rows, survey, strict=strict),
-    )
+        expected = (
+            read_outcome(oracle_calls, cdr, config, period, strict=strict),
+            read_outcome(oracle_topups, topup, period, strict=strict),
+            read_outcome(survey_table, load_survey_rows, survey, strict=strict),
+        )
     assert actual == expected
 
 

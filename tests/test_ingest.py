@@ -360,6 +360,21 @@ def test_only_ingest_imports_csv():
     assert importers == ["ingest.py"]
 
 
+LONG = "x" * 200_000  # over the csv module's default field limit of 131,072
+
+
+@pytest.mark.parametrize("read, text, line", [
+    (load_tower_map, f"tower_id,sector_id\nt1,s1\nt2,{LONG}\n", 3),
+    (read_cdr, f"caller_id,callee_id,tower_id,timestamp\nu1,{LONG},t1,2012-01-01T20:00:00Z\n", 2),
+    (read_cdr, f"caller_id,callee_id,tower_id,{LONG}\n", 1),
+], ids=["table", "data_row", "data_header"])
+def test_field_over_the_csv_limit_is_a_format_error(tmp_path, read, text, line):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"field larger than field limit .* at line {line}$"):
+        read(path)
+
+
 table_fields = st.one_of(
     st.sampled_from(["", ",", '"', "\n", "\r\n", "\r", "a,b", 'say "hi"', "ü,ß", " x "]),
     st.text(st.characters(blacklist_categories=["Cs"]), max_size=6),
