@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ConfigError, coerce, parse_kv_file
-from .ingest import FormatError, TableReader, write_table
+from .ingest import FormatError, TableReader, parse_number, write_table
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -567,11 +567,12 @@ def _write_truth(cfg, path, sector_ids, latents, topup_mu, items, user_home_rows
         f.writelines(user_home_rows)
 
 
-def read_truth(path) -> dict[str, list[tuple[str, str, str]]]:
-    """truth.csv grouped by kind: {kind: [(key, value, extra), ...]}."""
-    out: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
-    for kind, key, value, extra in TableReader(path, "truth", TRUTH_HEADER):
-        out[kind].append((key, value, extra))
+def read_truth(path) -> dict[str, list[tuple[int, str, str, str]]]:
+    """truth.csv grouped by kind: {kind: [(line, key, value, extra), ...]}."""
+    lines, (kinds, *rest) = TableReader(path, "truth", TRUTH_HEADER).columns()
+    out: dict[str, list[tuple[int, str, str, str]]] = defaultdict(list)
+    for kind, row in zip(kinds, zip(lines, *rest)):
+        out[kind].append(row)
     return dict(out)
 
 
@@ -610,8 +611,11 @@ def verify_outputs(truth_path, outputs_dir) -> VerifyReport:
     from .models import read_model_summary
 
     truth = read_truth(truth_path)
-    params = {k: v for k, v, _ in truth.get("param", [])}
+    params = {key: (line, value) for line, key, value, _ in truth.get("param", [])}
     outputs = Path(outputs_dir)
+
+    def param(key: str, default: float, parse=float):
+        return parse_number("truth", *params[key], parse) if key in params else default
 
     def need(name: str) -> Path:
         p = outputs / name
@@ -626,27 +630,22 @@ def verify_outputs(truth_path, outputs_dir) -> VerifyReport:
     }
 
     # planted pairwise correlations
-    tol = float(params.get("pair_tolerance", 0.05))
-    p_max = float(params.get("verify_p_max", 1e-6))
-    for key, value, _ in truth.get("planted_pair", []):
+    tol = param("pair_tolerance", 0.05)
+    p_max = param("verify_p_max", 1e-6)
+    for line, key, value, _ in truth.get("planted_pair", []):
         mobile_var, _, survey_var = key.partition("|")
-        target = float(value)
+        target = parse_number("truth", line, value)
         entry = correlations.get((mobile_var, survey_var))
         if entry is None or not entry.defined:
             checks.append(CheckResult(f"pair {key}", False, "correlation undefined"))
             continue
         ok = abs(entry.r - target) <= tol and entry.p is not None and entry.p < p_max
-        checks.append(
-            CheckResult(
-                f"pair {key}",
-                ok,
-                f"recovered r={entry.r:.4f} (target {target} +/- {tol}), p={entry.p:.3g}",
-            )
-        )
+        detail = f"recovered r={entry.r:.4f} (target {target} +/- {tol}), p={entry.p:.3g}"
+        checks.append(CheckResult(f"pair {key}", ok, detail))
 
     # food-item ordering across planted groups
     groups: dict[str, list[tuple[str, float]]] = {}
-    for name, _, group in truth.get("food_item", []):
+    for _, name, _, group in truth.get("food_item", []):
         if group not in ("high", "middle", "low", "negative"):
             continue
         entry = correlations.get((PLANTED_PAIR[0], name))
@@ -656,29 +655,26 @@ def verify_outputs(truth_path, outputs_dir) -> VerifyReport:
         groups.setdefault(group, []).append((name, entry.r))
     else:
         if groups:
-            checks.extend(_ordering_checks(groups, float(params.get("negative_r_max", -0.2))))
+            checks.extend(_ordering_checks(groups, param("negative_r_max", -0.2)))
 
     # home-location accuracy
-    homes = {key: value for key, value, _ in truth.get("user_home", [])}
+    homes = {key: value for _, key, value, _ in truth.get("user_home", [])}
     if homes:
         features = read_user_features(need("user_features.csv"))
         hits = sum(1 for v in features if homes.get(v.user_id) == v.home_sector)
         accuracy = hits / len(features) if features else 0.0
-        floor = float(params.get("home_accuracy_min", 0.95))
-        checks.append(
-            CheckResult(
-                "home accuracy",
-                accuracy >= floor and bool(features),
-                f"{accuracy:.4f} over {len(features)} user(s), floor {floor}",
-            )
-        )
+        floor = param("home_accuracy_min", 0.95)
+        detail = f"{accuracy:.4f} over {len(features)} user(s), floor {floor}"
+        checks.append(CheckResult("home accuracy", accuracy >= floor and bool(features), detail))
 
     # recovered per-sector top-up means
-    expected = {key: float(extra) for key, _, extra in truth.get("sector", [])}
+    expected = {
+        key: parse_number("truth", line, extra) for line, key, _, extra in truth.get("sector", [])
+    }
     if expected:
         matrix = read_sector_matrix(need("sector_mobile.csv"))
-        user_sd = float(params.get("topup_user_sd", 0.0))
-        n_users = int(params.get("users_per_sector", 1))
+        user_sd = param("topup_user_sd", 0.0)
+        n_users = param("users_per_sector", 1, int)
         tol_mean = 6.0 * user_sd / math.sqrt(n_users) + 0.05
         col = matrix.column("topup_sum.mean")
         worst = 0.0
@@ -686,28 +682,20 @@ def verify_outputs(truth_path, outputs_dir) -> VerifyReport:
         for i, sector in enumerate(matrix.sectors):
             if sector in expected:
                 worst = max(worst, abs(col[i] - expected[sector]))
-        checks.append(
-            CheckResult(
-                "sector means",
-                not missing and worst <= tol_mean,
-                f"max |recovered-planted|={worst:.3f} (tol {tol_mean:.3f})"
-                + (f"; {len(missing)} sector(s) missing" if missing else ""),
-            )
-        )
+        detail = f"max |recovered-planted|={worst:.3f} (tol {tol_mean:.3f})"
+        if missing:
+            detail += f"; {len(missing)} sector(s) missing"
+        checks.append(CheckResult("sector means", not missing and worst <= tol_mean, detail))
 
     # planted model fit
-    fit_tol = float(params.get("fit_tolerance", 0.05))
-    for target, value, _ in truth.get("planted_model", []):
+    fit_tol = param("fit_tolerance", 0.05)
+    for line, target, value, _ in truth.get("planted_model", []):
+        planted = parse_number("truth", line, value)
         summary = read_model_summary(need(f"model_{target}.csv"))
         fit_r = summary.get("fit_r")
-        ok = fit_r is not None and abs(fit_r - float(value)) <= fit_tol
-        checks.append(
-            CheckResult(
-                f"model {target}",
-                ok,
-                f"fit_r={fit_r} (target {value} +/- {fit_tol})",
-            )
-        )
+        ok = fit_r is not None and abs(fit_r - planted) <= fit_tol
+        detail = f"fit_r={fit_r} (target {value} +/- {fit_tol})"
+        checks.append(CheckResult(f"model {target}", ok, detail))
 
     return VerifyReport(checks)
 
@@ -721,21 +709,11 @@ def _ordering_checks(
     for upper, lower in zip(present, present[1:]):
         lo_name, lo_r = min(groups[upper], key=lambda kv: kv[1])
         hi_name, hi_r = max(groups[lower], key=lambda kv: kv[1])
-        results.append(
-            CheckResult(
-                f"food ordering {upper}>{lower}",
-                lo_r > hi_r,
-                f"min({upper})={lo_r:.3f} ({lo_name}) vs max({lower})={hi_r:.3f} ({hi_name})",
-            )
-        )
+        detail = f"min({upper})={lo_r:.3f} ({lo_name}) vs max({lower})={hi_r:.3f} ({hi_name})"
+        results.append(CheckResult(f"food ordering {upper}>{lower}", lo_r > hi_r, detail))
     for name, r in groups.get("negative", []):
-        results.append(
-            CheckResult(
-                "negative food item",
-                r <= negative_r_max,
-                f"{name}: r={r:.3f} (required <= {negative_r_max})",
-            )
-        )
+        detail = f"{name}: r={r:.3f} (required <= {negative_r_max})"
+        results.append(CheckResult("negative food item", r <= negative_r_max, detail))
     return results
 
 

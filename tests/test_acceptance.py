@@ -101,7 +101,7 @@ def test_c02_food_group_ordering(dataset1, dataset1_correlations):
     _, paths, _, _ = dataset1
     truth = read_truth(paths["truth"])
     groups: dict[str, list[float]] = {}
-    for name, _, group in truth["food_item"]:
+    for _, name, _, group in truth["food_item"]:
         if group in ("high", "middle", "low", "negative"):
             entry = dataset1_correlations[("topup_sum.mean", name)]
             assert entry.defined, name
@@ -295,7 +295,7 @@ def test_c06_index_kernels():
 def test_c07_home_location_rule(dataset1):
     """>= 95% home-sector accuracy; day-only decoys never flip a home."""
     _, paths, out, _ = dataset1
-    truth_homes = {k: v for k, v, _ in read_truth(paths["truth"])["user_home"]}
+    truth_homes = {k: v for _, k, v, _ in read_truth(paths["truth"])["user_home"]}
     from foodsec.features import read_user_features
 
     vectors = read_user_features(out / "user_features.csv")

@@ -608,6 +608,26 @@ class TestMalformedFiles:
         assert run(args + [flag, table, "--out", tmp_path / "out"]) == 2
         assert "bad number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, key, field", [
+        ("param", "pair_tolerance", 2), ("planted_pair", None, 2), ("sector", None, 3),
+    ])
+    def test_non_numeric_truth_value_is_data_error(
+        self, medium_dataset, medium_pipeline, tmp_path, capsys, kind, key, field
+    ):
+        _, paths = medium_dataset
+        lines = paths["truth"].read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if line.split(",")[0] == kind and key in (None, line.split(",")[1]))
+        cells = lines[i].split(",")
+        cells[field] = "abc"
+        lines[i] = ",".join(cells)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        rc = run(["verify", "--truth", truth, "--outputs", medium_pipeline,
+                  "--out", tmp_path / "report"])
+        assert rc == 2
+        assert f"truth: bad number 'abc' at line {i + 1}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("file, rows, field, text, artifact", [
         # a finite Decimal whose float is infinite
         ("topup.csv", [1], 1, "1e400", "sector_mobile.csv"),

@@ -290,7 +290,7 @@ class TestPlantedSignals:
     def test_home_location_accuracy(self, small_dataset):
         cfg, paths = small_dataset
         vectors, _, _ = run_mini_pipeline(paths)
-        homes = {key: value for key, value, _ in read_truth(paths["truth"])["user_home"]}
+        homes = {key: value for _, key, value, _ in read_truth(paths["truth"])["user_home"]}
         hits = sum(1 for v in vectors if homes[v.user_id] == v.home_sector)
         assert len(vectors) == cfg.n_sectors * cfg.users_per_sector
         assert hits / len(vectors) >= 0.95
