@@ -104,15 +104,18 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float] | No
     return (math.tanh(z - half), math.tanh(z + half))
 
 
-def _joined_arrays(
+def join_sectors(
     mobile: SectorMatrix, survey: SectorMatrix
-) -> tuple[list[str], np.ndarray, np.ndarray]:
+) -> tuple[SectorMatrix, SectorMatrix]:
+    """Both matrices cut to the sectors they share, in sorted order."""
     common = sorted(set(mobile.sectors) & set(survey.sectors))
-    mi = {s: i for i, s in enumerate(mobile.sectors)}
-    si = {s: i for i, s in enumerate(survey.sectors)}
-    mrows = [mi[s] for s in common]
-    srows = [si[s] for s in common]
-    return common, mobile.values[mrows], survey.values[srows]
+
+    def take(m: SectorMatrix) -> SectorMatrix:
+        index = {s: i for i, s in enumerate(m.sectors)}
+        rows = [index[s] for s in common]
+        return SectorMatrix(common, list(m.columns), m.values[rows], m.counts[rows])
+
+    return take(mobile), take(survey)
 
 
 # Float64 elements of permuted survey columns one null batch may hold.
@@ -206,7 +209,8 @@ def correlation_matrix(
     pair with fewer than 3 common defined sectors, or zero variance on
     either side, yields an undefined entry.
     """
-    common, x, y = _joined_arrays(mobile, survey)
+    joined, matched = join_sectors(mobile, survey)
+    common, x, y = joined.sectors, joined.values, matched.values
     if len(common) < 3:
         log.warning(
             "correlation join has only %d common sector(s); every entry undefined",
@@ -258,7 +262,7 @@ def shuffle_null(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _, x, y = _joined_arrays(mobile, survey)
+    x, y = (m.values for m in join_sectors(mobile, survey))
     n = x.shape[0]
     children = np.random.SeedSequence(seed).spawn(trials)
     grids = _corr_kernel(x, y)

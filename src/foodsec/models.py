@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .aggregate import SectorMatrix
-from .correlate import pearson
+from .correlate import join_sectors, pearson
 from .ingest import TableReader, format_number, parse_number, write_table
 
 log = logging.getLogger(__name__)
@@ -222,18 +222,10 @@ def fit_from_matrices(
     mobile matrix and target vector for prediction/scatter output."""
     if target not in survey.columns:
         raise ValueError(f"target {target!r} not in the survey matrix")
-    common = sorted(set(mobile.sectors) & set(survey.sectors))
-    if not common:
+    joined, matched = join_sectors(mobile, survey)
+    if not joined.sectors:
         raise FitError("mobile and survey matrices share no sectors")
-    mi = {s: i for i, s in enumerate(mobile.sectors)}
-    si = {s: i for i, s in enumerate(survey.sectors)}
-    joined = SectorMatrix(
-        sectors=common,
-        columns=list(mobile.columns),
-        values=mobile.values[[mi[s] for s in common]],
-        counts=mobile.counts[[mi[s] for s in common]],
-    )
-    y = survey.values[[si[s] for s in common], survey.columns.index(target)]
+    y = matched.column(target)
     model = fit_model(joined, y, target, degree=degree, variables=variables)
     return model, joined, y
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from foodsec.aggregate import SectorMatrix
-from foodsec.correlate import _corr_kernel, _joined_arrays, shuffle_null
+from foodsec.correlate import _corr_kernel, join_sectors, shuffle_null
 
 N_SECTORS = 200
 BLANKED = (5, 17, 30)
@@ -30,14 +30,14 @@ def matrices():
 
 
 def test_corr_grid(benchmark, matrices):
-    _, x, y = _joined_arrays(*matrices)
+    x, y = (m.values for m in join_sectors(*matrices))
     identity = np.arange(N_SECTORS)[None, :]
     r, _ = benchmark(lambda: _corr_kernel(x, y)(identity))
     assert r.shape == (1, 20, 39)
 
 
 def test_one_null_trial(benchmark, matrices):
-    _, x, y = _joined_arrays(*matrices)
+    x, y = (m.values for m in join_sectors(*matrices))
     grids = _corr_kernel(x, y)
     perm = np.random.default_rng(1).permutation(N_SECTORS)[None, :]
     r, _ = benchmark(grids, perm)

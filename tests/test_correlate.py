@@ -12,8 +12,8 @@ from foodsec.aggregate import SectorMatrix
 from foodsec.correlate import (
     NullSummary,
     _corr_kernel,
-    _joined_arrays,
     correlation_matrix,
+    join_sectors,
     fisher_ci,
     pearson,
     pearson_p,
@@ -431,7 +431,7 @@ class TestShuffleNull:
 
     def test_identity_permutation_equals_unshuffled(self):
         mobile, survey = self.build()
-        _, x, y = _joined_arrays(mobile, survey)
+        x, y = (m.values for m in join_sectors(mobile, survey))
         (r,), _ = _corr_kernel(x, y)(np.arange(x.shape[0])[None, :])
         entries = correlation_matrix(mobile, survey)
         assert r.ravel().tolist() == [e.r for e in entries]
