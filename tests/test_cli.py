@@ -404,6 +404,76 @@ class TestDeterminismAndOverrides:
         assert manifest2["seed"] == 99
 
 
+FCS_WEIGHTS = (  # a zero weight (sugar) and a group the survey lacks (cereal)
+    "food_group,weight\nstaples,2\npulses,3\nvegetables,1\nfruit,1\nmeat_fish,4\nmilk,4\n"
+    "sugar,0\noil,0.5\ncereal,2\n"
+)
+CSI_WEIGHTS = (  # a strategy the survey lacks (borrow_food)
+    "strategy,weight\ncrowding_index,2\nshare_food_own_production,0.5\nborrow_food,3\n"
+)
+
+
+@pytest.fixture(scope="module")
+def blanked_dataset(medium_dataset, tmp_path_factory):
+    """``medium_dataset`` with about 5 % of its survey answers blank, plus an
+    ``fcs_weights.csv`` and a ``csi_weights.csv``."""
+    import shutil
+
+    import numpy as np
+
+    _, paths = medium_dataset
+    out = tmp_path_factory.mktemp("blanked_synth")
+    for path in paths.values():
+        shutil.copy(path, out / path.name)
+    rng = np.random.default_rng(0)
+    lines = paths["survey"].read_text().splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        blank = rng.random(len(cells)) < 0.05
+        lines[i] = ",".join("" if b and j >= 2 else c for j, (c, b) in enumerate(zip(cells, blank)))
+    (out / "survey.csv").write_text("\n".join(lines) + "\n")
+    (out / "fcs_weights.csv").write_text(FCS_WEIGHTS)
+    (out / "csi_weights.csv").write_text(CSI_WEIGHTS)
+    return out
+
+
+# sha256 of sector_survey.csv and the incomplete_households stats of
+# `indices`, pinned so that a change to how the survey is scored cannot move
+# a byte unnoticed
+SURVEY_PINS = {
+    "small": ("3a016bbd61ccc53ec7bb004f5e89bc47686d41091841f47f60962ca22a115b76",
+             None),
+    "medium": ("5b6508d4cb50ce9871795569d55d567f7bdc13a3e88e2f2e208548167c19ccf9",
+              None),
+    "medium-weights": ("9e6dccde99e7a8154b66b00cd7badf945f91a9e9a38665bed0714c690abc0945",
+                      None),
+    "blanked": ("3782e9743643035aedc1091e94400d57c1899d7f1447374e3369b1d8293c43e9",
+               {"csi_mean": 144, "fcs_mean": 446}),
+}
+
+
+@pytest.mark.parametrize("case", SURVEY_PINS)
+def test_sector_survey_bytes_are_pinned(case, request, tmp_path):
+    import hashlib
+
+    name = "small_dataset" if case == "small" else "medium_dataset"
+    data = request.getfixturevalue(name)[1]["survey"].parent
+    weights = request.getfixturevalue("blanked_dataset") if case != "small" else None
+    survey = weights / "survey.csv" if case == "blanked" else data / "survey.csv"
+    args = ["indices", "--survey", survey, "--survey-meta", data / "survey_meta.csv"]
+    if case != "medium":
+        args += ["--poverty", data / "poverty.csv"]
+    if case in ("medium-weights", "blanked"):
+        args += ["--fcs-weights", weights / "fcs_weights.csv",
+                 "--csi-weights", weights / "csi_weights.csv"]
+    if case == "medium-weights":
+        args += ["--variables", "household_size,staples,food_expenditure"]
+    assert run(args + ["--out", tmp_path]) == 0
+    digest = hashlib.sha256((tmp_path / "sector_survey.csv").read_bytes()).hexdigest()
+    stats = json.loads((tmp_path / "run_manifest.json").read_text())["stats"]
+    assert (digest, stats.get("incomplete_households")) == SURVEY_PINS[case]
+
+
 class TestInputContracts:
     def test_no_subcommand_mutates_its_inputs(self, medium_dataset, tmp_path):
         _, paths = medium_dataset
