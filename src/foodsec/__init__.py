@@ -26,8 +26,6 @@ from .features import (  # noqa: F401
 )
 from .aggregate import SectorMatrix, aggregate_sector, build_sector_matrix  # noqa: F401
 from .indices import (  # noqa: F401
-    FoodGroupWeights,
-    classify_fcs,
     coping_strategy_index,
     food_consumption_score,
     multidimensional_poverty_index,

@@ -52,7 +52,6 @@ from .features import (
 )
 from .indices import (
     COMPOSITE_CATEGORIES,
-    FoodGroupWeights,
     build_survey_matrix,
     load_csi_weights,
     load_fcs_weights,
@@ -66,6 +65,7 @@ from .ingest import (
     load_tower_map,
     read_cdr,
     read_topups,
+    split_list,
 )
 from .models import fit_from_matrices, predict_rows, write_model, write_scatter_data
 from .rolling import (
@@ -220,7 +220,7 @@ def _stage_features(cdr, topup, towers, night_window, utc_offset, home_hours,
 
 
 def _stage_aggregate(vectors, min_users, columns, out):
-    wanted = [c.strip() for c in columns.split(",")] if columns else None
+    wanted = split_list("columns", columns) if columns else None
     unknown = [c for c in wanted or () if c not in MOBILE_COLUMNS]
     if unknown:
         raise ConfigError(f"config key 'columns': unknown column(s) {', '.join(unknown)}")
@@ -230,31 +230,19 @@ def _stage_aggregate(vectors, min_users, columns, out):
     return matrix, ["sector_mobile.csv"], stats
 
 
-def _stage_indices(survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderline_max,
-                   csi_weights, poverty, variables, strict, out):
+def _stage_indices(survey, survey_meta, fcs_weights, csi_weights, poverty, variables, strict, out):
     """The result is the survey matrix and its column -> category map."""
-    default = FoodGroupWeights()
-    poor_max = default.poor_max if fcs_poor_max is None else fcs_poor_max
-    borderline_max = default.borderline_max if fcs_borderline_max is None else fcs_borderline_max
-    if not poor_max < borderline_max:
-        raise ConfigError(
-            f"config key 'fcs_poor_max' ({poor_max}) must be below "
-            f"'fcs_borderline_max' ({borderline_max})"
-        )
     errors = RowErrorLog(strict=strict)
     table = load_survey(survey, survey_meta, errors)
     if errors.count:
         log.warning("survey: %s", errors.summary())
-    wanted = [v.strip() for v in variables.split(",")] if variables else None
+    wanted = split_list("variables", variables) if variables else None
     unknown = [v for v in wanted or () if v not in table.variables]
     if unknown:
         raise ConfigError(
             f"config key 'variables': unknown survey variable(s) {', '.join(unknown)}"
         )
-    if fcs_weights is not None:
-        fcs = load_fcs_weights(fcs_weights, poor_max, borderline_max)
-    else:
-        fcs = FoodGroupWeights(poor_max=poor_max, borderline_max=borderline_max)
+    fcs = load_fcs_weights(fcs_weights) if fcs_weights else None
     csi = load_csi_weights(csi_weights) if csi_weights else None
     pov = load_poverty(poverty) if poverty else None
     matrix, categories, incomplete = build_survey_matrix(
@@ -287,7 +275,7 @@ def _stage_null(mobile, survey, trials, seed, out):
 
 
 def _stage_fit(mobile, survey, target, variables, degree, scatter_data, out):
-    names = [v.strip() for v in variables.split(",") if v.strip()]
+    names = [v for v in split_list("variables", variables) if v]
     if target not in survey.columns:
         raise ConfigError(f"config key 'target': {target!r} not in the survey matrix")
     unknown = [v for v in names if v not in mobile.columns]
@@ -396,23 +384,19 @@ def aggregate(user_features_path, out, min_users, columns):
 @click.option("--survey-meta", type=click.Path(), required=True)
 @click.option("--fcs-weights", type=click.Path(), default=None,
               help="food_group,weight file (default: standard table)")
-@click.option("--fcs-poor-max", type=float, default=None)
-@click.option("--fcs-borderline-max", type=float, default=None)
 @click.option("--csi-weights", type=click.Path(), default=None)
 @click.option("--poverty", type=click.Path(), default=None)
 @click.option("--variables", default=None, help="comma list of survey variables to keep")
 @click.option("--strict", is_flag=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def indices(survey, survey_meta, fcs_weights, fcs_poor_max, fcs_borderline_max,
-            csi_weights, poverty, variables, strict, out):
+def indices(survey, survey_meta, fcs_weights, csi_weights, poverty, variables, strict, out):
     """Household indices (FCS, CSI, MPI) and sector survey means."""
     inputs = _inputs(survey=survey, survey_meta=survey_meta, fcs_weights=fcs_weights,
                      csi_weights=csi_weights, poverty=poverty)
     out_dir = _out_dir(out)
     (matrix, _), outputs, stats = _stage_indices(
-        inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"), fcs_poor_max,
-        fcs_borderline_max, inputs.get("csi_weights"), inputs.get("poverty"), variables,
-        strict, out_dir,
+        inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"),
+        inputs.get("csi_weights"), inputs.get("poverty"), variables, strict, out_dir,
     )
     _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"{len(matrix)} sector(s) x {len(matrix.columns)} column(s)")
@@ -574,7 +558,7 @@ def run_all(in_dir, out, seed, strict, night_window, utc_offset, min_users, ci_l
     mobile = run(_stage_aggregate, vectors, min_users, None)
     survey, categories = run(
         _stage_indices, inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"),
-        None, None, inputs.get("csi_weights"), inputs.get("poverty"), None, strict,
+        inputs.get("csi_weights"), inputs.get("poverty"), None, strict,
     )
     run(_stage_correlate, mobile, survey, ci_level, categories if heatmap_data else None)
     run(_stage_null, mobile, survey, trials, seed)

@@ -36,17 +36,8 @@ def parse_kv_file(path) -> dict[str, str]:
 def coerce(key: str, text: str, kind: type):
     """Convert a raw config string to ``kind``, with readable failures."""
     try:
-        if kind is bool:
-            lowered = text.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if kind is date:
             return date.fromisoformat(text)
-        if kind is time:
-            return time.fromisoformat(text)
         return kind(text)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc

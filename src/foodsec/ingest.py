@@ -48,6 +48,8 @@ from typing import IO, Callable, ContextManager, Iterable, Iterator, NamedTuple,
 
 import numpy as np
 
+from .config import ConfigError
+
 log = logging.getLogger(__name__)
 
 CDR_HEADER = ["caller_id", "callee_id", "tower_id", "timestamp"]
@@ -406,6 +408,18 @@ def parse_number(what: str, line: int, text: str, parse: Callable = float):
             if finite is None or finite(value):
                 return value
     raise FormatError(f"{what}: bad number {text!r} at line {line}")
+
+
+def split_list(key: str, text: str) -> list[str]:
+    """The entries of the comma list option ``key``, read as one CSV record
+    and each stripped of the spaces around it, so that a quoted entry may
+    hold a comma: ``"a,b", c`` is ``["a,b", "c"]``. Text that is not one
+    record is a :class:`ConfigError`."""
+    try:
+        (fields,) = csv.reader([text], skipinitialspace=True)
+    except csv.Error as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return [f.strip() for f in fields]
 
 
 def parse_column(

@@ -130,16 +130,6 @@ class TestExitCodes:
         assert rc == 1
         assert "repeated variable(s) topup_sum.mean" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("poor_max", ["35", "40"])
-    def test_fcs_poor_cut_not_below_borderline_is_config_error(
-        self, medium_dataset, tmp_path, capsys, poor_max
-    ):
-        _, paths = medium_dataset
-        rc = run(["indices", "--survey", paths["survey"], "--survey-meta", paths["survey_meta"],
-                  "--fcs-poor-max", poor_max, "--out", tmp_path])
-        assert rc == 1
-        assert "fcs_borderline_max" in capsys.readouterr().err
-
     def test_unknown_aggregate_column_is_config_error(self, medium_pipeline, tmp_path, capsys):
         rc = run(["aggregate", "--user-features", medium_pipeline / "user_features.csv",
                   "--columns", "topup_sum.mean,bogus.mean", "--out", tmp_path])
@@ -152,6 +142,29 @@ class TestExitCodes:
                   "--variables", "household_size,bogus", "--out", tmp_path])
         assert rc == 1
         assert "unknown survey variable(s) bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value, csi, index", [
+        ("skip_meals", "-3", "strategy,weight\nskip_meals,2\n", "csi_mean"),
+        # a food group tagged V2 skips the survey loader's 0..7 check
+        ("staples", "9", None, "fcs_mean"),
+    ])
+    def test_index_answer_out_of_range_is_data_error(self, tmp_path, capsys, column, value, csi,
+                                                     index):
+        (tmp_path / "survey.csv").write_text(f"household_id,sector_id,{column}\nh1,s1,{value}\n")
+        (tmp_path / "meta.csv").write_text(f"variable,category\n{column},V2\n")
+        args = ["indices", "--survey", tmp_path / "survey.csv", "--survey-meta",
+                tmp_path / "meta.csv", "--out", tmp_path / "out"]
+        if csi:
+            (tmp_path / "csi.csv").write_text(csi)
+            args += ["--csi-weights", tmp_path / "csi.csv"]
+        assert run(args) == 2
+        assert f"{index}: answer {value} for '{column}'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_removed_fcs_class_option_is_usage_error(self, medium_dataset, tmp_path):
+        _, paths = medium_dataset
+        assert run(["indices", "--survey", paths["survey"], "--survey-meta",
+                    paths["survey_meta"], "--fcs-poor-max", "28", "--out", tmp_path]) == 1
 
     @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.2"])
     def test_correlate_ci_level_outside_unit_interval_is_config_error(
@@ -306,6 +319,13 @@ class TestDeterminismAndOverrides:
         renamed = {'s,"3', "crowding,index"} & {*survey.sectors, *survey.columns}
         assert len(renamed) == (2 if dataset == "quoted_dataset" else 0)
         assert survey.sectors == read_sector_matrix(whole / "sector_mobile.csv").sectors
+
+    def test_quoted_list_entry_may_hold_a_comma(self, quoted_dataset, tmp_path):
+        _, paths = quoted_dataset
+        assert run(["indices", "--survey", paths["survey"], "--survey-meta", paths["survey_meta"],
+                    "--variables", '"crowding,index",household_size', "--out", tmp_path]) == 0
+        columns = read_sector_matrix(tmp_path / "sector_survey.csv", "n_households").columns
+        assert columns[:2] == ["crowding,index", "household_size"]
 
     def test_correlate_reruns_are_byte_identical(self, medium_pipeline, tmp_path):
         args = ["correlate", "--mobile", medium_pipeline / "sector_mobile.csv",
@@ -542,6 +562,16 @@ class TestInputContracts:
         blank = json.loads((tmp_path / "blank" / "run_manifest.json").read_text())
         assert "incomplete_households" not in complete["stats"]
         assert blank["stats"]["incomplete_households"] == {"fcs_mean": 1}
+
+    def test_index_without_a_weighted_column_is_written_empty(self, tmp_path):
+        """Undefined, not 0: the survey has no food-group column."""
+        (tmp_path / "survey.csv").write_text("household_id,sector_id,expense\nh1,s1,50\n")
+        (tmp_path / "meta.csv").write_text("variable,category\nexpense,V3\n")
+        assert run(["indices", "--survey", tmp_path / "survey.csv", "--survey-meta",
+                    tmp_path / "meta.csv", "--out", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "sector_survey.csv").read_text() == (
+            "sector_id,expense,fcs_mean,csi_mean,mpi,n_households\ns1,50,,,,1\n"
+        )
 
     def test_all_records_weight_tables_as_inputs(self, medium_dataset, tmp_path):
         import shutil

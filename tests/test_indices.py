@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from foodsec.indices import (
     DEFAULT_FCS_WEIGHTS,
-    FoodGroupWeights,
     build_survey_matrix,
-    classify_fcs,
     coping_strategy_index,
     food_consumption_score,
     load_csi_weights,
@@ -70,31 +68,24 @@ class TestFoodConsumptionScore:
         assert food_consumption_score(bumped) >= food_consumption_score(frequencies)
 
 
-class TestClassifyFcs:
-    def test_boundaries_inclusive(self):
-        assert classify_fcs(0) == "poor"
-        assert classify_fcs(21) == "poor"
-        assert classify_fcs(21.0001) == "borderline"
-        assert classify_fcs(35) == "borderline"
-        assert classify_fcs(35.0001) == "acceptable"
-        assert classify_fcs(112) == "acceptable"
-
-    def test_alternate_thresholds(self):
-        w = FoodGroupWeights(poor_max=28, borderline_max=42)
-        assert classify_fcs(28, w) == "poor"
-        assert classify_fcs(42, w) == "borderline"
-        assert classify_fcs(43, w) == "acceptable"
-
-    def test_negative_score_rejected(self):
-        with pytest.raises(ValueError):
-            classify_fcs(-1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(0, 112), st.floats(0, 112))
-    def test_monotone(self, a, b):
-        ranking = {"poor": 0, "borderline": 1, "acceptable": 2}
-        lo, hi = sorted((a, b))
-        assert ranking[classify_fcs(lo)] <= ranking[classify_fcs(hi)]
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.one_of(st.integers(0, 7), st.none()), min_size=3, max_size=3),
+             min_size=1, max_size=12),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), min_size=3, max_size=3),
+)
+def test_table_columns_score_as_each_household(households, weights):
+    """Both kernels give each household of a table the score they give its
+    answers one by one, bit for bit, a blank included."""
+    names = ["staples", "sugar", "skip_meals"]
+    table = np.array([[math.nan if v is None else v for v in row] for row in households],
+                     dtype=np.float64)
+    answers = dict(zip(names, table.T))
+    table_weights = dict(zip(names, weights))
+    for index in (food_consumption_score, coping_strategy_index):
+        scores = np.broadcast_to(index(answers, table_weights), len(table))
+        each = [index(dict(zip(names, row.tolist())), table_weights) for row in table]
+        assert np.array_equal(scores, np.array(each, dtype=np.float64), equal_nan=True)
 
 
 class TestCopingStrategyIndex:
@@ -252,10 +243,38 @@ class TestBuildSurveyMatrix:
     def test_blank_cell_of_zero_weight_keeps_the_household(self):
         body = FULL_BODY.replace("h2,s1,0,0,", "h2,s1,0,,")
         table = load_survey(stream(body), stream(FULL_META))
-        weights = FoodGroupWeights(weights={"staples": 2.0, "sugar": 0.0})
-        matrix, _, incomplete = build_survey_matrix(table, fcs_weights=weights)
+        matrix, _, incomplete = build_survey_matrix(
+            table, fcs_weights={"staples": 2.0, "sugar": 0.0}
+        )
         assert matrix.column("fcs_mean").tolist() == [pytest.approx(7.0), pytest.approx(6.0)]
         assert incomplete == {}
+
+    def test_no_weighted_column_is_undefined(self, caplog):
+        """A survey without a column of non-zero weight has no index, not 0."""
+        table = load_survey(stream("household_id,sector_id,sugar,expense\nh1,s1,3,50\n"),
+                            stream(FULL_META))
+        matrix, _, incomplete = build_survey_matrix(
+            table, fcs_weights={"staples": 2.0, "sugar": 0.0}, csi_weights={"skip_meals": 4.0}
+        )
+        assert math.isnan(matrix.column("fcs_mean")[0])
+        assert math.isnan(matrix.column("csi_mean")[0])
+        assert incomplete == {}
+        assert "fcs_mean: no survey column carries a non-zero weight" in caplog.text
+        assert "csi_mean: no survey column carries a non-zero weight" in caplog.text
+        # with sugar weighted, the absent groups score 0
+        default, _, _ = build_survey_matrix(table)
+        assert default.column("fcs_mean")[0] == 3 * 0.5
+
+    @pytest.mark.parametrize("column, value, weights", [
+        ("staples", "8", {"fcs_weights": {"staples": 2.0}}),
+        ("skip_meals", "-1", {"csi_weights": {"skip_meals": 4.0}}),
+    ])
+    def test_answer_out_of_range_is_format_error(self, column, value, weights):
+        meta = f"variable,category\n{column},V2\n"
+        table = load_survey(stream(f"household_id,sector_id,{column}\nh1,s1,{value}\n"),
+                            stream(meta))
+        with pytest.raises(FormatError, match=f"answer {value} for '{column}'"):
+            build_survey_matrix(table, **weights)
 
     def test_variable_subset(self):
         matrix, categories, _ = build_survey_matrix(self.load(), variables=["expense"])
@@ -266,12 +285,7 @@ class TestBuildSurveyMatrix:
 class TestLoaders:
     def test_fcs_weights_file(self):
         w = load_fcs_weights(stream("food_group,weight\nstaples,2\nsugar,0.5\n"))
-        assert w.weights == {"staples": 2.0, "sugar": 0.5}
-        assert (w.poor_max, w.borderline_max) == (21.0, 35.0)
-
-    def test_fcs_threshold_override(self):
-        w = load_fcs_weights(stream("food_group,weight\nstaples,2\n"), 28, 42)
-        assert (w.poor_max, w.borderline_max) == (28.0, 42.0)
+        assert w == {"staples": 2.0, "sugar": 0.5}
 
     def test_csi_weights_file(self):
         assert load_csi_weights(stream("strategy,weight\nskip_meals,4\n")) == {"skip_meals": 4.0}

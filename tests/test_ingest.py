@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import foodsec
 from foodsec import ingest
+from foodsec.config import ConfigError
 from foodsec.ingest import (
     FormatError,
     RowErrorLog,
@@ -22,6 +23,7 @@ from foodsec.ingest import (
     parse_timestamp,
     read_cdr,
     read_topups,
+    split_list,
     write_table,
 )
 from oracle import (
@@ -339,6 +341,21 @@ def test_no_row_is_silently_dropped(rows):
     errors = RowErrorLog()
     columns = read_cdr(stream("\n".join(lines) + "\n"), errors)
     assert len(columns) + errors.count == len(rows)
+
+
+@pytest.mark.parametrize("text, fields", [
+    ("a,b", ["a", "b"]),
+    (' "crowding,index" , household_size ', ["crowding,index", "household_size"]),
+    ("a,,b", ["a", "", "b"]),
+    ("", []),
+])
+def test_split_list(text, fields):
+    assert split_list("variables", text) == fields
+
+
+def test_split_list_refuses_a_bare_line_break():
+    with pytest.raises(ConfigError, match="config key 'variables'"):
+        split_list("variables", "a\nb")
 
 
 def test_parse_timestamp_accepts_z_and_offset():
