@@ -265,17 +265,6 @@ class TestBuildSurveyMatrix:
         default, _, _ = build_survey_matrix(table)
         assert default.column("fcs_mean")[0] == 3 * 0.5
 
-    @pytest.mark.parametrize("column, value, weights", [
-        ("staples", "8", {"fcs_weights": {"staples": 2.0}}),
-        ("skip_meals", "-1", {"csi_weights": {"skip_meals": 4.0}}),
-    ])
-    def test_answer_out_of_range_is_format_error(self, column, value, weights):
-        meta = f"variable,category\n{column},V2\n"
-        table = load_survey(stream(f"household_id,sector_id,{column}\nh1,s1,{value}\n"),
-                            stream(meta))
-        with pytest.raises(FormatError, match=f"answer {value} for '{column}'"):
-            build_survey_matrix(table, **weights)
-
     def test_variable_subset(self):
         matrix, categories, _ = build_survey_matrix(self.load(), variables=["expense"])
         assert matrix.columns == ["expense", "fcs_mean", "csi_mean", "mpi"]
