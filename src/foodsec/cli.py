@@ -44,12 +44,7 @@ from .correlate import (
     write_heatmap_data,
     write_null_summary,
 )
-from .features import (
-    FeatureConfig,
-    read_user_features,
-    user_features,
-    write_user_features,
-)
+from .features import read_user_features, user_features, write_user_features
 from .indices import (
     COMPOSITE_CATEGORIES,
     build_survey_matrix,
@@ -81,6 +76,7 @@ log = logging.getLogger(__name__)
 # --threads stays so existing command lines run; it changes nothing, so no manifest records it.
 THREADS_HELP = "accepted for compatibility; has no effect (the null runs in batches)"
 CI_LEVEL = click.FloatRange(0, 1, min_open=True, max_open=True)
+SEED = click.IntRange(min=0)  # numpy seeds are non-negative
 # local wall clock = UTC + this many minutes; the night window is judged in local time
 UTC_OFFSET = dict(type=click.IntRange(-1439, 1439), default=0, show_default=True,
                   metavar="MINUTES", help="local time minus UTC, for the night window")
@@ -196,18 +192,14 @@ def _stage_features(cdr, topup, towers, night_window, utc_offset, home_hours,
                     diversity_direction, strict, out):
     """Features from one pass over each input. The result also carries the
     top-up columns and their row errors, for the rolling stage of ``all``."""
-    cfg = FeatureConfig(
-        night_window=parse_night_window(night_window),
-        utc_offset_minutes=utc_offset,
-        home_hours=home_hours,
-        diversity_direction=diversity_direction,
-    )
+    window = parse_night_window(night_window)
     tower_map = load_tower_map(towers)
     cdr_errors = RowErrorLog(strict=strict)
     topup_errors = RowErrorLog(strict=strict)
-    calls = read_cdr(cdr, cdr_errors, cfg.night_window, cfg.utc_offset_minutes)
+    calls = read_cdr(cdr, cdr_errors, window, utc_offset)
     topups = read_topups(topup, topup_errors)
-    features, exclusions = user_features(calls, topups, tower_map, cfg)
+    features, exclusions = user_features(calls, topups, tower_map, home_hours=home_hours,
+                                         diversity_direction=diversity_direction)
     if cdr_errors.count or topup_errors.count:
         log.warning("cdr: %s; topup: %s", cdr_errors.summary(), topup_errors.summary())
     write_user_features(features, out / "user_features.csv")
@@ -319,7 +311,7 @@ def _read_matrices(inputs: dict) -> tuple:
 @click.option("--synth-config", type=click.Path(exists=True, dir_okay=False), default=None,
               help="key=value file of generator settings")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None, help="overrides the config seed")
+@click.option("--seed", type=SEED, default=None, help="overrides the config seed")
 def synth(synth_config, out, seed):
     """Generate a seeded synthetic dataset with planted relationships."""
     cfg = SynthConfig.from_file(synth_config) if synth_config else SynthConfig()
@@ -428,7 +420,7 @@ def correlate(mobile, survey_matrix, ci_level, heatmap_data, survey_meta, out):
 @click.option("--mobile", type=click.Path(), required=True)
 @click.option("--survey-matrix", type=click.Path(), required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--seed", type=int, default=None, required=False)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               expose_value=False, help=THREADS_HELP)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
@@ -518,7 +510,7 @@ def verify(truth, outputs_dir, out):
               help="directory with cdr/topup/towers/survey/survey_meta csv files "
               "(poverty/fcs_weights/csi_weights optional)")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               expose_value=False, help=THREADS_HELP)
 @click.option("--strict", is_flag=True)

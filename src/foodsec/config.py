@@ -44,9 +44,15 @@ def coerce(key: str, text: str, kind: type):
 
 
 def parse_night_window(text: str) -> tuple[time, time]:
-    """Parse ``18:00-08:00`` into a (start, end) pair of times."""
+    """Parse ``18:00-08:00`` into a (start, end) pair of local times. A time
+    with a UTC offset is refused: the offset to local time is a setting of
+    its own."""
     try:
         start_text, _, end_text = text.partition("-")
-        return time.fromisoformat(start_text.strip()), time.fromisoformat(end_text.strip())
+        window = time.fromisoformat(start_text.strip()), time.fromisoformat(end_text.strip())
     except ValueError as exc:
         raise ConfigError(f"night window {text!r}: {exc}") from exc
+    if any(t.tzinfo is not None for t in window):
+        raise ConfigError(f"night window {text!r}: a time with a UTC offset; "
+                          "give local times and the offset as --utc-offset")
+    return window

@@ -130,24 +130,23 @@ def _corr_kernel(
 
     The returned function gives (r, n), each (B, x cols, y cols); undefined
     cells are NaN in r. NaN-free column pairs take one standardized product
-    per stack, pairs of a NaN-free mobile column are grouped by the survey
-    side's mask, and the rest take ``pearson`` per pair. Each value is
-    bit-identical to evaluating one permutation at a time: the C-contiguous
-    layouts below keep numpy's reductions and BLAS calls as they are then.
+    per stack; every other pair goes through one loop over (mobile group,
+    survey group), the columns of each side grouped by where they have
+    cells. Each value is bit-identical to evaluating one permutation at a
+    time: the C-contiguous layouts below keep numpy's reductions and BLAS
+    calls as they are then.
     """
     n_rows = x.shape[0]
     fx, fy = np.isfinite(x), np.isfinite(y)
     x_ok, y_ok = fx.all(axis=0), fy.all(axis=0)
-    x_complete = np.flatnonzero(x_ok)
-    block_rows, block_cols = np.ix_(x_complete, np.flatnonzero(y_ok))
-    xt = np.ascontiguousarray(x[:, x_ok].T)
+    block_rows, block_cols = np.ix_(np.flatnonzero(x_ok), np.flatnonzero(y_ok))
+    xs = _standardize(np.ascontiguousarray(x[:, x_ok].T)) if n_rows >= 3 else None
     yt = np.ascontiguousarray(y[:, y_ok].T)
-    xs = _standardize(xt) if n_rows >= 3 else None
-    # Survey columns with missing cells, grouped by where they miss: the
-    # columns of a group share each trial's mask and mobile-side sums.
-    groups: dict[bytes, list[int]] = {}
-    for j in np.flatnonzero(~y_ok):
-        groups.setdefault(fy[:, j].tobytes(), []).append(j)
+    # A mobile group: its columns, their shared cell mask and their rows.
+    x_groups = [(np.array(cols)[:, None], fx[:, cols[0]], np.ascontiguousarray(x[:, cols].T))
+                for cols in _gap_groups(fx)]
+    masked = [(xg, cols) for xg in x_groups for cols in _gap_groups(fy)
+              if not (xg[1].all() and y_ok[cols[0]])]
 
     def grids(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.full((len(perms), x.shape[1], y.shape[1]), np.nan, dtype=np.float64)
@@ -160,10 +159,10 @@ def _corr_kernel(
                 block = np.matmul(xs, ys.transpose(0, 2, 1)) / (n_rows - 1)
             r[:, block_rows, block_cols] = np.clip(block, -1.0, 1.0)
         for b, perm in enumerate(perms):
-            for cols in groups.values():
-                mask = fy[perm, cols[0]]
-                ns[b, x_complete[:, None], cols] = k = int(mask.sum())
-                if k < 3 or not x_complete.size:
+            for (x_cols, x_mask, xt), cols in masked:
+                mask = x_mask & fy[perm, cols[0]]
+                ns[b, x_cols, cols] = k = int(mask.sum())
+                if k < 3:
                     continue
                 xm = np.ascontiguousarray(xt[:, mask])
                 xcs = xm - xm.mean(axis=1, keepdims=True)
@@ -172,20 +171,21 @@ def _corr_kernel(
                     ya = y[perm, j][mask]
                     yc = ya - ya.mean()
                     syy = float(np.dot(yc, yc))
-                    for i, xc, sxx in zip(x_complete, xcs, sxxs):
+                    for i, xc, sxx in zip(x_cols[:, 0], xcs, sxxs):
                         if sxx > 0.0 and syy > 0.0:
                             value = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
                             r[b, i, j] = max(-1.0, min(1.0, value))
-            for i in np.flatnonzero(~x_ok):
-                for j in range(y.shape[1]):
-                    mask = fx[:, i] & fy[perm, j]
-                    ns[b, i, j] = k = int(mask.sum())
-                    value = pearson(x[mask, i], y[perm, j][mask]) if k >= 3 else None
-                    if value is not None:
-                        r[b, i, j] = value
         return r, ns
 
     return grids
+
+
+def _gap_groups(finite: np.ndarray) -> list[list[int]]:
+    """Column indices grouped by where the column has cells."""
+    groups: dict[bytes, list[int]] = {}
+    for j in range(finite.shape[1]):
+        groups.setdefault(finite[:, j].tobytes(), []).append(j)
+    return list(groups.values())
 
 
 def _standardize(a: np.ndarray) -> np.ndarray:

@@ -16,14 +16,12 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import time
 from decimal import Decimal
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .ingest import (
-    DEFAULT_NIGHT_WINDOW,
     CallColumns,
     TopUpColumns,
     parse_column,
@@ -35,20 +33,6 @@ log = logging.getLogger(__name__)
 
 USER_FEATURE_HEADER = ["user_id", "home_sector", "topup_sum", "topup_mean", "topup_min",
                        "topup_max", "topup_count", "social_diversity"]
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    night_window: tuple[time, time] = DEFAULT_NIGHT_WINDOW
-    home_hours: str = "night"  # "night" (day calls ignored, all-hours fallback) or "all"
-    diversity_direction: str = "both"  # count "both" call directions or "out" only
-    utc_offset_minutes: int = 0  # local wall clock = UTC + offset
-
-    def __post_init__(self):
-        if self.home_hours not in ("night", "all"):
-            raise ValueError(f"home_hours must be 'night' or 'all', not {self.home_hours!r}")
-        if self.diversity_direction not in ("both", "out"):
-            raise ValueError("diversity_direction must be 'both' or 'out'")
 
 
 @dataclass(frozen=True)
@@ -166,17 +150,22 @@ def user_features(
     calls: CallColumns,
     topups: TopUpColumns,
     tower_map: Mapping[str, str],
-    config: FeatureConfig | None = None,
+    *,
+    home_hours: str = "night",
+    diversity_direction: str = "both",
 ) -> tuple[list[UserFeatureVector], Counter]:
     """One vector per user with calls and top-ups, sorted by user_id.
 
-    ``calls`` must have been read with ``config``'s night window and UTC
-    offset. Exclusion counts: ``no_topups`` (calls only), ``no_calls``
-    (top-ups only), ``unmapped_home_tower`` (home tower absent from the map).
+    ``home_hours`` goes to :func:`home_towers`, ``diversity_direction`` to
+    :func:`contact_volumes`. Exclusion counts: ``no_topups`` (calls only),
+    ``no_calls`` (top-ups only), ``unmapped_home_tower`` (home tower absent
+    from the map).
     """
-    cfg = config or FeatureConfig()
-    home = home_towers(calls, cfg.home_hours).tolist()
-    bounds, volumes = contact_volumes(calls, cfg.diversity_direction)
+    if home_hours not in ("night", "all") or diversity_direction not in ("both", "out"):
+        raise ValueError(f"home_hours must be 'night' or 'all' ({home_hours!r}), "
+                         f"diversity_direction 'both' or 'out' ({diversity_direction!r})")
+    home = home_towers(calls, home_hours).tolist()
+    bounds, volumes = contact_volumes(calls, diversity_direction)
     bounds = bounds.tolist()
     stats = topup_stats(topups)
     callers = {calls.users[c]: c for c, tower in enumerate(home) if tower >= 0}

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .aggregate import SectorMatrix
 from .correlate import join_sectors, pearson
@@ -174,7 +173,9 @@ def _collinear_terms(
     design: np.ndarray, terms: Sequence[tuple[str, ...]], rank: int
 ) -> list[str]:
     # Pivoted QR: the columns pivoted past the numerical rank are the
-    # dependent ones.
+    # dependent ones. Imported here: only a rank-deficient fit needs it.
+    import scipy.linalg
+
     _, _, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
     return sorted(term_name(terms[j]) for j in pivots[rank:])
 

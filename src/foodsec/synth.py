@@ -176,6 +176,8 @@ class SynthConfig:
         return cls(**values)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n_sectors < 1 or self.users_per_sector < 1 or self.households_per_sector < 1:
             raise ConfigError("sector, user, and household counts must all be >= 1")
         if self.towers_per_sector < 1:

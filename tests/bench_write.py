@@ -18,7 +18,7 @@ from foodsec.correlate import (
     write_heatmap_data,
     write_null_summary,
 )
-from foodsec.features import FeatureConfig, user_features, write_user_features
+from foodsec.features import user_features, write_user_features
 from foodsec.indices import COMPOSITE_CATEGORIES, build_survey_matrix
 from foodsec.ingest import load_survey, load_tower_map, read_cdr, read_topups
 from foodsec.models import fit_from_matrices, predict_rows, write_model, write_scatter_data
@@ -33,8 +33,7 @@ C01 = dict(n_sectors=200, users_per_sector=40, households_per_sector=30, period_
 def results(tmp_path_factory):
     paths = generate(SynthConfig(seed=1, **C01), tmp_path_factory.mktemp("c01"))
     topups = read_topups(paths["topup"])
-    vectors, _ = user_features(read_cdr(paths["cdr"]), topups,
-                               load_tower_map(paths["towers"]), FeatureConfig())
+    vectors, _ = user_features(read_cdr(paths["cdr"]), topups, load_tower_map(paths["towers"]))
     mobile, _ = build_sector_matrix(vectors)
     survey, categories, _ = build_survey_matrix(load_survey(paths["survey"],
                                                             paths["survey_meta"]))

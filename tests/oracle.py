@@ -30,7 +30,6 @@ import numpy as np
 from foodsec.aggregate import SectorMatrix
 from foodsec.correlate import NULL_SUMMARY_HEADER, NullSummary, pearson
 from foodsec.features import (
-    FeatureConfig,
     UserFeatureVector,
     home_towers,
     social_diversity,
@@ -208,6 +207,16 @@ def load_survey_rows(source, categories: dict[str, str], errors: RowErrorLog) ->
 
 
 # --- row-wise features ---
+
+
+class FeatureConfig(NamedTuple):
+    """The feature settings: ``night_window`` and ``utc_offset_minutes`` go to
+    ``read_cdr``, the other two to ``user_features``."""
+
+    night_window: tuple[time, time] = DEFAULT_NIGHT_WINDOW
+    home_hours: str = "night"
+    diversity_direction: str = "both"
+    utc_offset_minutes: int = 0
 
 
 def in_night_local(timestamp: datetime, config: FeatureConfig) -> bool:
@@ -444,7 +453,8 @@ def build_user_features(
 ) -> tuple[list[UserFeatureVector], Counter]:
     cfg = config or FeatureConfig()
     calls = call_columns(cdr, cfg.night_window, cfg.utc_offset_minutes)
-    return user_features(calls, topup_columns(topups), tower_map, cfg)
+    return user_features(calls, topup_columns(topups), tower_map, home_hours=cfg.home_hours,
+                         diversity_direction=cfg.diversity_direction)
 
 
 def assign_home_tower(

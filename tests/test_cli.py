@@ -195,16 +195,67 @@ class TestExitCodes:
         assert run([command, *args, "--utc-offset", offset, "--out", tmp_path]) == 1
         assert not (tmp_path / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("window", ["18:00+01:00-08:00", "18:00-08:00-09:00"])
+    @pytest.mark.parametrize("command", ["features", "all"])
+    def test_night_window_with_a_utc_offset_is_config_error(self, small_dataset, tmp_path,
+                                                            command, window, capsys):
+        """The offset to local time is --utc-offset; a window time that
+        carries one of its own is refused before any stage runs."""
+        _, paths = small_dataset
+        args = {"features": ["--cdr", paths["cdr"], "--topup", paths["topup"],
+                             "--towers", paths["towers"]],
+                "all": ["--in", paths["cdr"].parent, "--seed", "1"]}[command]
+        out = tmp_path / "out"
+        assert run([command, *args, "--night-window", window, "--out", out]) == 1
+        assert "night window" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["all", "null", "synth"])
+    def test_negative_seed_is_config_error(self, small_dataset, medium_pipeline, tmp_path,
+                                           command):
+        _, paths = small_dataset
+        args = {"all": ["--in", paths["cdr"].parent, "--min-users", "5"],
+                "null": ["--mobile", medium_pipeline / "sector_mobile.csv",
+                         "--survey-matrix", medium_pipeline / "sector_survey.csv"],
+                "synth": []}[command]
+        out = tmp_path / "out"
+        assert run([command, *args, "--seed", "-1", "--out", out]) == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_negative_synth_config_seed_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("seed = -1\nn_sectors = 2\n")
+        out = tmp_path / "out"
+        assert run(["synth", "--synth-config", cfg, "--out", out]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def loaded_after_import(module: str, package: str) -> list[str]:
+    """The modules of ``package`` that a fresh interpreter holds after
+    importing ``module``."""
+    src = str(Path(foodsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    depth = package.count(".") + 1
+    code = (f"import sys, {module}; print(*sorted(m for m in sys.modules "
+            f"if m.split('.')[:{depth}] == {package.split('.')!r}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.split()
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     """``scipy.stats`` costs about a second of import; nothing may pull it in."""
-    src = str(Path(foodsec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, foodsec.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert loaded_after_import("foodsec.cli", "scipy.stats") == []
+
+
+@pytest.mark.parametrize("module, package", [("foodsec.cli", "scipy.linalg"),
+                                             ("foodsec.synth", "scipy")])
+def test_import_leaves_unused_scipy_unloaded(module, package):
+    """Only a rank-deficient fit needs ``scipy.linalg``, and the generator
+    needs no scipy at all: importing the package loads no module it does
+    not use."""
+    assert loaded_after_import(module, package) == []
 
 
 class TestAllPipeline:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec import ingest
-from foodsec.features import FeatureConfig, user_features
+from foodsec.features import user_features
 from foodsec.ingest import (
     CDR_HEADER,
     TOPUP_HEADER,
@@ -33,6 +33,7 @@ from foodsec.ingest import (
     read_topups,
 )
 from oracle import (
+    FeatureConfig,
     in_night_local,
     load_survey_rows,
     parse_cdr_stream,
@@ -149,7 +150,9 @@ def columnar_side(cdr, topup, tower_map, config, period, strict):
         [(topups.users[u], amount, date.fromordinal(d))
          for u, d, amount in zip(topups.user.tolist(), topups.day.tolist(), topups.amount)],
     )
-    return user_features(calls, topups, tower_map, config), rows, errors
+    vectors = user_features(calls, topups, tower_map, home_hours=config.home_hours,
+                            diversity_direction=config.diversity_direction)
+    return vectors, rows, errors
 
 
 def outcome(side, *args):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec.features import (
-    FeatureConfig,
     UserFeatureVector,
     read_user_features,
     social_diversity,
@@ -16,6 +15,7 @@ from foodsec.ingest import StrictModeError, in_night_window
 from oracle import (
     CallRecord,
     FeatureAccumulator,
+    FeatureConfig,
     NoHomeError,
     TopUpRecord,
     assign_home_tower,
@@ -303,6 +303,13 @@ class TestBuildUserFeatures:
         by_id = {v.user_id: v for v in vectors}
         assert by_id["u1"].social_diversity == 0.0  # one outgoing contact
         assert by_id["u2"].social_diversity == pytest.approx(1.0)  # u1 and u3 once each
+
+    @pytest.mark.parametrize("setting", [dict(home_hours="day"),
+                                         dict(diversity_direction="in")])
+    def test_unknown_setting_is_refused(self, setting):
+        cdr = [CallRecord("u1", "u2", "t1", datetime(2012, 3, 1, 20, 0))]
+        with pytest.raises(ValueError):
+            build_user_features(cdr, [topup("10")], TOWERS, FeatureConfig(**setting))
 
 
 def test_user_features_csv_round_trip(tmp_path):
