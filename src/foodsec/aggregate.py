@@ -1,4 +1,4 @@
-"""Sector-level aggregation of user feature vectors.
+"""Sector-level aggregation of the user features.
 
 Groups users by home sector and reduces each feature column with mean,
 median, sample standard deviation, and coefficient of variation. The result
@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .features import UserFeatureVector
-from .ingest import FormatError, TableReader, format_number, parse_column, write_table
+from .features import UserFeatures
+from .ingest import (
+    FormatError,
+    TableReader,
+    format_number,
+    money_floats,
+    parse_column,
+    write_table,
+)
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +60,7 @@ def aggregate_sector(values: Sequence[float]) -> dict:
     is undefined when the mean is 0. The median of an even count is the
     midpoint of the two middle values.
     """
-    arr = np.asarray([float(v) for v in values], dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty sector")
     mean = float(arr.mean())
@@ -67,11 +74,11 @@ def aggregate_sector(values: Sequence[float]) -> dict:
 
 
 def build_sector_matrix(
-    features: Iterable[UserFeatureVector],
+    features: UserFeatures,
     min_users: int = DEFAULT_MIN_USERS,
     columns: Sequence[str] | None = None,
 ) -> tuple[SectorMatrix, dict[str, int]]:
-    """Sector x mobile-variable matrix from user feature vectors.
+    """Sector x mobile-variable matrix from the user features.
 
     Sectors with fewer than ``min_users`` users are excluded and returned in
     the second element as {sector_id: user_count}. The default column set is
@@ -85,35 +92,38 @@ def build_sector_matrix(
             raise ValueError(f"unknown column(s): {', '.join(unknown)}")
         wanted = [c for c in wanted if c in set(columns)]
 
-    by_sector: dict[str, list[UserFeatureVector]] = {}
-    for vec in features:
-        by_sector.setdefault(vec.home_sector, []).append(vec)
-
-    excluded = {s: len(v) for s, v in by_sector.items() if len(v) < min_users}
+    n_users = np.bincount(features.home, minlength=len(features.sectors)).tolist()
+    excluded = {s: n for s, n in zip(features.sectors, n_users) if n < min_users}
     if excluded:
         log.warning(
             "%d sector(s) below the %d-user minimum excluded", len(excluded), min_users
         )
-    sectors = sorted(s for s in by_sector if s not in excluded)
+    kept = [i for i, n in enumerate(n_users) if n >= min_users]
+    sectors = [features.sectors[i] for i in kept]
 
     values = np.full((len(sectors), len(wanted)), np.nan, dtype=np.float64)
-    counts = np.zeros(len(sectors), dtype=np.int64)
+    counts = np.array([n_users[i] for i in kept], dtype=np.int64)
     needed = sorted({c.split(".", 1)[0] for c in wanted})
     col_index = {c: j for j, c in enumerate(wanted)}
     flagged = 0
-    for i, sector in enumerate(sectors):
-        users = by_sector[sector]
-        counts[i] = len(users)
-        for feat in needed:
-            vals = [getattr(u, feat) for u in users]
-            defined = [float(v) for v in vals if v is not None]
-            if not defined:
+    for feat in needed:
+        floats = getattr(features, feat)
+        if feat != "social_diversity":
+            # the mean is the float of its Decimal quotient, which can differ
+            # from the float sum divided by the count
+            floats = money_floats(floats)
+        defined = np.flatnonzero(~np.isnan(floats))
+        # one sort by (sector, value): each sector's values come out in a
+        # fixed order, so the matrix is bit-identical however the users were
+        # ordered or partitioned
+        order = defined[np.lexsort((floats[defined], features.home[defined]))]
+        ordered = floats[order]
+        bounds = np.searchsorted(features.home[order], np.arange(len(features.sectors) + 1))
+        for i, code in enumerate(kept):
+            lo, hi = bounds[code], bounds[code + 1]
+            if lo == hi:
                 continue
-            # Fixed reduction order: the matrix is bit-identical no matter
-            # how the input was ordered or partitioned.
-            defined.sort()
-            result = aggregate_sector(defined)
-            for agg, value in result.items():
+            for agg, value in aggregate_sector(ordered[lo:hi]).items():
                 j = col_index.get(f"{feat}.{agg}")
                 if j is None:
                     continue

@@ -211,12 +211,12 @@ def _stage_features(cdr, topup, towers, night_window, utc_offset, home_hours,
     return (features, topups, topup_errors), ["user_features.csv"], stats
 
 
-def _stage_aggregate(vectors, min_users, columns, out):
+def _stage_aggregate(features, min_users, columns, out):
     wanted = split_list("columns", columns) if columns else None
     unknown = [c for c in wanted or () if c not in MOBILE_COLUMNS]
     if unknown:
         raise ConfigError(f"config key 'columns': unknown column(s) {', '.join(unknown)}")
-    matrix, excluded = build_sector_matrix(vectors, min_users=min_users, columns=wanted)
+    matrix, excluded = build_sector_matrix(features, min_users=min_users, columns=wanted)
     write_sector_matrix(matrix, out / "sector_mobile.csv")
     stats = {"sectors_out": len(matrix), "sectors_excluded": excluded}
     return matrix, ["sector_mobile.csv"], stats
@@ -287,9 +287,9 @@ def _stage_fit(mobile, survey, target, variables, degree, scatter_data, out):
     return model, outputs, {"fit_r": model.fit_r, "n": model.n}
 
 
-def _stage_rolling(topups, topup_errors, vectors, window_days, denominator, stock, out):
-    home = {v.user_id: v.home_sector for v in vectors}
-    series = rolling_sector_series(topups, home, window_days=window_days, denominator=denominator)
+def _stage_rolling(topups, topup_errors, features, window_days, denominator, stock, out):
+    series = rolling_sector_series(topups, features.home_sectors(), window_days=window_days,
+                                   denominator=denominator)
     outputs = [f"rolling_{window_days}.csv", "overlay.csv"]
     write_rolling(series, out / outputs[0])
     emit_overlay(series, out / outputs[1], load_stock_series(stock) if stock else None)
@@ -468,13 +468,13 @@ def rolling(topup, user_features_path, window_days, denominator, stock, strict, 
     """Rolling-window top-up expenditure series per sector."""
     inputs = _inputs(topup=topup, user_features=user_features_path, stock=stock)
     out_dir = _out_dir(out)
-    vectors = read_user_features(inputs["user_features"])
+    features = read_user_features(inputs["user_features"])
     errors = RowErrorLog(strict=strict)
     topups = read_topups(inputs["topup"], errors)
     if errors.count:
         log.warning("topup: %s", errors.summary())
     series, outputs, stats = _stage_rolling(
-        topups, errors, vectors, window_days, denominator, inputs.get("stock"), out_dir
+        topups, errors, features, window_days, denominator, inputs.get("stock"), out_dir
     )
     _write_manifest(out_dir, inputs, outputs, stats=stats)
     click.echo(f"{len(series)} sector series")
@@ -543,11 +543,11 @@ def run_all(in_dir, out, seed, strict, night_window, utc_offset, min_users, ci_l
             stats[stage.__name__.removeprefix("_stage_")] = stage_stats
         return result
 
-    vectors, topups, topup_errors = run(
+    features, topups, topup_errors = run(
         _stage_features, inputs["cdr"], inputs["topup"], inputs["towers"], night_window,
         utc_offset, "night", "both", strict,
     )
-    mobile = run(_stage_aggregate, vectors, min_users, None)
+    mobile = run(_stage_aggregate, features, min_users, None)
     survey, categories = run(
         _stage_indices, inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"),
         inputs.get("csi_weights"), inputs.get("poverty"), None, strict,
@@ -555,7 +555,7 @@ def run_all(in_dir, out, seed, strict, night_window, utc_offset, min_users, ci_l
     run(_stage_correlate, mobile, survey, ci_level, categories if heatmap_data else None)
     run(_stage_null, mobile, survey, trials, seed)
     run(_stage_fit, mobile, survey, target, variables, degree, scatter_data)
-    run(_stage_rolling, topups, topup_errors, vectors, window_days, "period", None)
+    run(_stage_rolling, topups, topup_errors, features, window_days, "period", None)
     _write_manifest(out_dir, inputs, outputs, seed=seed, stats=stats)
     click.echo(f"wrote {len(outputs)} artifact(s) to {out_dir}")
 

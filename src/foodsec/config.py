@@ -7,7 +7,7 @@ consumer against its known keys.
 
 from __future__ import annotations
 
-from datetime import date, time
+from datetime import time
 
 
 class ConfigError(Exception):
@@ -31,16 +31,6 @@ def parse_kv_file(path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value.strip()
     return out
-
-
-def coerce(key: str, text: str, kind: type):
-    """Convert a raw config string to ``kind``, with readable failures."""
-    try:
-        if kind is date:
-            return date.fromisoformat(text)
-        return kind(text)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def parse_night_window(text: str) -> tuple[time, time]:

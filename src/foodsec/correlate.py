@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .aggregate import SectorMatrix
 from .ingest import FormatError, TableReader, format_number, parse_column, write_table
@@ -81,6 +80,8 @@ def pearson_p(r: float, n: int) -> float | None:
         return None
     if abs(r) >= 1.0:
         return 0.0
+    from scipy import special  # 0.3 s of import that only correlate needs
+
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     # Student-t survival function, the one scipy.stats.t.sf evaluates
     return float(2.0 * special.stdtr(n - 2, -abs(t)))
@@ -98,6 +99,8 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float] | No
         return None
     if abs(r) >= 1.0:
         return (float(r), float(r))
+    from scipy import special
+
     q = special.ndtri(0.5 + level / 2.0)  # scipy.stats.norm.ppf
     z = math.atanh(r)
     half = q / math.sqrt(n - 3)

@@ -2,7 +2,7 @@
 
 Three measures per user: a home tower (the tower with the most night-time
 originating calls, 18:00-08:00 local by default), top-up statistics over the
-observation period (sum, mean, min, max, count as exact decimals), and social
+observation period (sum, mean, min, max, count, exact), and social
 diversity (normalized Shannon entropy of how the user's call volume spreads
 over their contacts).
 
@@ -17,15 +17,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ingest import (
     CallColumns,
-    TopUpColumns,
-    parse_column,
     TableReader,
+    TopUpColumns,
+    money_decimals,
+    money_texts,
+    parse_column,
     write_table,
 )
 
@@ -35,16 +37,21 @@ USER_FEATURE_HEADER = ["user_id", "home_sector", "topup_sum", "topup_mean", "top
                        "topup_max", "topup_count", "social_diversity"]
 
 
-@dataclass(frozen=True)
-class UserFeatureVector:
-    user_id: str
-    home_sector: str
-    topup_sum: Decimal
-    topup_mean: Decimal
-    topup_min: Decimal
-    topup_max: Decimal
-    topup_count: int
-    social_diversity: float | None
+def _pair_counts(pairs: list[tuple[np.ndarray, np.ndarray]],
+                 width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys ``first * width + second`` over the ``(first,
+    second)`` column pairs, sorted, and the count of each: ``np.unique`` with
+    ``return_counts``, with the one int64 key array sorted in place."""
+    keys = np.empty(sum(len(first) for first, _ in pairs), dtype=np.int64)
+    at = 0
+    for first, second in pairs:
+        part = keys[at:at + len(first)]
+        np.multiply(first, width, out=part, dtype=np.int64)
+        part += second
+        at += len(first)
+    keys.sort()
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
+    return keys[starts], np.diff(np.r_[starts, len(keys)])
 
 
 def _modal_rank(owners: np.ndarray, ranks: np.ndarray, n_owners: int) -> np.ndarray:
@@ -54,10 +61,13 @@ def _modal_rank(owners: np.ndarray, ranks: np.ndarray, n_owners: int) -> np.ndar
     if not len(owners):
         return best
     width = int(ranks.max()) + 1
-    keys, counts = np.unique(owners.astype(np.int64) * width + ranks, return_counts=True)
+    keys, counts = _pair_counts([(owners, ranks)], width)
     owner, rank = np.divmod(keys, width)
-    order = np.lexsort((rank, -counts, owner))
-    first = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
+    # keys run by owner, then rank: per owner, the first pair at its top count
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    top = np.repeat(np.maximum.reduceat(counts, starts), np.diff(np.r_[starts, len(owner)]))
+    at_top = np.flatnonzero(counts == top)
+    first = at_top[np.r_[True, owner[at_top][1:] != owner[at_top][:-1]]]
     best[owner[first]] = rank[first]
     return best
 
@@ -71,7 +81,7 @@ def home_towers(calls: CallColumns, home_hours: str = "night") -> np.ndarray:
     tower_id, so the result never depends on input order.
     """
     by_id = sorted(range(len(calls.towers)), key=calls.towers.__getitem__)
-    rank = np.empty(len(by_id), dtype=np.int64)
+    rank = np.empty(len(by_id), dtype=np.int32)
     rank[by_id] = np.arange(len(by_id))
     ranks = rank[calls.tower]
     n_users = len(calls.users)
@@ -90,60 +100,103 @@ def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.nda
     ``volumes[bounds[u]:bounds[u + 1]]``. ``direction="both"`` counts a call
     for caller and callee, ``"out"`` for the caller only.
     """
+    pairs = [(calls.caller, calls.callee)]
     if direction == "both":
-        owner = np.stack([calls.caller, calls.callee], axis=1).ravel()
-        contact = np.stack([calls.callee, calls.caller], axis=1).ravel()
-    else:
-        owner, contact = calls.caller, calls.callee
+        pairs.append((calls.callee, calls.caller))
     n = len(calls.users)
-    keys, counts = np.unique(owner.astype(np.int64) * n + contact, return_counts=True)
+    keys, counts = _pair_counts(pairs, n)
     return np.searchsorted(keys // n, np.arange(n + 1)), counts.tolist()
 
 
-def topup_stats(topups: TopUpColumns) -> dict[str, tuple[Decimal, Decimal, Decimal, int]]:
-    """(sum, min, max, count) of each user's top-up amounts.
+def topup_stats(topups: TopUpColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sum, min, max and count of each user code's top-up amounts.
 
-    The sum is exact decimal arithmetic; among equal amounts the first in
-    file order is kept as min or max.
+    The money columns keep the amounts' element type. Each reduction starts
+    from the user's first amount and runs in file order, so a ``Decimal`` sum
+    keeps the exponents that order gives it, and among equal amounts the
+    first in file order is kept as min or max (``np.minimum`` returns its
+    first argument on a tie).
     """
-    sums: dict[int, Decimal] = {}
-    mins: dict[int, Decimal] = {}
-    maxs: dict[int, Decimal] = {}
-    for code, amount in zip(topups.user.tolist(), topups.amount):
-        if code in sums:
-            sums[code] += amount
-            if amount < mins[code]:
-                mins[code] = amount
-            if amount > maxs[code]:
-                maxs[code] = amount
-        else:
-            sums[code] = mins[code] = maxs[code] = amount
-    counts = np.bincount(topups.user, minlength=len(topups.users)).tolist()
-    return {topups.users[c]: (sums[c], mins[c], maxs[c], counts[c]) for c in sums}
+    _, first = np.unique(topups.user, return_index=True)
+    later = np.ones(len(topups), dtype=bool)
+    later[first] = False
+    codes, amounts = topups.user[later], topups.amount[later]
+    stats = []
+    for reduce in (np.add, np.minimum, np.maximum):
+        column = topups.amount[first]
+        reduce.at(column, codes, amounts)
+        stats.append(column)
+    return (*stats, np.bincount(topups.user, minlength=len(topups.users)))
 
 
-def social_diversity(volumes: Mapping[str, int] | Iterable[int]) -> float:
+def social_diversity(volumes: Sequence[int]) -> float:
     """Shannon entropy of the contact-volume distribution, normalized to [0, 1].
 
-    ``volumes`` maps each contact to its call volume, or lists the volumes.
-    With k contacts and volume shares p_j, this is -sum(p_j * log p_j) / log k.
-    A single contact has no diversity and is defined as 0 (the normalizer is
-    0 there). The log base cancels; base 2 is used internally. The terms
-    are summed with ``math.fsum``, which rounds once, so the result does not
-    depend on the order of the contacts.
+    ``volumes`` lists the call volume of each contact. With k contacts and
+    volume shares p_j, this is -sum(p_j * log p_j) / log k. A single contact
+    has no diversity and is defined as 0 (the normalizer is 0 there). The log
+    base cancels; base 2 is used internally. The terms are summed with
+    ``math.fsum``, which rounds once, so the result does not depend on the
+    order of the contacts.
     """
-    values = list(volumes.values() if isinstance(volumes, Mapping) else volumes)
-    k = len(values)
+    k = len(volumes)
     if k == 0:
         raise ValueError("no contacts")
-    if min(values) <= 0:
+    if min(volumes) <= 0:
         raise ValueError("contact volumes must be >= 1")
     if k == 1:
         return 0.0
-    total = sum(values)
-    entropy = -math.fsum(p * math.log2(p) for p in (v / total for v in values))
-    d = entropy / math.log2(k)
-    return min(max(d, 0.0), 1.0)
+    total = sum(volumes)
+    entropy = -math.fsum([(p := v / total) * math.log2(p) for v in volumes])
+    return min(max(entropy / math.log2(k), 0.0), 1.0)
+
+
+@dataclass(frozen=True)
+class UserFeatures:
+    """One entry per user, sorted by ``user_id``.
+
+    ``home`` indexes the sorted ``sectors``, each of which is some user's
+    home. Sum, min and max are money columns (see
+    :class:`foodsec.ingest.TopUpColumns`); the mean is a ``Decimal`` column,
+    the sum divided by the count at context precision. An undefined
+    diversity is NaN.
+    """
+
+    user_id: list[str]
+    sectors: list[str]
+    home: np.ndarray  # int64 codes into sectors
+    topup_sum: np.ndarray
+    topup_mean: np.ndarray
+    topup_min: np.ndarray
+    topup_max: np.ndarray
+    topup_count: np.ndarray  # int64
+    social_diversity: np.ndarray  # float64
+
+    @classmethod
+    def from_columns(cls, user_id, home_sector, topup_sum, topup_mean, topup_min, topup_max,
+                     topup_count, social_diversity) -> "UserFeatures":
+        """The columns in ``user_features.csv`` order, each home given by its
+        sector ID."""
+        sectors = sorted(set(home_sector))
+        code = {sector: i for i, sector in enumerate(sectors)}
+        return cls(
+            user_id=list(user_id),
+            sectors=sectors,
+            home=np.fromiter(map(code.__getitem__, home_sector), np.int64, len(user_id)),
+            topup_sum=topup_sum,
+            topup_mean=topup_mean,
+            topup_min=topup_min,
+            topup_max=topup_max,
+            topup_count=np.asarray(topup_count, dtype=np.int64),
+            social_diversity=np.asarray(social_diversity, dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    def home_sectors(self) -> dict[str, str]:
+        """Each user's home sector ID."""
+        return dict(zip(self.user_id, map(self.sectors.__getitem__, self.home.tolist())))
 
 
 def user_features(
@@ -153,8 +206,8 @@ def user_features(
     *,
     home_hours: str = "night",
     diversity_direction: str = "both",
-) -> tuple[list[UserFeatureVector], Counter]:
-    """One vector per user with calls and top-ups, sorted by user_id.
+) -> tuple[UserFeatures, Counter]:
+    """The features of every user with calls and top-ups.
 
     ``home_hours`` goes to :func:`home_towers`, ``diversity_direction`` to
     :func:`contact_volumes`. Exclusion counts: ``no_topups`` (calls only),
@@ -164,60 +217,60 @@ def user_features(
     if home_hours not in ("night", "all") or diversity_direction not in ("both", "out"):
         raise ValueError(f"home_hours must be 'night' or 'all' ({home_hours!r}), "
                          f"diversity_direction 'both' or 'out' ({diversity_direction!r})")
-    home = home_towers(calls, home_hours).tolist()
-    bounds, volumes = contact_volumes(calls, diversity_direction)
-    bounds = bounds.tolist()
-    stats = topup_stats(topups)
-    callers = {calls.users[c]: c for c, tower in enumerate(home) if tower >= 0}
+    home = home_towers(calls, home_hours)
+    tower_sector = [tower_map.get(t) for t in calls.towers]
+    callers = {calls.users[c]: c for c in np.flatnonzero(home >= 0).tolist()}
+    payers = {user: c for c, user in enumerate(topups.users)}
     exclusions: Counter = Counter()
-    out: list[UserFeatureVector] = []
-    for user in sorted(callers.keys() | stats.keys()):
+    users, sectors, call_codes, topup_codes = [], [], [], []
+    home = home.tolist()
+    for user in sorted(callers.keys() | payers.keys()):
         code = callers.get(user)
         if code is None:
             exclusions["no_calls"] += 1
             continue
-        if user not in stats:
+        if user not in payers:
             exclusions["no_topups"] += 1
             continue
-        sector = tower_map.get(calls.towers[home[code]])
+        sector = tower_sector[home[code]]
         if sector is None:
             exclusions["unmapped_home_tower"] += 1
             continue
-        total, lo, hi, count = stats[user]
-        out.append(
-            UserFeatureVector(
-                user_id=user,
-                home_sector=sector,
-                topup_sum=total,
-                topup_mean=total / count,
-                topup_min=lo,
-                topup_max=hi,
-                topup_count=count,
-                social_diversity=social_diversity(volumes[bounds[code] : bounds[code + 1]]),
-            )
-        )
-    return out, exclusions
+        users.append(user)
+        sectors.append(sector)
+        call_codes.append(code)
+        topup_codes.append(payers[user])
+    bounds, volumes = contact_volumes(calls, diversity_direction)
+    bounds = bounds.tolist()
+    diversity = [social_diversity(volumes[bounds[c]:bounds[c + 1]]) for c in call_codes]
+    kept = np.array(topup_codes, dtype=np.int64)
+    total, lo, hi, count = (column[kept] for column in topup_stats(topups))
+    mean = money_decimals(total) / count  # one Decimal division per user
+    features = UserFeatures.from_columns(users, sectors, total, mean, lo, hi, count, diversity)
+    return features, exclusions
 
 
-def write_user_features(features: Iterable[UserFeatureVector], path) -> None:
-    write_table(path, USER_FEATURE_HEADER, (
-        (v.user_id, v.home_sector, str(v.topup_sum), str(v.topup_mean), str(v.topup_min),
-         str(v.topup_max), str(v.topup_count),
-         "" if v.social_diversity is None else repr(v.social_diversity))
-        for v in features
+def write_user_features(features: UserFeatures, path) -> None:
+    homes = map(features.sectors.__getitem__, features.home.tolist())
+    diversity = ("" if d != d else repr(d) for d in features.social_diversity.tolist())
+    write_table(path, USER_FEATURE_HEADER, zip(
+        features.user_id, homes, money_texts(features.topup_sum),
+        money_texts(features.topup_mean), money_texts(features.topup_min),
+        money_texts(features.topup_max), map(str, features.topup_count.tolist()), diversity,
     ))
 
 
-def read_user_features(path) -> list[UserFeatureVector]:
+def read_user_features(path) -> UserFeatures:
+    """``user_features.csv`` as written, its money columns as ``Decimal``."""
     what = "user_features"
     table = TableReader(path, what, USER_FEATURE_HEADER)
     lines, (users, homes, sums, means, mins, maxs, counts, diversity) = table.columns()
 
     def money(cells):
-        return parse_column(what, lines, cells, Decimal)
+        return np.array(parse_column(what, lines, cells, Decimal), dtype=object)
 
-    return list(map(
-        UserFeatureVector, users, homes, money(sums), money(means), money(mins), money(maxs),
-        parse_column(what, lines, counts, int),
-        parse_column(what, lines, diversity, optional=True),
-    ))
+    diversity = parse_column(what, lines, diversity, optional=True)
+    return UserFeatures.from_columns(
+        users, homes, money(sums), money(means), money(mins), money(maxs),
+        parse_column(what, lines, counts, int), [math.nan if d is None else d for d in diversity],
+    )

@@ -2,8 +2,9 @@
 
 All files are UTF-8, comma-separated, header row mandatory. Timestamps are
 ISO 8601; a trailing ``Z`` or an explicit offset is accepted and normalized
-to naive UTC internally. Monetary amounts are carried as ``Decimal`` so
-multi-month sums stay exact.
+to naive UTC internally. Monetary amounts stay exact: a top-up file whose
+every amount is written ``D+.DD`` is carried as int64 cents, any other as
+``Decimal`` values (see :class:`TopUpColumns`).
 
 ``cdr.csv`` and ``topup.csv`` are read in one pass each into int-coded
 columns (:class:`CallColumns`, :class:`TopUpColumns`): IDs are interned to
@@ -37,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import re
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -96,15 +98,105 @@ class CallColumns:
 
 @dataclass(frozen=True)
 class TopUpColumns:
-    """``topup.csv`` as columns, one entry per accepted row in file order."""
+    """``topup.csv`` as columns, one entry per accepted row in file order.
+
+    ``amount`` is a money column: int64 cents when every amount in the file
+    is written ``D+.DD`` and their total stays below 2**53 cents, else an
+    object array of the exact ``Decimal`` values. The layout is decided per
+    file because a ``Decimal`` keeps its exponent: ``10`` + ``10.00`` prints
+    differently from ``10.00`` + ``10.00``.
+    """
 
     users: list[str]
     user: np.ndarray  # int32 codes into users, first-seen order
     day: np.ndarray  # int32 ordinal of the UTC date (date.toordinal)
-    amount: list[Decimal]
+    amount: np.ndarray  # money column
 
     def __len__(self) -> int:
         return len(self.user)
+
+
+# Money columns hold int64 cents or Decimal objects; the functions below are
+# the only places that tell the two apart.
+
+#: amounts written D+.DD with at most 15 integer digits, one per line
+_CENTS_LINES = re.compile(r"(?:[0-9]{1,15}\.[0-9]{2}\n)*")
+#: a cents column's total stays below this, so every partial sum is exact in float64
+_CENTS_LIMIT = 2**53
+_scaled = np.frompyfunc(lambda cents: Decimal(cents).scaleb(-2), 1, 1)
+
+
+def _cents(texts: list[str]) -> np.ndarray | None:
+    """The amounts as int64 cents if each is written ``D+.DD``, else None."""
+    joined = "\n".join(texts) + "\n"
+    if not _CENTS_LINES.fullmatch(joined):
+        return None
+    return np.array(joined.replace(".", "").split(), dtype=np.int64)
+
+
+def money_decimals(values: np.ndarray) -> np.ndarray:
+    """A money column (any shape) as ``Decimal`` objects; cents come with two
+    decimal places, as ``Decimal`` reads them from their text."""
+    return values if values.dtype == object else _scaled(values.astype(object))
+
+
+def money_floats(values: np.ndarray) -> np.ndarray:
+    """A money column as float64, each value correctly rounded."""
+    # below 2**53 cents both operands are exact, so the quotient rounds once
+    return values.astype(np.float64) if values.dtype == object else values / 100
+
+
+def money_texts(values: np.ndarray) -> Iterator[str]:
+    """A money column printed as ``str(Decimal)`` prints it."""
+    if values.dtype == object:
+        return map(str, values)
+    whole, cents = np.divmod(values, 100)
+    return (f"{w}.{c:02d}" for w, c in zip(whole.tolist(), cents.tolist()))
+
+
+def money_zeros(shape, like: np.ndarray) -> np.ndarray:
+    """Zeros of ``like``'s money type: 0 cents, or ``Decimal(0)``, whose
+    exponent 0 then shows in a sum of nothing."""
+    return np.full(shape, Decimal(0) if like.dtype == object else 0, dtype=like.dtype)
+
+
+class _Amounts:
+    """The accepted amounts of one file in order: cents until one breaks the
+    layout or the total reaches the limit, from then on ``Decimal`` values."""
+
+    def __init__(self) -> None:
+        self.cents = array("q")
+        self.total = 0
+        self.exact: list[Decimal] | None = None
+
+    def add_cents(self, cents: np.ndarray) -> None:
+        if self.exact is None:
+            self.total += sum(cents.tolist())  # an int64 sum could wrap
+            if self.total < _CENTS_LIMIT:
+                self.cents.frombytes(cents.tobytes())
+                return
+        self.add_exact(money_decimals(cents).tolist())
+
+    def add_one(self, text: str, value: Decimal) -> None:
+        """``value`` read from ``text``, for the row-wise path."""
+        if self.exact is None and _CENTS_LINES.fullmatch(text + "\n"):
+            cents = int(text.replace(".", ""))
+            self.total += cents
+            if self.total < _CENTS_LIMIT:
+                self.cents.append(cents)
+                return
+        self.add_exact([value])
+
+    def add_exact(self, values: list[Decimal]) -> None:
+        if self.exact is None:
+            self.exact = money_decimals(np.frombuffer(self.cents, np.int64)).tolist()
+            self.cents = array("q")
+        self.exact.extend(values)
+
+    def column(self) -> np.ndarray:
+        if self.exact is None:
+            return np.frombuffer(self.cents, dtype=np.int64)
+        return np.array(self.exact, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -538,12 +630,12 @@ def read_topups(
     period: tuple[datetime, datetime] | None = None,
 ) -> TopUpColumns:
     """Read ``topup.csv``-format data into :class:`TopUpColumns`; amounts
-    are parsed as exact decimals and must be positive."""
+    are exact (cents or decimals, see there) and must be positive."""
     if errors is None:
         errors = RowErrorLog()
     users: dict[str, int] = {}
     user, day = array("i"), array("i")
-    amounts: list[Decimal] = []
+    amounts = _Amounts()
 
     def bulk(text: str) -> int:
         chunk = _split_chunk(text, 3, 1)
@@ -553,19 +645,25 @@ def read_topups(
         if stamps is None or (period is not None and not _within(*stamps, period)):
             return 0
         amount_texts = chunk.fields[1::3]
-        try:
-            parsed = list(map(Decimal, amount_texts))
-        except InvalidOperation:
-            return 0
-        if not all(map(Decimal.is_finite, parsed)) or min(parsed) <= 0:
-            return 0
-        if "_" in "".join(amount_texts):
-            return 0
+        cents = _cents(amount_texts)
+        if cents is not None:
+            if not cents.all():
+                return 0
+            amounts.add_cents(cents)
+        else:
+            try:
+                parsed = list(map(Decimal, amount_texts))
+            except InvalidOperation:
+                return 0
+            if not all(map(Decimal.is_finite, parsed)) or min(parsed) <= 0:
+                return 0
+            if "_" in "".join(amount_texts):
+                return 0
+            amounts.add_exact(parsed)
         user_ids = chunk.fields[0::3]
         _intern(users, user_ids)
         user.fromlist(list(map(users.__getitem__, user_ids)))
         day.frombytes(stamps[0].astype(np.int32).tobytes())
-        amounts.extend(parsed)
         return len(chunk.ends)
 
     def rowwise(reader, line: int) -> int:
@@ -599,7 +697,7 @@ def read_topups(
                 continue
             user.append(users.setdefault(user_id, len(users)))
             day.append(when.toordinal())
-            amounts.append(amount)
+            amounts.add_one(amount_text, amount)
         return reader.line_num
 
     with _open_text(source) as handle:
@@ -610,7 +708,7 @@ def read_topups(
         users=list(users),
         user=np.frombuffer(user, dtype=np.int32),
         day=np.frombuffer(day, dtype=np.int32),
-        amount=amounts,
+        amount=amounts.column(),
     )
 
 

@@ -8,27 +8,36 @@ does not jump between windows; a config switch changes it to per-window
 active users). The point is labeled with the window's middle day: a 30-day
 window starting 1 Dec is labeled 15 Dec.
 
-Sums are exact decimal arithmetic over daily buckets, so the incremental
-slide (add the entering day, subtract the leaving day) equals a naive
-per-window recomputation bit for bit. The per-window user count slides the
-same way: each user's number of active days inside the window goes up as a
-day enters and down as it leaves.
+Sums are exact over daily buckets, in the amounts' own type (int64 cents or
+``Decimal``, see :class:`foodsec.ingest.TopUpColumns`), so the slide from
+one window to the next (add the entering day, subtract the leaving day)
+equals a naive per-window recomputation. The value is one ``Decimal``
+division per window at context precision; a window with no users under the
+per-window denominator has no value and is written as an empty field.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
-from functools import cached_property, lru_cache
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import chain, count
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ingest import FormatError, TableReader, TopUpColumns, format_number, parse_number, write_table
+from .ingest import (
+    FormatError,
+    TableReader,
+    TopUpColumns,
+    format_number,
+    money_decimals,
+    money_zeros,
+    parse_number,
+    write_table,
+)
 
 log = logging.getLogger(__name__)
 
@@ -47,46 +56,33 @@ class SectorSeries:
     sector_id: str
     window_days: int
     n_users: int
-    points: tuple[tuple[date, Decimal], ...]  # (label_date, value), daily step
-
-    @cached_property
-    def _values_text(self) -> str:
-        # formatted once for both writers; one joined string keeps it small
-        return "\n".join(str(value) for _, value in self.points)
+    first_label: date
+    values_text: str  # each window's value as written, one per line, daily step
 
     def text_points(self) -> Iterator[tuple[str, str]]:
         """Each point's label and value as the writers print them."""
-        labels = (_day_text(label) for label, _ in self.points)
-        return zip(labels, self._values_text.split("\n"))
+        first = self.first_label.toordinal()
+        labels = (_day_text(first + w) for w in count())
+        return zip(labels, self.values_text.split("\n"))
+
+    @property
+    def points(self) -> tuple[tuple[date, Decimal | None], ...]:
+        """(label_date, value) per window; the value of a window without
+        users is None."""
+        return tuple((date.fromisoformat(label), Decimal(value) if value else None)
+                     for label, value in self.text_points())
 
 
 # every sector's series carries the same label dates
-_day_text = lru_cache(maxsize=4096)(date.isoformat)
+@lru_cache(maxsize=4096)
+def _day_text(ordinal: int) -> str:
+    return date.fromordinal(ordinal).isoformat()
 
 
 def window_label(start: date, window_days: int) -> date:
     """Middle-of-window label: day ceil(w/2) of the window, so a 30-day
     window over the 1st..30th is labeled the 15th."""
     return start + timedelta(days=(window_days + 1) // 2 - 1)
-
-
-def _window_user_counts(users_on: list[list[int]], window_days: int) -> list[int]:
-    """Distinct users per window, where ``users_on[d]`` lists the users active
-    on day ``d``: each user's count of active days in the sliding window goes
-    up as a day enters and down as it leaves, O(days + user-days) in all."""
-    days_in: Counter = Counter()
-    counts: list[int] = []
-    for d, entering in enumerate(users_on):
-        for user in entering:
-            days_in[user] += 1
-        if d >= window_days:
-            for user in users_on[d - window_days]:
-                days_in[user] -= 1
-                if not days_in[user]:
-                    del days_in[user]
-        if d >= window_days - 1:
-            counts.append(len(days_in))
-    return counts
 
 
 def rolling_sector_series(
@@ -103,8 +99,9 @@ def rolling_sector_series(
     whole days and must cover at least one window; when omitted it is
     inferred as the day span of the observed top-ups. ``denominator`` is
     ``"period"`` (users with >= 1 top-up anywhere, the default) or
-    ``"window"`` (users active inside each window). Raises
-    :class:`PeriodError` when the top-ups do not fit the period.
+    ``"window"`` (users active inside each window; a window with none has
+    no value). Raises :class:`PeriodError` when the top-ups do not fit the
+    period.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
@@ -135,51 +132,61 @@ def rolling_sector_series(
     if n_days < window_days:
         raise PeriodError(f"period of {n_days} day(s) shorter than the {window_days}-day window")
 
-    # daily sums in file order, as exact decimals, one flat run of days per sector
-    zero = Decimal(0)
-    buckets = [zero] * (len(sectors) * n_days)
+    # daily sums in file order, one row of days per sector
+    n_sectors, n_windows = len(sectors), n_days - window_days + 1
     cells = row_sector.astype(np.int64) * n_days + (days - start)
-    for cell, amount in zip(cells.tolist(), compress(topups.amount, kept.tolist())):
-        buckets[cell] += amount
+    daily = money_zeros(n_sectors * n_days, topups.amount)
+    np.add.at(daily, cells, topups.amount[kept])
+    daily = daily.reshape(n_sectors, n_days)
+    # each window's sum slides from the last, adding the day that enters and
+    # subtracting the one that leaves, as exact decimals would
+    steps = np.concatenate([money_zeros((n_sectors, 1), daily), daily[:, :window_days],
+                            daily[:, window_days:] - daily[:, :-window_days]], axis=1)
+    sums = np.cumsum(steps, axis=1)[:, window_days:]
+    # a decimal sum keeps exponent 0 until the sector's first top-up enters
+    rows = np.bincount(cells, minlength=n_sectors * n_days).reshape(n_sectors, n_days)
+    entered = np.cumsum(rows, axis=1)[:, window_days - 1:] > 0
+
     n_codes = len(topups.users)
     members = np.unique(row_sector.astype(np.int64) * n_codes + users) // n_codes
-    n_users = np.bincount(members, minlength=len(sectors)).tolist()
-    users_on: list[list[int]] | None = None
+    n_users = np.bincount(members, minlength=n_sectors)
     if denominator == "window":
-        users_on = [[] for _ in buckets]
-        active = np.unique(cells * n_codes + users)  # distinct (sector, day, user)
-        for cell, user in zip((active // n_codes).tolist(), (active % n_codes).tolist()):
-            users_on[cell].append(user)
+        active = _window_users(row_sector, days - start, users, n_sectors, n_codes, n_days,
+                               window_days)
+    else:
+        active = np.broadcast_to(n_users[:, None], (n_sectors, n_windows))
 
-    n_windows = n_days - window_days + 1
-    labels = [window_label(date.fromordinal(start + w), window_days) for w in range(n_windows)]
+    first_label = window_label(date.fromordinal(start), window_days)
     series: list[SectorSeries] = []
     for i, sector in enumerate(sectors):
-        days_of = slice(i * n_days, (i + 1) * n_days)
-        sums = buckets[days_of]
-        window_users = (
-            _window_user_counts(users_on[days_of], window_days) if users_on is not None else None
-        )
-        points: list[tuple[date, Decimal]] = []
-        window_sum = sum(sums[:window_days], zero)
-        for w in range(n_windows):
-            if w > 0:
-                window_sum += sums[w + window_days - 1] - sums[w - 1]
-            if window_users is not None:
-                count = window_users[w]
-                value = window_sum / count if count else zero
-            else:
-                value = window_sum / n_users[i]
-            points.append((labels[w], value))
-        series.append(
-            SectorSeries(
-                sector_id=sector,
-                window_days=window_days,
-                n_users=n_users[i],
-                points=tuple(points),
-            )
-        )
+        total = np.where(entered[i], money_decimals(sums[i]), Decimal(0))
+        divisor = active[i]
+        value = total / np.maximum(divisor, 1)
+        texts = ["" if d == 0 else str(v) for v, d in zip(value.tolist(), divisor.tolist())]
+        series.append(SectorSeries(sector, window_days, int(n_users[i]), first_label,
+                                   "\n".join(texts)))
     return series
+
+
+def _window_users(sector: np.ndarray, day: np.ndarray, user: np.ndarray, n_sectors: int,
+                  n_codes: int, n_days: int, window_days: int) -> np.ndarray:
+    """Distinct users per (sector, window), from top-ups by ``user`` code on
+    ``day`` of the period, counted from 0, in ``sector``.
+
+    A user active on day d is in the windows that start on days
+    d - window_days + 1 .. d. Each of their active days, taken in order,
+    adds the windows that their previous active day did not cover, so a
+    user counts once per window: O(distinct user-days) in all.
+    """
+    key = (sector.astype(np.int64) * n_codes + user) * n_days + day
+    member, day = np.divmod(np.unique(key), n_days)
+    repeat = np.r_[False, member[1:] == member[:-1]]
+    uncovered = np.where(repeat, np.r_[0, day[:-1] + 1], 0)
+    first = np.maximum(day - window_days + 1, uncovered)
+    row = member // n_codes * (n_days + 1)
+    size = n_sectors * (n_days + 1)
+    change = np.bincount(row + first, minlength=size) - np.bincount(row + day + 1, minlength=size)
+    return np.cumsum(change.reshape(n_sectors, n_days + 1), axis=1)[:, :n_days - window_days + 1]
 
 
 def write_rolling(series: Iterable[SectorSeries], path) -> None:

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import ConfigError, coerce, parse_kv_file
+from .config import ConfigError, parse_kv_file
 from .ingest import FormatError, TableReader, parse_number, write_table
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
@@ -95,6 +95,13 @@ DEFAULT_FOOD_ITEMS: tuple[FoodItem, ...] = (
     FoodItem("item_l10", "low", 0.6, -0.04),
     FoodItem("item_n1", "negative", 0.3, -0.85),
 )
+
+
+#: counts, means of counts, standard deviations and tolerances
+_NON_NEGATIVE = ("night_calls_min", "night_calls_extra_mean", "day_calls_mean",
+                 "topup_user_sd", "expense_household_sd", "sector_noise_mobile",
+                 "sector_noise_survey", "food_sector_noise", "food_household_noise",
+                 "pair_tolerance", "fit_tolerance")
 
 
 @dataclass(frozen=True)
@@ -162,20 +169,21 @@ class SynthConfig:
         for key, text in mapping.items():
             if key not in known:
                 raise ConfigError(f"unknown synth config key {key!r}")
-            if key == "planted_r":
-                values[key] = None if text.lower() in ("none", "") else coerce(key, text, float)
-            elif key == "period_start":
-                values[key] = coerce(key, text, date)
+            if key == "planted_r" and text.lower() in ("none", ""):
+                values[key] = None
             elif key == "expense_link":
                 if text not in ("linear", "quadratic"):
                     raise ConfigError("expense_link must be 'linear' or 'quadratic'")
                 values[key] = text
             else:
-                kind = type(getattr(cls, key))
-                values[key] = coerce(key, text, kind)
+                values[key] = _setting(key, text, type(getattr(cls, key)))
         return cls(**values)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.n_sectors < 1 or self.users_per_sector < 1 or self.households_per_sector < 1:
@@ -190,6 +198,20 @@ class SynthConfig:
             raise ConfigError("need 1 <= contacts_min <= contacts_max")
         if self.contacts_max >= self.users_per_sector:
             raise ConfigError("contacts_max must be below users_per_sector")
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("contact_skew", "topup_scale", "expense_scale"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
+        if self.topup_events_mean < 1:
+            raise ConfigError("topup_events_mean must be >= 1: every user tops up once")
+        if not 0.0 < self.verify_p_max <= 1.0:
+            raise ConfigError("verify_p_max must lie in (0, 1]")
+        if not 0.0 <= self.home_accuracy_min <= 1.0:
+            raise ConfigError("home_accuracy_min must lie in [0, 1]")
+        if not -1.0 <= self.negative_r_max <= 1.0:
+            raise ConfigError("negative_r_max must lie in [-1, 1]")
         if self.planted_r is not None and not -1.0 < self.planted_r < 1.0:
             raise ConfigError("planted_r must lie in (-1, 1)")
         if not 0.0 < self.planted_fit_r < 1.0:
@@ -230,6 +252,18 @@ class SynthConfig:
                 "already exceeds the correlation budget; lower the noise or the target"
             )
         return math.sqrt(sx2), math.sqrt(sy2), self.expense_household_sd
+
+
+def _setting(key: str, text: str, kind: type):
+    """A config value as ``kind``: a date, or a number read by the rule of
+    every input file (:func:`foodsec.ingest.parse_number`: finite, no
+    ``_``)."""
+    try:
+        if kind is date:
+            return date.fromisoformat(text)
+        return parse_number("synth config", 0, text, kind)
+    except (ValueError, FormatError):
+        raise ConfigError(f"config key {key!r}: not a valid {kind.__name__}: {text!r}") from None
 
 
 def _sigmoid(x):
@@ -663,7 +697,8 @@ def verify_outputs(truth_path, outputs_dir) -> VerifyReport:
     homes = {key: value for _, key, value, _ in truth.get("user_home", [])}
     if homes:
         features = read_user_features(need("user_features.csv"))
-        hits = sum(1 for v in features if homes.get(v.user_id) == v.home_sector)
+        hits = sum(1 for user, sector in features.home_sectors().items()
+                   if homes.get(user) == sector)
         accuracy = hits / len(features) if features else 0.0
         floor = param("home_accuracy_min", 0.95)
         detail = f"{accuracy:.4f} over {len(features)} user(s), floor {floor}"

@@ -33,15 +33,15 @@ C01 = dict(n_sectors=200, users_per_sector=40, households_per_sector=30, period_
 def results(tmp_path_factory):
     paths = generate(SynthConfig(seed=1, **C01), tmp_path_factory.mktemp("c01"))
     topups = read_topups(paths["topup"])
-    vectors, _ = user_features(read_cdr(paths["cdr"]), topups, load_tower_map(paths["towers"]))
-    mobile, _ = build_sector_matrix(vectors)
+    features, _ = user_features(read_cdr(paths["cdr"]), topups, load_tower_map(paths["towers"]))
+    mobile, _ = build_sector_matrix(features)
     survey, categories, _ = build_survey_matrix(load_survey(paths["survey"],
                                                             paths["survey_meta"]))
     model, joined, y = fit_from_matrices(mobile, survey, "food_expenditure", degree=2,
                                          variables=["topup_sum.mean", "topup_mean.mean"])
-    series = rolling_sector_series(topups, {v.user_id: v.home_sector for v in vectors})
+    series = rolling_sector_series(topups, features.home_sectors())
     return dict(
-        vectors=vectors, mobile=mobile, survey=survey, model=model, joined=joined, y=y,
+        features=features, mobile=mobile, survey=survey, model=model, joined=joined, y=y,
         categories={**categories, **COMPOSITE_CATEGORIES},
         entries=correlation_matrix(mobile, survey),
         null=shuffle_null(mobile, survey, trials=10, seed=1),
@@ -50,7 +50,7 @@ def results(tmp_path_factory):
 
 
 def test_user_features(benchmark, results, tmp_path):
-    benchmark(write_user_features, results["vectors"], tmp_path / "user_features.csv")
+    benchmark(write_user_features, results["features"], tmp_path / "user_features.csv")
 
 
 @pytest.mark.parametrize("matrix", ["mobile", "survey"])

@@ -5,7 +5,9 @@
 that the chunked readers (``foodsec.ingest.read_cdr``/``read_topups``/
 ``load_survey``) and ``foodsec.features`` replace. They stay here as a
 differential oracle: both sides must agree on every feature vector,
-exclusion, table cell and row error.
+exclusion, table cell and row error. A :class:`UserFeatureVector` is one
+user's row of ``foodsec.features.UserFeatures``; ``feature_vectors`` and
+``feature_columns`` convert between the two.
 
 The ``*_csv`` helpers and writers turn records back into CSV, and the
 functions under "src path" run the package's columnar code over such records
@@ -20,7 +22,7 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, time, timedelta
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -30,7 +32,7 @@ import numpy as np
 from foodsec.aggregate import SectorMatrix
 from foodsec.correlate import NULL_SUMMARY_HEADER, NullSummary, pearson
 from foodsec.features import (
-    UserFeatureVector,
+    UserFeatures,
     home_towers,
     social_diversity,
     topup_stats,
@@ -52,6 +54,7 @@ from foodsec.ingest import (
     _csv_errors,
     _open_text,
     format_number,
+    money_decimals,
     parse_number,
     parse_timestamp,
     read_cdr,
@@ -72,6 +75,41 @@ class TopUpRecord(NamedTuple):
     user_id: str
     amount: Decimal
     timestamp: datetime  # naive, UTC
+
+
+@dataclass(frozen=True)
+class UserFeatureVector:
+    user_id: str
+    home_sector: str
+    topup_sum: Decimal
+    topup_mean: Decimal
+    topup_min: Decimal
+    topup_max: Decimal
+    topup_count: int
+    social_diversity: float | None
+
+
+def feature_vectors(features: UserFeatures) -> list[UserFeatureVector]:
+    """One vector per user, money as ``Decimal`` and a NaN diversity as None."""
+    return list(map(
+        UserFeatureVector,
+        features.user_id,
+        map(features.sectors.__getitem__, features.home.tolist()),
+        *(money_decimals(getattr(features, name)).tolist()
+          for name in ("topup_sum", "topup_mean", "topup_min", "topup_max")),
+        features.topup_count.tolist(),
+        [None if d != d else d for d in features.social_diversity.tolist()],
+    ))
+
+
+def feature_columns(vectors: Iterable[UserFeatureVector]) -> UserFeatures:
+    """The vectors as columns, money as ``Decimal`` objects."""
+    columns = [[getattr(v, f.name) for v in vectors] for f in fields(UserFeatureVector)]
+    users, homes, sums, means, mins, maxs, counts, diversity = columns
+    return UserFeatures.from_columns(
+        users, homes, *(np.array(c, dtype=object) for c in (sums, means, mins, maxs)), counts,
+        [math.nan if d is None else d for d in diversity],
+    )
 
 
 class NoHomeError(ValueError):
@@ -322,7 +360,9 @@ class FeatureAccumulator:
                     topup_min=self.topup_mins[user],
                     topup_max=self.topup_maxs[user],
                     topup_count=count,
-                    social_diversity=social_diversity(contacts) if contacts else None,
+                    social_diversity=(
+                        social_diversity(list(contacts.values())) if contacts else None
+                    ),
                 )
             )
         return out, exclusions
@@ -453,8 +493,10 @@ def build_user_features(
 ) -> tuple[list[UserFeatureVector], Counter]:
     cfg = config or FeatureConfig()
     calls = call_columns(cdr, cfg.night_window, cfg.utc_offset_minutes)
-    return user_features(calls, topup_columns(topups), tower_map, home_hours=cfg.home_hours,
-                         diversity_direction=cfg.diversity_direction)
+    features, exclusions = user_features(calls, topup_columns(topups), tower_map,
+                                         home_hours=cfg.home_hours,
+                                         diversity_direction=cfg.diversity_direction)
+    return feature_vectors(features), exclusions
 
 
 def assign_home_tower(
@@ -476,8 +518,9 @@ def topup_features(
 ) -> tuple[Decimal, Decimal, Decimal, Decimal, int]:
     """(sum, mean, min, max, count) of one user's top-ups; a top-up outside
     ``period`` is a row error, raised in strict mode."""
-    stats = topup_stats(topup_columns(topups, period))
-    if not stats:
+    columns = topup_columns(topups, period)
+    if not len(columns):
         raise ValueError("no top-ups")
-    ((total, lo, hi, count),) = stats.values()
-    return total, total / count, lo, hi, count
+    *money, counts = topup_stats(columns)
+    total, lo, hi = (money_decimals(column)[0] for column in money)
+    return total, total / int(counts[0]), lo, hi, int(counts[0])

@@ -44,11 +44,11 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def mini_pipeline(paths, min_users=30):
     tower_map = load_tower_map(paths["towers"])
-    vectors, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
-    mobile, _ = build_sector_matrix(vectors, min_users=min_users)
+    features, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
+    mobile, _ = build_sector_matrix(features, min_users=min_users)
     table = load_survey(paths["survey"], paths["survey_meta"])
     survey, _, _ = build_survey_matrix(table)
-    return vectors, mobile, survey
+    return features, mobile, survey
 
 
 @pytest.fixture(scope="module")
@@ -291,9 +291,9 @@ def test_c07_home_location_rule(dataset1):
     truth_homes = {k: v for _, k, v, _ in read_truth(paths["truth"])["user_home"]}
     from foodsec.features import read_user_features
 
-    vectors = read_user_features(out / "user_features.csv")
-    hits = sum(1 for v in vectors if truth_homes.get(v.user_id) == v.home_sector)
-    accuracy = hits / len(vectors)
+    homes = read_user_features(out / "user_features.csv").home_sectors()
+    hits = sum(1 for user, sector in homes.items() if truth_homes.get(user) == sector)
+    accuracy = hits / len(homes)
 
     night = [CallRecord("u", "v", "tA", datetime(2012, 1, 1 + i, 20, 0)) for i in range(5)]
     decoys = [CallRecord("u", "v", "tDecoy", datetime(2012, 1, 1 + i % 20, 12, 0)) for i in range(60)]
@@ -303,7 +303,7 @@ def test_c07_home_location_rule(dataset1):
     report(
         "7: home-location rule",
         ok,
-        f"accuracy {accuracy:.4f} over {len(vectors)} users (>= 0.95, p_home=0.8, "
+        f"accuracy {accuracy:.4f} over {len(homes)} users (>= 0.95, p_home=0.8, "
         f">= 20 night calls); daytime decoy calls changed nothing",
     )
     assert ok

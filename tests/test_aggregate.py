@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodsec import aggregate
 from foodsec.aggregate import (
     SectorMatrix,
     aggregate_sector,
-    build_sector_matrix,
     read_sector_matrix,
     write_sector_matrix,
 )
-from foodsec.features import UserFeatureVector
+from oracle import UserFeatureVector, feature_columns
+
+
+def build_sector_matrix(vectors, *args, **kwargs):
+    """The package's matrix over user feature vectors."""
+    return aggregate.build_sector_matrix(feature_columns(vectors), *args, **kwargs)
 
 
 def vec(user, sector, total, diversity=0.5):

@@ -230,6 +230,20 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("setting", [
+        "seed = 1_0", "towers_per_sector = 1_0", "topup_events_mean = -1",
+        "topup_events_mean = 0.5", "topup_base = inf", "topup_scale = nan",
+        "pair_tolerance = nan", "day_calls_mean = -2", "contact_skew = 0",
+        "verify_p_max = 0", "home_accuracy_min = 1.5",
+    ])
+    def test_bad_synth_config_value_is_config_error(self, setting, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"n_sectors = 2\n{setting}\n")
+        out = tmp_path / "out"
+        assert run(["synth", "--synth-config", cfg, "--out", out]) == 1
+        assert setting.split()[0] in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
 
 def loaded_after_import(module: str, package: str) -> list[str]:
     """The modules of ``package`` that a fresh interpreter holds after
@@ -250,11 +264,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 @pytest.mark.parametrize("module, package", [("foodsec.cli", "scipy.linalg"),
+                                             ("foodsec.cli", "scipy.special"),
                                              ("foodsec.synth", "scipy")])
 def test_import_leaves_unused_scipy_unloaded(module, package):
-    """Only a rank-deficient fit needs ``scipy.linalg``, and the generator
-    needs no scipy at all: importing the package loads no module it does
-    not use."""
+    """Only a rank-deficient fit needs ``scipy.linalg``, only p-values and
+    confidence intervals need ``scipy.special``, and the generator needs no
+    scipy at all: importing the package loads no module it does not use."""
     assert loaded_after_import(module, package) == []
 
 
@@ -543,6 +558,50 @@ def test_sector_survey_bytes_are_pinned(case, request, tmp_path):
     digest = hashlib.sha256((tmp_path / "sector_survey.csv").read_bytes()).hexdigest()
     stats = json.loads((tmp_path / "run_manifest.json").read_text())["stats"]
     assert (digest, stats.get("incomplete_households")) == SURVEY_PINS[case]
+
+
+# sha256 of every artifact of `all` over `small_dataset` with its top-up
+# amounts written in mixed layouts, pinned while every amount was still
+# carried as a Decimal: such a file keeps exact Decimal values, whose
+# exponents show in the sums, means, minima and maxima written
+MIXED_MONEY_PINS = {
+    "correlations.csv": "bf803b885fea7446adbf753bfa74666fa1515f26c91004ef3ab57eed34c542b9",
+    "model_food_expenditure.csv":
+        "a096e6cbe5348f6bba154222e57a0d9f1bf610f5c91b33f4c6e73040ae8d26c0",
+    "null_summary.csv": "6213296c69cd6a5ba3622b7728617127ff0c1d6e41eb7b916022fcee94244b76",
+    "overlay.csv": "df439c9775b0705530702226ba4743e299adf09dc1e9d93dbeee1bff36eca104",
+    "rolling_30.csv": "64ec4a2874c3665bba5ab0dd1601dc7bd6912f43d674c7811371b46042716092",
+    "sector_mobile.csv": "b80e118a94c32478f34f1f31243dbf9889d3cb151cd7e5b6fd5bfdf0d2db415e",
+    "sector_survey.csv": "3a016bbd61ccc53ec7bb004f5e89bc47686d41091841f47f60962ca22a115b76",
+    "user_features.csv": "cddbc9733e165c71d981cbc9750bffa1765606e5fd94faa48dbfc550401b0902",
+}
+
+
+def test_mixed_money_layouts_keep_their_bytes(small_dataset, tmp_path):
+    import hashlib
+    import shutil
+    from decimal import Decimal
+
+    _, paths = small_dataset
+    inputs = tmp_path / "in"
+    shutil.copytree(paths["cdr"].parent, inputs)
+    header, first, *rows = (inputs / "topup.csv").read_text().splitlines()
+    user, _, stamp = first.split(",")
+    # one amount written four ways, below the user's others: the first
+    # written is their minimum
+    lines = [header, first] + [f"{user},{a},{stamp}" for a in ("10", "10.0", "10.00", "1E+1")]
+    for i, row in enumerate(rows):
+        user, amount, stamp = row.split(",")
+        amount = [str(Decimal(amount).normalize()), amount + "0",
+                  amount.rstrip("0").rstrip("."), amount][i % 4]
+        lines.append(f"{user},{amount},{stamp}")
+    (inputs / "topup.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(["all", "--in", inputs, "--out", out, "--seed", "1", "--trials", "20",
+                "--min-users", "5"]) == 0
+    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs}
+    assert digests == MIXED_MONEY_PINS
 
 
 class TestInputContracts:

@@ -29,11 +29,13 @@ from foodsec.ingest import (
     RowErrorLog,
     StrictModeError,
     load_survey,
+    money_decimals,
     read_cdr,
     read_topups,
 )
 from oracle import (
     FeatureConfig,
+    feature_vectors,
     in_night_local,
     load_survey_rows,
     parse_cdr_stream,
@@ -147,12 +149,12 @@ def columnar_side(cdr, topup, tower_map, config, period, strict):
         [(users[a], users[b], towers[t], night) for a, b, t, night in zip(
             calls.caller.tolist(), calls.callee.tolist(), calls.tower.tolist(),
             calls.night.tolist())],
-        [(topups.users[u], amount, date.fromordinal(d))
-         for u, d, amount in zip(topups.user.tolist(), topups.day.tolist(), topups.amount)],
+        [(topups.users[u], amount, date.fromordinal(d)) for u, d, amount in zip(
+            topups.user.tolist(), topups.day.tolist(), money_decimals(topups.amount).tolist())],
     )
-    vectors = user_features(calls, topups, tower_map, home_hours=config.home_hours,
-                            diversity_direction=config.diversity_direction)
-    return vectors, rows, errors
+    features, exclusions = user_features(calls, topups, tower_map, home_hours=config.home_hours,
+                                         diversity_direction=config.diversity_direction)
+    return (feature_vectors(features), exclusions), rows, errors
 
 
 def outcome(side, *args):
@@ -303,7 +305,7 @@ def oracle_calls(text, config, period, errors):
 def decoded_topups(text, period, errors):
     topups = read_topups(io.StringIO(text), errors, period)
     return topups.users, [(topups.users[u], repr(a), date.fromordinal(d)) for u, d, a in zip(
-        topups.user.tolist(), topups.day.tolist(), topups.amount)]
+        topups.user.tolist(), topups.day.tolist(), money_decimals(topups.amount).tolist())]
 
 
 def oracle_topups(text, period, errors):

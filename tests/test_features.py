@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodsec.features import (
-    UserFeatureVector,
-    read_user_features,
-    social_diversity,
-    write_user_features,
-)
+from foodsec.features import read_user_features, social_diversity, write_user_features
 from foodsec.ingest import StrictModeError, in_night_window
 from oracle import (
     CallRecord,
@@ -18,8 +13,11 @@ from oracle import (
     FeatureConfig,
     NoHomeError,
     TopUpRecord,
+    UserFeatureVector,
     assign_home_tower,
     build_user_features,
+    feature_columns,
+    feature_vectors,
     topup_features,
 )
 
@@ -153,33 +151,33 @@ class TestTopupFeatures:
 
 class TestSocialDiversity:
     def test_uniform_four_contacts_is_one(self):
-        assert social_diversity({"a": 5, "b": 5, "c": 5, "d": 5}) == pytest.approx(1.0)
+        assert social_diversity([5, 5, 5, 5]) == pytest.approx(1.0)
 
     def test_single_contact_is_zero(self):
-        assert social_diversity({"a": 17}) == 0.0
+        assert social_diversity([17]) == 0.0
 
     def test_three_one_split(self):
         # Direct evaluation: -(0.75 log2 0.75 + 0.25 log2 0.25) / log2 2.
-        assert social_diversity({"a": 3, "b": 1}) == pytest.approx(0.8113, abs=1e-4)
+        assert social_diversity([3, 1]) == pytest.approx(0.8113, abs=1e-4)
 
     def test_no_contacts_raises(self):
         with pytest.raises(ValueError):
-            social_diversity({})
+            social_diversity([])
 
     def test_zero_volume_raises(self):
         with pytest.raises(ValueError):
-            social_diversity({"a": 0, "b": 2})
+            social_diversity([0, 2])
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(1, 500), min_size=1, max_size=20))
     def test_bounds(self, volumes):
-        d = social_diversity({f"c{i}": v for i, v in enumerate(volumes)})
+        d = social_diversity(volumes)
         assert 0.0 <= d <= 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 100))
     def test_uniform_attains_max(self, k, v):
-        assert social_diversity({f"c{i}": v for i in range(k)}) == pytest.approx(1.0)
+        assert social_diversity([v] * k) == pytest.approx(1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 200), min_size=3, max_size=10), st.data())
@@ -191,8 +189,8 @@ class TestSocialDiversity:
         equalized = list(volumes)
         equalized[idx] = equalized[idx + 1] = (a + b) // 2
         volumes = volumes[:idx] + [a, b] + volumes[idx + 2 :]
-        before = social_diversity({f"c{i}": v for i, v in enumerate(volumes)})
-        after = social_diversity({f"c{i}": v for i, v in enumerate(equalized)})
+        before = social_diversity(volumes)
+        after = social_diversity(equalized)
         assert after >= before - 1e-12
 
 
@@ -323,5 +321,5 @@ def test_user_features_csv_round_trip(tmp_path):
         ),
     ]
     path = tmp_path / "user_features.csv"
-    write_user_features(vectors, path)
-    assert read_user_features(path) == vectors
+    write_user_features(feature_columns(vectors), path)
+    assert feature_vectors(read_user_features(path)) == vectors

@@ -20,6 +20,7 @@ from foodsec.ingest import (
     load_survey,
     load_survey_metadata,
     load_tower_map,
+    money_decimals,
     parse_timestamp,
     read_cdr,
     read_topups,
@@ -57,8 +58,8 @@ def call_rows(columns):
 def topup_rows(columns):
     """(user, amount, UTC date) per accepted row."""
     return [
-        (columns.users[u], amount, date.fromordinal(d))
-        for u, d, amount in zip(columns.user.tolist(), columns.day.tolist(), columns.amount)
+        (columns.users[u], amount, date.fromordinal(d)) for u, d, amount in zip(
+            columns.user.tolist(), columns.day.tolist(), money_decimals(columns.amount).tolist())
     ]
 
 
@@ -166,7 +167,7 @@ class TestParseTopup:
             "u3,500,2012-03-03T08:00:00Z\n"
         )
         columns = read_topups(stream(body))
-        assert sum(columns.amount) == Decimal("1500")
+        assert sum(money_decimals(columns.amount)) == Decimal("1500")
 
     def test_non_numeric_amount_is_row_error(self):
         errors = RowErrorLog()

@@ -1,4 +1,5 @@
 import io
+import itertools
 from datetime import date, datetime, timedelta
 from decimal import Decimal
 
@@ -25,7 +26,8 @@ HOME = {"u1": "s1", "u2": "s1", "u3": "s2"}
 
 
 def naive_series(topups, home, period, window_days, denominator="period"):
-    """Brute-force recomputation: every window summed and counted from scratch."""
+    """Brute-force recomputation: every window summed and counted from scratch;
+    a window without users has no value under the per-window denominator."""
     start, end = period
     n_days = (end - start).days
     by_sector = {}
@@ -47,7 +49,7 @@ def naive_series(topups, home, period, window_days, denominator="period"):
             total = sum((r.amount for r in inside), Decimal(0))
             if denominator == "window":
                 active = len({r.user_id for r in inside})
-                value = total / active if active else Decimal(0)
+                value = total / active if active else None
             else:
                 value = total / n_users
             points.append((window_label(lo, window_days), value))
@@ -151,8 +153,11 @@ class TestRollingSeries:
             TopUpRecord(u, Decimal(a), datetime(2012, 1, 1, 9, 30) + timedelta(days=d))
             for u, a, d in events
         ]
-        for denominator in ("period", "window"):
-            actual = rolling_sector_series(records, HOME, period, window_days, denominator)
+        # a top-up written "1" by a user without a home turns the file to Decimal
+        decimal = TopUpRecord("u0", Decimal("1"), datetime(2012, 1, 1))
+        for denominator, extra in itertools.product(("period", "window"), ([], [decimal])):
+            actual = rolling_sector_series(records + extra, HOME, period, window_days,
+                                           denominator)
             expected = naive_series(records, HOME, period, window_days, denominator)
             assert len(actual) == len(expected)
             for s in actual:
@@ -181,6 +186,45 @@ class TestRollingSeries:
         ):
             for (la, va), (lb, vb) in zip(a.points, b.points):
                 assert (la, va * 3) == (lb, vb)
+
+
+class TestWrittenValues:
+    """The value bytes, which ``Decimal`` equality does not see."""
+
+    @staticmethod
+    def written(series, tmp_path):
+        write_rolling(series, tmp_path / "rolling.csv")
+        emit_overlay(series, tmp_path / "overlay.csv")
+        rolling = [line.split(",") for line in (tmp_path / "rolling.csv").read_text().splitlines()]
+        overlay = [line.split(",") for line in (tmp_path / "overlay.csv").read_text().splitlines()]
+        assert [r[1:3] for r in rolling[1:]] == [[o[0], o[3]] for o in overlay[1:]]
+        return {date.fromisoformat(label): value for _, label, value, _ in rolling[1:]}
+
+    def test_window_without_users_is_written_empty(self, tmp_path):
+        records = [TopUpRecord("u1", Decimal("10.00"), datetime(2012, 1, 1, 12)),
+                   TopUpRecord("u2", Decimal("5.00"), datetime(2012, 3, 1, 12))]
+        home = {"u1": "s1", "u2": "s1"}
+        for denominator, empty in (("window", ""), ("period", "0.00")):
+            values = self.written(
+                rolling_sector_series(records, home, None, 30, denominator), tmp_path)
+            assert [d for d, v in values.items() if v == empty] == [
+                date(2012, 1, 16) + timedelta(days=i) for i in range(30)]
+        assert values[date(2012, 1, 15)] == "5.00" and values[date(2012, 2, 15)] == "2.50"
+
+    @pytest.mark.parametrize("amount, inside, after", [
+        ("10.00", "10.00", "0.00"),  # the cents layout
+        ("10", "10", "0"),  # any other layout keeps the Decimal's exponent
+        ("10.000", "10.000", "0.000"),
+        ("1E+1", "10", "0"),  # a sum from Decimal(0) has an exponent of at most 0
+    ])
+    def test_empty_window_keeps_the_exponent_of_the_sum(self, amount, inside, after, tmp_path):
+        # before the sector's first top-up its window sum is Decimal(0)
+        period = (date(2012, 1, 1), date(2012, 2, 1))
+        records = [TopUpRecord("u1", Decimal(amount), datetime(2012, 1, 15, 12))]
+        values = self.written(rolling_sector_series(records, HOME, period, 5), tmp_path)
+        assert values[date(2012, 1, 3)] == values[date(2012, 1, 12)] == "0"
+        assert values[date(2012, 1, 13)] == values[date(2012, 1, 17)] == inside
+        assert values[date(2012, 1, 18)] == values[date(2012, 1, 29)] == after
 
 
 class TestOverlay:

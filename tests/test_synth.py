@@ -181,11 +181,11 @@ def test_generated_bytes_are_pinned(name, tmp_path):
 def run_mini_pipeline(paths, min_users=1):
     """features -> sector matrices, all in process."""
     tower_map = load_tower_map(paths["towers"])
-    vectors, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
-    mobile, _ = build_sector_matrix(vectors, min_users=min_users)
+    features, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]), tower_map)
+    mobile, _ = build_sector_matrix(features, min_users=min_users)
     table = load_survey(paths["survey"], paths["survey_meta"])
     survey, _, _ = build_survey_matrix(table, poverty=load_poverty(paths["poverty"]))
-    return vectors, mobile, survey
+    return features, mobile, survey
 
 
 class TestDeterminism:
@@ -289,11 +289,12 @@ class TestPlantedSignals:
 
     def test_home_location_accuracy(self, small_dataset):
         cfg, paths = small_dataset
-        vectors, _, _ = run_mini_pipeline(paths)
+        features, _, _ = run_mini_pipeline(paths)
         homes = {key: value for _, key, value, _ in read_truth(paths["truth"])["user_home"]}
-        hits = sum(1 for v in vectors if homes[v.user_id] == v.home_sector)
-        assert len(vectors) == cfg.n_sectors * cfg.users_per_sector
-        assert hits / len(vectors) >= 0.95
+        found = features.home_sectors()
+        hits = sum(1 for user, sector in found.items() if homes[user] == sector)
+        assert len(found) == cfg.n_sectors * cfg.users_per_sector
+        assert hits / len(found) >= 0.95
 
     def test_quadratic_calibration_math(self):
         cfg = SynthConfig(expense_link="quadratic", planted_fit_r=0.89, expense_quad_coeff=0.5)
