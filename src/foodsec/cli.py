@@ -4,10 +4,12 @@ Subcommands map one-to-one onto the pipeline stages (``synth``,
 ``features``, ``aggregate``, ``indices``, ``correlate``, ``null``, ``fit``,
 ``rolling``, ``verify``) plus ``all``, which runs the whole chain over a
 directory of canonical input files. Each stage is one ``_stage_*`` function
-that the subcommand and ``all`` both call, so ``all`` writes what the
-subcommands would. Every run writes a machine-readable ``run_manifest.json``
-(inputs, outputs, the command's options and their hash, seed, versions; no
-timestamps, so re-runs are byte-identical).
+that the subcommand and ``all`` both call, and each option is declared once
+and applied to every command that takes it, so ``all`` writes what the
+subcommands would with the same settings. Every run writes a
+machine-readable ``run_manifest.json`` (inputs, outputs, the command's
+options and their hash, seed, versions; no timestamps, so re-runs are
+byte-identical).
 
 Configuration precedence: built-in defaults < ``--config`` key=value file <
 ``FOODSEC_*`` environment variables < explicit flags.
@@ -23,7 +25,9 @@ import json
 import logging
 import sys
 import traceback
+from dataclasses import replace
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 import click
@@ -73,14 +77,6 @@ from .synth import SynthConfig, generate, verify_outputs, write_verify_report
 
 log = logging.getLogger(__name__)
 
-# --threads stays so existing command lines run; it changes nothing, so no manifest records it.
-THREADS_HELP = "accepted for compatibility; has no effect (the null runs in batches)"
-CI_LEVEL = click.FloatRange(0, 1, min_open=True, max_open=True)
-SEED = click.IntRange(min=0)  # numpy seeds are non-negative
-# local wall clock = UTC + this many minutes; the night window is judged in local time
-UTC_OFFSET = dict(type=click.IntRange(-1439, 1439), default=0, show_default=True,
-                  metavar="MINUTES", help="local time minus UTC, for the night window")
-
 # the files `all` reads from --in, each as <name>.csv; the optional ones may be absent
 ALL_INPUTS = ("cdr", "topup", "towers", "survey", "survey_meta",
               "poverty", "fcs_weights", "csi_weights")
@@ -91,10 +87,80 @@ class VerificationFailed(Exception):
     """One or more ground-truth checks failed."""
 
 
-def _require(value, key: str):
-    if value is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    return value
+# --- options: each is declared once, as a partial of ``click.Option`` in a
+# group that maps parameter names to specs; a command's options are built
+# from groups, and a spec called with keywords changes an attribute there ---
+
+
+def _declare(**options) -> dict:
+    """Option specs by parameter name; each flag is its name with '-' for '_'."""
+    return {name: partial(click.Option, ["--" + name.replace("_", "-")], **attrs)
+            for name, attrs in options.items()}
+
+
+def _params(*groups) -> list[click.Option]:
+    """One option per name from the groups' specs, in order; a later spec
+    replaces an earlier one of the same name."""
+    return [spec() for spec in {k: v for group in groups for k, v in group.items()}.values()]
+
+
+def _pick(group: dict, params: dict) -> dict:
+    """The values in ``params`` of the options in ``group``."""
+    return {name: params[name] for name in group if name in params}
+
+
+FILE = dict(type=click.Path(), required=True)
+OUT = _declare(out=dict(type=click.Path(file_okay=False), required=True))
+TOPUP = _declare(topup=FILE)
+USER_FEATURES = {"user_features_path": partial(click.Option, ["--user-features",
+                                                              "user_features_path"], **FILE)}
+SURVEY_META = _declare(survey_meta=FILE)
+MATRICES = _declare(mobile=FILE, survey_matrix=FILE)
+SEED = _declare(seed=dict(type=click.IntRange(min=0),  # numpy seeds are non-negative
+                          help="random seed (synth: overrides the config file's seed)"))
+STRICT = _declare(strict=dict(is_flag=True, help="promote row errors to fatal"))
+
+# Each stage's settings, by the names its ``_stage_*`` function takes. The
+# stage's subcommand and `all` both build their options from these groups.
+FEATURES = _declare(
+    night_window=dict(default="18:00-08:00", show_default=True),
+    # local wall clock = UTC + this many minutes; the night window is judged in local time
+    utc_offset=dict(type=click.IntRange(-1439, 1439), default=0, show_default=True,
+                    metavar="MINUTES", help="local time minus UTC, for the night window"),
+    home_hours=dict(type=click.Choice(["night", "all"]), default="night"),
+    diversity_direction=dict(type=click.Choice(["both", "out"]), default="both"),
+) | STRICT
+AGGREGATE = _declare(
+    min_users=dict(type=int, default=DEFAULT_MIN_USERS, show_default=True),
+    columns=dict(default=None, help="comma list pruning feature.aggregator columns"),
+)
+INDICES = _declare(
+    variables=dict(default=None, help="comma list of survey variables to keep"),
+) | STRICT
+CORRELATE = _declare(
+    ci_level=dict(type=click.FloatRange(0, 1, min_open=True, max_open=True), default=0.95,
+                  show_default=True),
+    heatmap_data=dict(is_flag=True, help="also write heatmap.csv (|r| long format)"),
+)
+NULL = _declare(
+    trials=dict(type=click.IntRange(min=1), default=1000, show_default=True),
+    # stays so existing command lines run; it changes nothing, so no manifest records it
+    threads=dict(type=click.IntRange(min=1), default=1, show_default=True, expose_value=False,
+                 help="accepted for compatibility; has no effect (the null runs in batches)"),
+) | {"seed": partial(SEED["seed"], required=True)}  # synth's seed is optional
+FIT = _declare(
+    target=dict(required=True, help="survey column to model"),
+    variables=dict(required=True, help="comma list of mobile variables"),
+    degree=dict(type=click.IntRange(1, 2), default=1, show_default=True),
+    scatter_data=dict(is_flag=True, help="also write scatter_<target>.csv"),
+)
+ROLLING = _declare(  # its subcommand's --strict is for reading the top-ups
+    window_days=dict(type=click.IntRange(min=1), default=30, show_default=True),
+    denominator=dict(type=click.Choice(["period", "window"]), default="period"),
+)
+
+
+# --- runs ---
 
 
 def _inputs(**paths) -> dict[str, Path]:
@@ -105,15 +171,6 @@ def _inputs(**paths) -> dict[str, Path]:
         if not p.exists():
             raise ConfigError(f"config key {key!r}: file not found: {p}")
     return inputs
-
-
-def _out_dir(path) -> Path:
-    """The output directory, created if needed and cleared of an earlier
-    run's manifest, so a run that fails leaves none behind."""
-    out = Path(_require(path, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run_manifest.json").unlink(missing_ok=True)
-    return out
 
 
 def _write_manifest(
@@ -158,10 +215,47 @@ def _write_manifest(
         f.write("\n")
 
 
+class _Run:
+    """A command's run: checks its input files, creates its output directory
+    and deletes an earlier run's manifest there (so a run that fails leaves
+    none behind), runs stages into it and writes the manifest of what they
+    wrote."""
+
+    def __init__(self, out, **paths):
+        self.inputs = _inputs(**paths)
+        self.out = Path(out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / "run_manifest.json").unlink(missing_ok=True)
+        self.outputs: list[str] = []
+        self.stats: dict = {}
+
+    def __call__(self, stage, *args, **settings):
+        result, written, stats = stage(*args, out=self.out, **settings)
+        self.outputs.extend(written)
+        self.stats[stage.__name__.removeprefix("_stage_")] = stats
+        return result
+
+    def finish(self, message: str, seed=None) -> None:
+        """Write the manifest and echo ``message``. A run of one stage records
+        that stage's stats, a run of several (``all``) each stage's under its
+        name."""
+        stats = {name: value for name, value in self.stats.items() if value}
+        if len(self.stats) == 1:
+            stats = next(iter(stats.values()), None)
+        _write_manifest(self.out, self.inputs, self.outputs, seed=seed, stats=stats)
+        click.echo(message)
+
+
 def _config_defaults(path) -> dict:
     """Turn a flat key=value file into a click default map for every
-    subcommand (flags and env vars still win)."""
+    subcommand (flags and env vars still win). The file supplies defaults to
+    every subcommand, so a key must name an option of at least one."""
     flat = parse_kv_file(path)
+    known = {p.name for command in cli.commands.values() for p in command.params}
+    unknown = sorted(flat.keys() - known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
+                          "a key is the name of a subcommand's option, with '_' for '-'")
     return {name: dict(flat) for name in cli.commands}
 
 
@@ -184,24 +278,32 @@ def cli(ctx, config_path, verbose):
         ctx.default_map = _config_defaults(config_path)
 
 
-# --- stages: each validates its options, does its work, writes its artifacts
+# --- stages: each validates its settings, does its work, writes its artifacts
 # into ``out`` and returns (result, outputs, stats) ---
 
 
-def _stage_features(cdr, topup, towers, night_window, utc_offset, home_hours,
-                    diversity_direction, strict, out):
+def _read(name, read, *args, strict, **kwargs):
+    """``read(*args, **kwargs)`` counting the rows it rejects, which are
+    fatal under ``strict`` and else logged under ``name``; returns the
+    result and its row errors."""
+    errors = RowErrorLog(strict=strict)
+    result = read(*args, errors=errors, **kwargs)
+    if errors.count:
+        log.warning("%s: %s", name, errors.summary())
+    return result, errors
+
+
+def _stage_features(inputs, out, night_window, utc_offset, home_hours, diversity_direction,
+                    strict):
     """Features from one pass over each input. The result also carries the
     top-up columns and their row errors, for the rolling stage of ``all``."""
     window = parse_night_window(night_window)
-    tower_map = load_tower_map(towers)
-    cdr_errors = RowErrorLog(strict=strict)
-    topup_errors = RowErrorLog(strict=strict)
-    calls = read_cdr(cdr, cdr_errors, window, utc_offset)
-    topups = read_topups(topup, topup_errors)
+    tower_map = load_tower_map(inputs["towers"])
+    calls, cdr_errors = _read("cdr", read_cdr, inputs["cdr"], strict=strict,
+                              night_window=window, utc_offset_minutes=utc_offset)
+    topups, topup_errors = _read("topup", read_topups, inputs["topup"], strict=strict)
     features, exclusions = user_features(calls, topups, tower_map, home_hours=home_hours,
                                          diversity_direction=diversity_direction)
-    if cdr_errors.count or topup_errors.count:
-        log.warning("cdr: %s; topup: %s", cdr_errors.summary(), topup_errors.summary())
     write_user_features(features, out / "user_features.csv")
     stats = {
         "users_out": len(features),
@@ -211,7 +313,7 @@ def _stage_features(cdr, topup, towers, night_window, utc_offset, home_hours,
     return (features, topups, topup_errors), ["user_features.csv"], stats
 
 
-def _stage_aggregate(features, min_users, columns, out):
+def _stage_aggregate(features, out, min_users, columns):
     wanted = split_list("columns", columns) if columns else None
     unknown = [c for c in wanted or () if c not in MOBILE_COLUMNS]
     if unknown:
@@ -222,21 +324,20 @@ def _stage_aggregate(features, min_users, columns, out):
     return matrix, ["sector_mobile.csv"], stats
 
 
-def _stage_indices(survey, survey_meta, fcs_weights, csi_weights, poverty, variables, strict, out):
-    """The result is the survey matrix and its column -> category map."""
-    errors = RowErrorLog(strict=strict)
-    table = load_survey(survey, survey_meta, errors)
-    if errors.count:
-        log.warning("survey: %s", errors.summary())
+def _stage_indices(inputs, out, strict, variables=None):
+    """The result is the survey matrix and its column -> category map;
+    ``variables`` (default: all) picks the survey columns kept."""
+    table, errors = _read("survey", load_survey, inputs["survey"], inputs["survey_meta"],
+                          strict=strict)
     wanted = split_list("variables", variables) if variables else None
     unknown = [v for v in wanted or () if v not in table.variables]
     if unknown:
         raise ConfigError(
             f"config key 'variables': unknown survey variable(s) {', '.join(unknown)}"
         )
-    fcs = load_fcs_weights(fcs_weights) if fcs_weights else None
-    csi = load_csi_weights(csi_weights) if csi_weights else None
-    pov = load_poverty(poverty) if poverty else None
+    fcs = load_fcs_weights(inputs["fcs_weights"]) if "fcs_weights" in inputs else None
+    csi = load_csi_weights(inputs["csi_weights"]) if "csi_weights" in inputs else None
+    pov = load_poverty(inputs["poverty"]) if "poverty" in inputs else None
     matrix, categories, incomplete = build_survey_matrix(
         table, fcs_weights=fcs, csi_weights=csi, poverty=pov, variables=wanted
     )
@@ -247,26 +348,27 @@ def _stage_indices(survey, survey_meta, fcs_weights, csi_weights, poverty, varia
     return (matrix, categories), ["sector_survey.csv"], stats
 
 
-def _stage_correlate(mobile, survey, ci_level, categories, out):
-    """``categories`` (survey column -> tag), when given, adds heatmap.csv."""
+def _stage_correlate(mobile, survey, categories, out, ci_level, heatmap_data):
+    """``heatmap_data`` adds heatmap.csv, each survey column tagged from
+    ``categories`` (survey column -> tag)."""
     entries = correlation_matrix(mobile, survey, level=ci_level)
     if not any(e.defined for e in entries):
         raise FormatError("no defined correlations: do the matrices share sectors?")
     outputs = ["correlations.csv"]
     write_correlations(entries, out / outputs[0])
-    if categories is not None:
+    if heatmap_data:
         outputs.append("heatmap.csv")
         write_heatmap_data(entries, categories, out / outputs[1])
     return entries, outputs, {}
 
 
-def _stage_null(mobile, survey, trials, seed, out):
+def _stage_null(mobile, survey, out, trials, seed):
     summary = shuffle_null(mobile, survey, trials=trials, seed=seed)
     write_null_summary(summary, out / "null_summary.csv")
     return summary, ["null_summary.csv"], {}
 
 
-def _stage_fit(mobile, survey, target, variables, degree, scatter_data, out):
+def _stage_fit(mobile, survey, out, target, variables, degree, scatter_data):
     names = [v for v in split_list("variables", variables) if v]
     if target not in survey.columns:
         raise ConfigError(f"config key 'target': {target!r} not in the survey matrix")
@@ -287,7 +389,8 @@ def _stage_fit(mobile, survey, target, variables, degree, scatter_data, out):
     return model, outputs, {"fit_r": model.fit_r, "n": model.n}
 
 
-def _stage_rolling(topups, topup_errors, features, window_days, denominator, stock, out):
+def _stage_rolling(topups, topup_errors, features, out, window_days, denominator, stock=None):
+    """``stock`` (a date,label,percentage file), when given, joins the overlay."""
     series = rolling_sector_series(topups, features.home_sectors(), window_days=window_days,
                                    denominator=denominator)
     outputs = [f"rolling_{window_days}.csv", "overlay.csv"]
@@ -307,184 +410,103 @@ def _read_matrices(inputs: dict) -> tuple:
 # --- subcommands ---
 
 
-@cli.command()
-@click.option("--synth-config", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="key=value file of generator settings")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=SEED, default=None, help="overrides the config seed")
+@cli.command(params=_params(_declare(synth_config=dict(
+    type=click.Path(exists=True, dir_okay=False), default=None,
+    help="key=value file of generator settings")), OUT, SEED))
 def synth(synth_config, out, seed):
     """Generate a seeded synthetic dataset with planted relationships."""
     cfg = SynthConfig.from_file(synth_config) if synth_config else SynthConfig()
     if seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=seed)
-    out_dir = _out_dir(out)
-    paths = generate(cfg, out_dir)
-    _write_manifest(
-        out_dir,
-        _inputs(synth_config=synth_config),
-        [p.name for p in paths.values()],
-        seed=cfg.seed,
-        config={f.name: getattr(cfg, f.name) for f in cfg.__dataclass_fields__.values()
-                if f.name != "food_items"},
-    )
-    click.echo(f"wrote {len(paths)} files to {out_dir}")
+    run = _Run(out, synth_config=synth_config)
+    run.outputs = [p.name for p in generate(cfg, run.out).values()]
+    config = {f.name: getattr(cfg, f.name) for f in cfg.__dataclass_fields__.values()
+              if f.name != "food_items"}
+    _write_manifest(run.out, run.inputs, run.outputs, seed=cfg.seed, config=config)
+    click.echo(f"wrote {len(run.outputs)} files to {run.out}")
 
 
-@cli.command()
-@click.option("--cdr", type=click.Path(), required=True)
-@click.option("--topup", type=click.Path(), required=True)
-@click.option("--towers", type=click.Path(), required=True)
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--night-window", default="18:00-08:00", show_default=True)
-@click.option("--utc-offset", **UTC_OFFSET)
-@click.option("--home-hours", type=click.Choice(["night", "all"]), default="night")
-@click.option("--diversity-direction", type=click.Choice(["both", "out"]), default="both")
-@click.option("--strict", is_flag=True, help="promote row errors to fatal")
-def features(cdr, topup, towers, out, night_window, utc_offset, home_hours,
-             diversity_direction, strict):
+@cli.command(params=_params(_declare(cdr=FILE), TOPUP, _declare(towers=FILE), OUT, FEATURES))
+def features(cdr, topup, towers, out, **settings):
     """Per-user features: home sector, top-up stats, social diversity."""
-    inputs = _inputs(cdr=cdr, topup=topup, towers=towers)
-    out_dir = _out_dir(out)
-    _, outputs, stats = _stage_features(
-        inputs["cdr"], inputs["topup"], inputs["towers"], night_window, utc_offset,
-        home_hours, diversity_direction, strict, out_dir,
-    )
-    _write_manifest(out_dir, inputs, outputs, stats=stats)
-    click.echo(f"{stats['users_out']} user feature vector(s)")
+    run = _Run(out, cdr=cdr, topup=topup, towers=towers)
+    features, _, _ = run(_stage_features, run.inputs, **settings)
+    run.finish(f"{len(features)} user feature vector(s)")
 
 
-@cli.command()
-@click.option("--user-features", "user_features_path", type=click.Path(), required=True)
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--min-users", type=int, default=DEFAULT_MIN_USERS, show_default=True)
-@click.option("--columns", default=None, help="comma list pruning feature.aggregator columns")
-def aggregate(user_features_path, out, min_users, columns):
+@cli.command(params=_params(USER_FEATURES, OUT, AGGREGATE))
+def aggregate(user_features_path, out, **settings):
     """Aggregate user features into the sector x mobile-variable matrix."""
-    inputs = _inputs(user_features=user_features_path)
-    out_dir = _out_dir(out)
-    matrix, outputs, stats = _stage_aggregate(
-        read_user_features(inputs["user_features"]), min_users, columns, out_dir
-    )
-    _write_manifest(out_dir, inputs, outputs, stats=stats)
-    click.echo(f"{len(matrix)} sector(s), {len(stats['sectors_excluded'])} excluded")
+    run = _Run(out, user_features=user_features_path)
+    matrix = run(_stage_aggregate, read_user_features(run.inputs["user_features"]), **settings)
+    run.finish(f"{len(matrix)} sector(s), {len(run.stats['aggregate']['sectors_excluded'])} "
+               "excluded")
 
 
-@cli.command()
-@click.option("--survey", type=click.Path(), required=True)
-@click.option("--survey-meta", type=click.Path(), required=True)
-@click.option("--fcs-weights", type=click.Path(), default=None,
-              help="food_group,weight file (default: standard table)")
-@click.option("--csi-weights", type=click.Path(), default=None)
-@click.option("--poverty", type=click.Path(), default=None)
-@click.option("--variables", default=None, help="comma list of survey variables to keep")
-@click.option("--strict", is_flag=True)
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-def indices(survey, survey_meta, fcs_weights, csi_weights, poverty, variables, strict, out):
+@cli.command(params=_params(_declare(survey=FILE), SURVEY_META, _declare(
+    fcs_weights=dict(type=click.Path(), default=None,
+                     help="food_group,weight file (default: standard table)"),
+    csi_weights=dict(type=click.Path(), default=None),
+    poverty=dict(type=click.Path(), default=None),
+), INDICES, OUT))
+def indices(survey, survey_meta, fcs_weights, csi_weights, poverty, out, **settings):
     """Household indices (FCS, CSI, MPI) and sector survey means."""
-    inputs = _inputs(survey=survey, survey_meta=survey_meta, fcs_weights=fcs_weights,
-                     csi_weights=csi_weights, poverty=poverty)
-    out_dir = _out_dir(out)
-    (matrix, _), outputs, stats = _stage_indices(
-        inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"),
-        inputs.get("csi_weights"), inputs.get("poverty"), variables, strict, out_dir,
-    )
-    _write_manifest(out_dir, inputs, outputs, stats=stats)
-    click.echo(f"{len(matrix)} sector(s) x {len(matrix.columns)} column(s)")
+    run = _Run(out, survey=survey, survey_meta=survey_meta, fcs_weights=fcs_weights,
+               csi_weights=csi_weights, poverty=poverty)
+    matrix, _ = run(_stage_indices, run.inputs, **settings)
+    run.finish(f"{len(matrix)} sector(s) x {len(matrix.columns)} column(s)")
 
 
-@cli.command()
-@click.option("--mobile", type=click.Path(), required=True)
-@click.option("--survey-matrix", type=click.Path(), required=True)
-@click.option("--ci-level", type=CI_LEVEL, default=0.95, show_default=True)
-@click.option("--heatmap-data", is_flag=True, help="also write heatmap.csv (|r| long format)")
-@click.option("--survey-meta", type=click.Path(), default=None,
-              help="category tags for heatmap output")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-def correlate(mobile, survey_matrix, ci_level, heatmap_data, survey_meta, out):
+@cli.command(params=_params(MATRICES, CORRELATE, {"survey_meta": partial(
+    SURVEY_META["survey_meta"], required=False, default=None,
+    help="category tags for heatmap output")}, OUT))
+def correlate(mobile, survey_matrix, survey_meta, out, **settings):
     """Mobile x survey Pearson correlation matrix with p-values and CIs."""
-    inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix, survey_meta=survey_meta)
-    out_dir = _out_dir(out)
-    categories = None
-    if heatmap_data:
-        meta = load_survey_metadata(inputs["survey_meta"]) if survey_meta else {}
-        categories = {**meta, **COMPOSITE_CATEGORIES}
-    entries, outputs, _ = _stage_correlate(*_read_matrices(inputs), ci_level, categories,
-                                           out_dir)
-    _write_manifest(out_dir, inputs, outputs)
-    click.echo(f"{len(entries)} pair(s), {sum(e.defined for e in entries)} defined")
+    run = _Run(out, mobile=mobile, survey_matrix=survey_matrix, survey_meta=survey_meta)
+    meta = {}
+    if settings["heatmap_data"] and survey_meta:
+        meta = load_survey_metadata(run.inputs["survey_meta"])
+    entries = run(_stage_correlate, *_read_matrices(run.inputs),
+                  categories={**meta, **COMPOSITE_CATEGORIES}, **settings)
+    run.finish(f"{len(entries)} pair(s), {sum(e.defined for e in entries)} defined")
 
 
-@cli.command()
-@click.option("--mobile", type=click.Path(), required=True)
-@click.option("--survey-matrix", type=click.Path(), required=True)
-@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--seed", type=SEED, default=None)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              expose_value=False, help=THREADS_HELP)
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-def null(mobile, survey_matrix, trials, seed, out):
+@cli.command(params=_params(MATRICES, NULL, OUT))
+def null(mobile, survey_matrix, out, trials, seed):
     """Shuffled-sector null distribution of |r|."""
-    seed = _require(seed, "seed")
-    inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix)
-    out_dir = _out_dir(out)
-    summary, outputs, _ = _stage_null(*_read_matrices(inputs), trials, seed, out_dir)
-    _write_manifest(out_dir, inputs, outputs, seed=seed)
-    click.echo(
-        f"null |r| p95={summary.abs_r_p95:.4f} p99={summary.abs_r_p99:.4f} "
-        f"max={summary.abs_r_max:.4f} over {trials} trial(s)"
-    )
+    run = _Run(out, mobile=mobile, survey_matrix=survey_matrix)
+    summary = run(_stage_null, *_read_matrices(run.inputs), trials=trials, seed=seed)
+    run.finish(f"null |r| p95={summary.abs_r_p95:.4f} p99={summary.abs_r_p99:.4f} "
+               f"max={summary.abs_r_max:.4f} over {trials} trial(s)", seed)
 
 
-@cli.command()
-@click.option("--mobile", type=click.Path(), required=True)
-@click.option("--survey-matrix", type=click.Path(), required=True)
-@click.option("--target", required=True, help="survey column to model")
-@click.option("--variables", required=True, help="comma list of mobile variables")
-@click.option("--degree", type=click.IntRange(1, 2), default=1, show_default=True)
-@click.option("--scatter-data", is_flag=True, help="also write scatter_<target>.csv")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-def fit(mobile, survey_matrix, target, variables, degree, scatter_data, out):
+@cli.command(params=_params(MATRICES, FIT, OUT))
+def fit(mobile, survey_matrix, out, **settings):
     """Fit a polynomial proxy model for one survey indicator."""
-    inputs = _inputs(mobile=mobile, survey_matrix=survey_matrix)
-    out_dir = _out_dir(out)
-    model, outputs, stats = _stage_fit(
-        *_read_matrices(inputs), target, variables, degree, scatter_data, out_dir
-    )
-    _write_manifest(out_dir, inputs, outputs, stats=stats)
-    click.echo(f"fit_r={model.fit_r:.4f} over {model.n} sector(s)")
+    run = _Run(out, mobile=mobile, survey_matrix=survey_matrix)
+    model = run(_stage_fit, *_read_matrices(run.inputs), **settings)
+    run.finish(f"fit_r={model.fit_r:.4f} over {model.n} sector(s)")
 
 
-@cli.command()
-@click.option("--topup", type=click.Path(), required=True)
-@click.option("--user-features", "user_features_path", type=click.Path(), required=True)
-@click.option("--window-days", type=click.IntRange(min=1), default=30, show_default=True)
-@click.option("--denominator", type=click.Choice(["period", "window"]), default="period")
-@click.option("--stock", type=click.Path(), default=None, help="optional date,label,percentage overlay")
-@click.option("--strict", is_flag=True)
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-def rolling(topup, user_features_path, window_days, denominator, stock, strict, out):
+@cli.command(params=_params(TOPUP, USER_FEATURES, ROLLING, _declare(stock=dict(
+    type=click.Path(), default=None, help="optional date,label,percentage overlay")),
+    STRICT, OUT))
+def rolling(topup, user_features_path, stock, strict, out, **settings):
     """Rolling-window top-up expenditure series per sector."""
-    inputs = _inputs(topup=topup, user_features=user_features_path, stock=stock)
-    out_dir = _out_dir(out)
-    features = read_user_features(inputs["user_features"])
-    errors = RowErrorLog(strict=strict)
-    topups = read_topups(inputs["topup"], errors)
-    if errors.count:
-        log.warning("topup: %s", errors.summary())
-    series, outputs, stats = _stage_rolling(
-        topups, errors, features, window_days, denominator, inputs.get("stock"), out_dir
-    )
-    _write_manifest(out_dir, inputs, outputs, stats=stats)
-    click.echo(f"{len(series)} sector series")
+    run = _Run(out, topup=topup, user_features=user_features_path, stock=stock)
+    features = read_user_features(run.inputs["user_features"])
+    topups, errors = _read("topup", read_topups, run.inputs["topup"], strict=strict)
+    series = run(_stage_rolling, topups, errors, features, stock=run.inputs.get("stock"),
+                 **settings)
+    run.finish(f"{len(series)} sector series")
 
 
-@cli.command()
-@click.option("--truth", type=click.Path(), required=True)
-@click.option("--outputs", "outputs_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--out", type=click.Path(file_okay=False), default=None,
-              help="report directory (default: the outputs directory)")
+@cli.command(params=_params(_declare(truth=FILE), {
+    "outputs_dir": partial(click.Option, ["--outputs", "outputs_dir"],
+                           type=click.Path(file_okay=False), required=True),
+    "out": partial(OUT["out"], required=False, default=None,
+                   help="report directory (default: the outputs directory)"),
+}))
 def verify(truth, outputs_dir, out):
     """Check pipeline outputs against a synthetic dataset's ground truth."""
     truth = _inputs(truth=truth)["truth"]
@@ -505,59 +527,34 @@ def verify(truth, outputs_dir, out):
     click.echo(f"all {len(report.checks)} check(s) passed")
 
 
-@cli.command(name="all")
-@click.option("--in", "in_dir", type=click.Path(file_okay=False), required=True,
-              help="directory with cdr/topup/towers/survey/survey_meta csv files "
-              "(poverty/fcs_weights/csi_weights optional)")
-@click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=SEED, default=None)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              expose_value=False, help=THREADS_HELP)
-@click.option("--strict", is_flag=True)
-@click.option("--night-window", default="18:00-08:00", show_default=True)
-@click.option("--utc-offset", **UTC_OFFSET)
-@click.option("--min-users", type=int, default=DEFAULT_MIN_USERS, show_default=True)
-@click.option("--ci-level", type=CI_LEVEL, default=0.95, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--target", default="food_expenditure", show_default=True)
-@click.option("--variables", default="topup_sum.mean,topup_mean.mean", show_default=True)
-@click.option("--degree", type=click.IntRange(1, 2), default=2, show_default=True)
-@click.option("--window-days", type=click.IntRange(min=1), default=30, show_default=True)
-@click.option("--heatmap-data", is_flag=True)
-@click.option("--scatter-data", is_flag=True)
-def run_all(in_dir, out, seed, strict, night_window, utc_offset, min_users, ci_level,
-            trials, target, variables, degree, window_days, heatmap_data, scatter_data):
+# `all` takes every stage's settings, with fit's defaults its own, but not
+# indices' --variables: its --variables is fit's. One --strict serves
+# features, indices and rolling.
+@cli.command(name="all", params=_params(
+    {"in_dir": partial(click.Option, ["--in", "in_dir"], type=click.Path(file_okay=False),
+                       required=True, help="directory with cdr/topup/towers/survey/survey_meta "
+                       "csv files (poverty/fcs_weights/csi_weights optional)")},
+    OUT, FEATURES, AGGREGATE, CORRELATE, NULL, FIT, ROLLING,
+    {"target": partial(FIT["target"], required=False, default="food_expenditure",
+                       show_default=True),
+     "variables": partial(FIT["variables"], required=False,
+                          default="topup_sum.mean,topup_mean.mean", show_default=True),
+     "degree": partial(FIT["degree"], default=2)},
+))
+def run_all(in_dir, out, **settings):
     """Run the full chain: features, aggregate, indices, correlate, null,
     fit, rolling, each as its subcommand would with these options."""
-    seed = _require(seed, "seed")
     paths = {name: Path(in_dir) / f"{name}.csv" for name in ALL_INPUTS}
-    inputs = _inputs(**{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
-    out_dir = _out_dir(out)
-    outputs: list[str] = []
-    stats: dict = {}
-
-    def run(stage, *args):
-        result, written, stage_stats = stage(*args, out_dir)
-        outputs.extend(written)
-        if stage_stats:
-            stats[stage.__name__.removeprefix("_stage_")] = stage_stats
-        return result
-
-    features, topups, topup_errors = run(
-        _stage_features, inputs["cdr"], inputs["topup"], inputs["towers"], night_window,
-        utc_offset, "night", "both", strict,
-    )
-    mobile = run(_stage_aggregate, features, min_users, None)
-    survey, categories = run(
-        _stage_indices, inputs["survey"], inputs["survey_meta"], inputs.get("fcs_weights"),
-        inputs.get("csi_weights"), inputs.get("poverty"), None, strict,
-    )
-    run(_stage_correlate, mobile, survey, ci_level, categories if heatmap_data else None)
-    run(_stage_null, mobile, survey, trials, seed)
-    run(_stage_fit, mobile, survey, target, variables, degree, scatter_data)
-    run(_stage_rolling, topups, topup_errors, features, window_days, "period", None)
-    _write_manifest(out_dir, inputs, outputs, seed=seed, stats=stats)
-    click.echo(f"wrote {len(outputs)} artifact(s) to {out_dir}")
+    run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
+    features, topups, topup_errors = run(_stage_features, run.inputs,
+                                         **_pick(FEATURES, settings))
+    mobile = run(_stage_aggregate, features, **_pick(AGGREGATE, settings))
+    survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
+    run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
+    run(_stage_null, mobile, survey, **_pick(NULL, settings))
+    run(_stage_fit, mobile, survey, **_pick(FIT, settings))
+    run(_stage_rolling, topups, topup_errors, features, **_pick(ROLLING, settings))
+    run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
 
 
 def main(argv=None) -> int:

@@ -24,14 +24,14 @@ import numpy as np
 
 from .aggregate import SectorMatrix
 from .correlate import join_sectors, pearson
-from .ingest import TableReader, format_number, parse_number, write_table
+from .ingest import FormatError, TableReader, format_number, parse_number, write_table
 
 log = logging.getLogger(__name__)
 
 MODEL_HEADER = ["term", "coefficient_std", "coefficient_raw"]
 
 
-class FitError(ValueError):
+class FitError(FormatError, ValueError):
     """Fit cannot proceed: too few rows, collinear basis, degenerate target."""
 
 

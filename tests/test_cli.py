@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import foodsec
 from foodsec.aggregate import read_sector_matrix
-from foodsec.cli import main
+from foodsec.cli import cli, main
+from foodsec.synth import SynthConfig, generate
 
 
 def run(args):
@@ -244,6 +246,61 @@ class TestExitCodes:
         assert setting.split()[0] in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("command, args, message", [
+        # csi_mean is blank without CSI weights
+        ("fit", ["--target", "csi_mean", "--variables", "topup_sum.mean"], "0 complete row(s)"),
+        # mean * cv = std, so the degree-2 basis is rank-deficient
+        ("fit", ["--target", "food_expenditure", "--degree", "2",
+                 "--variables", "topup_sum.mean,topup_sum.std,topup_sum.cv"], "collinear"),
+        ("all", ["--target", "csi_mean", "--variables", "topup_sum.mean"], "0 complete row(s)"),
+    ])
+    def test_fit_the_data_cannot_support_is_data_error(self, sparse_run, tmp_path, capsys,
+                                                       command, args, message):
+        data, whole = sparse_run
+        inputs = (["--in", data, "--seed", "1", "--trials", "5", "--min-users", "5"]
+                  if command == "all" else
+                  ["--mobile", whole / "sector_mobile.csv",
+                   "--survey-matrix", whole / "sector_survey.csv"])
+        assert run([command, *inputs, *args, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "data error: " in err and message in err
+        assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def sparse_run(tmp_path_factory):
+    """A dataset too small for some fits, and `all` run over it."""
+    root = tmp_path_factory.mktemp("sparse")
+    generate(SynthConfig(seed=3, n_sectors=12, users_per_sector=20, households_per_sector=10,
+                         period_days=40, planted_r=0.5), root / "data")
+    assert run(["all", "--in", root / "data", "--out", root / "all", "--seed", "1",
+                "--trials", "5", "--min-users", "5"]) == 0
+    return root / "data", root / "all"
+
+
+def test_all_takes_every_stage_option():
+    """Every option of a stage subcommand but its files is on `all`, with the
+    same type and default, so `all` can run any chain of subcommands. The
+    exceptions: indices' --variables (all's --variables is fit's) and the
+    defaults of all's --target, --variables and --degree."""
+    whole = {p.name: p for p in cli.commands["all"].params}
+    stage_options = set()
+    for stage in ("features", "aggregate", "indices", "correlate", "null", "fit", "rolling"):
+        for option in cli.commands[stage].params:
+            if isinstance(option.type, click.Path) or (stage, option.name) == (
+                    "indices", "variables"):
+                continue
+            stage_options.add(option.name)
+            other = whole.get(option.name)
+            assert other is not None, f"all lacks {stage}'s --{option.name}"
+            assert other.type.to_info_dict() == option.type.to_info_dict(), option.name
+            assert other.is_flag == option.is_flag, option.name
+            if (stage, option.name) not in {("fit", "target"), ("fit", "variables"),
+                                            ("fit", "degree")}:
+                assert (other.default, other.required) == (option.default, option.required), (
+                    option.name)
+    assert set(whole) == stage_options | {"in_dir", "out"}
+
 
 def loaded_after_import(module: str, package: str) -> list[str]:
     """The modules of ``package`` that a fresh interpreter holds after
@@ -349,16 +406,39 @@ def quoted_dataset(medium_dataset, tmp_path_factory):
     return cfg, {key: out / path.name for key, path in paths.items()}
 
 
+# `all`'s fit defaults, which differ from the fit subcommand's
+ALL_FIT = ["--target", "food_expenditure", "--variables", "topup_sum.mean,topup_mean.mean",
+           "--degree", "2"]
+# a non-default value of every stage option `all` takes, under the subcommand
+# that takes it; --strict is given to features, indices and rolling
+NON_DEFAULT = {
+    "features": ["--night-window", "20:00-06:00", "--utc-offset", "120", "--home-hours", "all",
+                 "--diversity-direction", "out"],
+    "aggregate": ["--min-users", "3", "--columns",
+                  "topup_mean.mean,social_diversity.mean,topup_sum.mean,topup_sum.cv"],
+    "correlate": ["--ci-level", "0.9"],
+    "fit": ["--target", "fcs_mean", "--variables", "topup_sum.mean,social_diversity.mean",
+            "--degree", "1"],
+    "rolling": ["--window-days", "7", "--denominator", "window"],
+}
+
+
 class TestDeterminismAndOverrides:
-    @pytest.mark.parametrize("dataset", ["medium_dataset", "quoted_dataset"])
-    def test_chain_of_subcommands_equals_all(self, request, dataset, tmp_path):
-        """`all` is the seven stage subcommands run with its defaults, also
-        when IDs and variable names need quoting."""
+    @pytest.mark.parametrize("dataset, options, strict", [
+        pytest.param("medium_dataset", {"fit": ALL_FIT}, False, id="medium_dataset"),
+        pytest.param("quoted_dataset", {"fit": ALL_FIT}, False, id="quoted_dataset"),
+        pytest.param("medium_dataset", NON_DEFAULT, True, id="non_default"),
+    ])
+    def test_chain_of_subcommands_equals_all(self, request, dataset, options, strict, tmp_path):
+        """`all` is the seven stage subcommands run with its options, at its
+        defaults and at other values of each, also when IDs and variable
+        names need quoting."""
         _, paths = request.getfixturevalue(dataset)
         seed, trials = "3", "20"
         whole, chain = tmp_path / "all", tmp_path / "chain"
+        given = [arg for args in options.values() for arg in args] + ["--strict"] * strict
         assert run(["all", "--in", paths["cdr"].parent, "--out", whole, "--seed", seed,
-                    "--trials", trials, "--heatmap-data", "--scatter-data"]) == 0
+                    "--trials", trials, "--heatmap-data", "--scatter-data", *given]) == 0
         mobile = ["--mobile", chain / "sector_mobile.csv",
                   "--survey-matrix", chain / "sector_survey.csv"]
         for args in (
@@ -369,13 +449,13 @@ class TestDeterminismAndOverrides:
              "--poverty", paths["poverty"]],
             ["correlate", *mobile, "--heatmap-data", "--survey-meta", paths["survey_meta"]],
             ["null", *mobile, "--trials", trials, "--seed", seed],
-            ["fit", *mobile, "--target", "food_expenditure",
-             "--variables", "topup_sum.mean,topup_mean.mean", "--degree", "2",
-             "--scatter-data"],
+            ["fit", *mobile, "--scatter-data"],
             ["rolling", "--topup", paths["topup"],
              "--user-features", chain / "user_features.csv"],
         ):
-            assert run([*args, "--out", chain]) == 0, args[0]
+            strict_here = strict and args[0] in ("features", "indices", "rolling")
+            assert run([*args, *options.get(args[0], []), *["--strict"] * strict_here,
+                        "--out", chain]) == 0, args[0]
         artifacts = sorted(p.name for p in whole.glob("*.csv"))
         assert len(artifacts) == 10
         assert sorted(p.name for p in chain.glob("*.csv")) == artifacts
@@ -385,6 +465,9 @@ class TestDeterminismAndOverrides:
         renamed = {'s,"3', "crowding,index"} & {*survey.sectors, *survey.columns}
         assert len(renamed) == (2 if dataset == "quoted_dataset" else 0)
         assert survey.sectors == read_sector_matrix(whole / "sector_mobile.csv").sectors
+        config = json.loads((whole / "run_manifest.json").read_text())["config"]
+        assert (config["home_hours"], config["denominator"]) == (
+            ("all", "window") if strict else ("night", "period"))
 
     def test_quoted_list_entry_may_hold_a_comma(self, quoted_dataset, tmp_path):
         _, paths = quoted_dataset
@@ -469,6 +552,42 @@ class TestDeterminismAndOverrides:
         rc = run(["--config", cfg, "null", "--trials", "5", "--out", tmp_path / "b"])
         assert rc == 0
         assert (tmp_path / "b" / "null_summary.csv").read_text().splitlines()[1].startswith("5,")
+
+    @pytest.mark.parametrize("key", ["trails", "min-users", "verbose"])
+    def test_unknown_config_key_is_config_error(self, medium_pipeline, tmp_path, capsys, key):
+        """A typo, a dash for '_' or a group option would be ignored."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        rc = run(["--config", cfg, "null", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv", "--seed", "1",
+                  "--out", tmp_path / "out"])
+        assert rc == 1
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_key_of_another_subcommand_is_allowed(self, medium_pipeline, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window_days = 7\ntrials = 6\n")
+        rc = run(["--config", cfg, "null", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv", "--seed", "1",
+                  "--out", tmp_path])
+        assert rc == 0
+        assert (tmp_path / "null_summary.csv").read_text().splitlines()[1].startswith("6,")
+
+    def test_config_and_env_vars_reach_the_stage_options_of_all(self, small_dataset, tmp_path,
+                                                                monkeypatch):
+        _, paths = small_dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("home_hours = all\ncolumns = topup_sum.mean,topup_mean.mean\n")
+        monkeypatch.setenv("FOODSEC_ALL_DIVERSITY_DIRECTION", "out")
+        monkeypatch.setenv("FOODSEC_ALL_DENOMINATOR", "window")
+        assert run(["--config", cfg, "all", "--in", paths["cdr"].parent, "--seed", "1",
+                    "--trials", "5", "--min-users", "5", "--out", tmp_path / "out"]) == 0
+        config = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["config"]
+        assert {k: config[k] for k in ("home_hours", "columns", "diversity_direction",
+                                       "denominator")} == {
+            "home_hours": "all", "columns": "topup_sum.mean,topup_mean.mean",
+            "diversity_direction": "out", "denominator": "window"}
 
     def test_synth_config_file_via_cli(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
