@@ -58,16 +58,20 @@ def aggregate_sector(values: Sequence[float]) -> dict:
 
     std uses the sample (n-1) denominator, so it needs n >= 2; cv = std/mean
     is undefined when the mean is 0. The median of an even count is the
-    midpoint of the two middle values.
+    midpoint of the two middle values. The values are reduced in sorted
+    order, which ``build_sector_matrix`` already hands over.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         raise ValueError("empty sector")
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if arr.size >= 2 else None
+    mid = arr.size // 2
+    # the mean of the middle one or two values, summed from 0.0 as np.median does
+    median = 0.0 + arr[mid] if arr.size % 2 else (0.0 + arr[mid - 1] + arr[mid]) / 2
     return {
         "mean": mean,
-        "median": float(np.median(arr)),
+        "median": float(median),
         "std": std,
         "cv": None if (std is None or mean == 0.0) else std / mean,
     }

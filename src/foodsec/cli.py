@@ -112,8 +112,7 @@ def _pick(group: dict, params: dict) -> dict:
 FILE = dict(type=click.Path(), required=True)
 OUT = _declare(out=dict(type=click.Path(file_okay=False), required=True))
 TOPUP = _declare(topup=FILE)
-USER_FEATURES = {"user_features_path": partial(click.Option, ["--user-features",
-                                                              "user_features_path"], **FILE)}
+USER_FEATURES = _declare(user_features=FILE)
 SURVEY_META = _declare(survey_meta=FILE)
 MATRICES = _declare(mobile=FILE, survey_matrix=FILE)
 SEED = _declare(seed=dict(type=click.IntRange(min=0),  # numpy seeds are non-negative
@@ -435,9 +434,9 @@ def features(cdr, topup, towers, out, **settings):
 
 
 @cli.command(params=_params(USER_FEATURES, OUT, AGGREGATE))
-def aggregate(user_features_path, out, **settings):
+def aggregate(user_features, out, **settings):
     """Aggregate user features into the sector x mobile-variable matrix."""
-    run = _Run(out, user_features=user_features_path)
+    run = _Run(out, user_features=user_features)
     matrix = run(_stage_aggregate, read_user_features(run.inputs["user_features"]), **settings)
     run.finish(f"{len(matrix)} sector(s), {len(run.stats['aggregate']['sectors_excluded'])} "
                "excluded")
@@ -491,9 +490,9 @@ def fit(mobile, survey_matrix, out, **settings):
 @cli.command(params=_params(TOPUP, USER_FEATURES, ROLLING, _declare(stock=dict(
     type=click.Path(), default=None, help="optional date,label,percentage overlay")),
     STRICT, OUT))
-def rolling(topup, user_features_path, stock, strict, out, **settings):
+def rolling(topup, user_features, stock, strict, out, **settings):
     """Rolling-window top-up expenditure series per sector."""
-    run = _Run(out, topup=topup, user_features=user_features_path, stock=stock)
+    run = _Run(out, topup=topup, user_features=user_features, stock=stock)
     features = read_user_features(run.inputs["user_features"])
     topups, errors = _read("topup", read_topups, run.inputs["topup"], strict=strict)
     series = run(_stage_rolling, topups, errors, features, stock=run.inputs.get("stock"),
@@ -501,16 +500,15 @@ def rolling(topup, user_features_path, stock, strict, out, **settings):
     run.finish(f"{len(series)} sector series")
 
 
-@cli.command(params=_params(_declare(truth=FILE), {
-    "outputs_dir": partial(click.Option, ["--outputs", "outputs_dir"],
-                           type=click.Path(file_okay=False), required=True),
+@cli.command(params=_params(_declare(truth=FILE, outputs=dict(
+    type=click.Path(file_okay=False), required=True)), {
     "out": partial(OUT["out"], required=False, default=None,
                    help="report directory (default: the outputs directory)"),
 }))
-def verify(truth, outputs_dir, out):
+def verify(truth, outputs, out):
     """Check pipeline outputs against a synthetic dataset's ground truth."""
     truth = _inputs(truth=truth)["truth"]
-    outputs_path = Path(outputs_dir)
+    outputs_path = Path(outputs)
     if not outputs_path.is_dir():
         raise ConfigError(f"config key 'outputs': not a directory: {outputs_path}")
     # the report may go into a run's output directory: keep its manifest
@@ -531,9 +529,9 @@ def verify(truth, outputs_dir, out):
 # indices' --variables: its --variables is fit's. One --strict serves
 # features, indices and rolling.
 @cli.command(name="all", params=_params(
-    {"in_dir": partial(click.Option, ["--in", "in_dir"], type=click.Path(file_okay=False),
-                       required=True, help="directory with cdr/topup/towers/survey/survey_meta "
-                       "csv files (poverty/fcs_weights/csi_weights optional)")},
+    _declare(**{"in": dict(type=click.Path(file_okay=False), required=True,
+                           help="directory with cdr/topup/towers/survey/survey_meta csv files "
+                           "(poverty/fcs_weights/csi_weights optional)")}),
     OUT, FEATURES, AGGREGATE, CORRELATE, NULL, FIT, ROLLING,
     {"target": partial(FIT["target"], required=False, default="food_expenditure",
                        show_default=True),
@@ -541,10 +539,11 @@ def verify(truth, outputs_dir, out):
                           default="topup_sum.mean,topup_mean.mean", show_default=True),
      "degree": partial(FIT["degree"], default=2)},
 ))
-def run_all(in_dir, out, **settings):
+def run_all(out, **settings):
     """Run the full chain: features, aggregate, indices, correlate, null,
-    fit, rolling, each as its subcommand would with these options."""
-    paths = {name: Path(in_dir) / f"{name}.csv" for name in ALL_INPUTS}
+    fit, rolling, each as its subcommand would with these options (``in``,
+    a Python keyword, arrives in ``settings``)."""
+    paths = {name: Path(settings["in"]) / f"{name}.csv" for name in ALL_INPUTS}
     run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
     features, topups, topup_errors = run(_stage_features, run.inputs,
                                          **_pick(FEATURES, settings))

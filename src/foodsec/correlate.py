@@ -65,12 +65,20 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise ValueError("need at least 2 paired values")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    if sxx <= 0.0 or syy <= 0.0:
-        return None
-    r = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    r = float(_r_from_sums(np.dot(xc, yc), np.dot(xc, xc), np.dot(yc, yc)))
+    return None if math.isnan(r) else r
+
+
+def _r_from_sums(sxy, sxx, syy):
+    """r = sxy / sqrt(sxx * syy) from centered cross and square sums, clipped
+    to [-1, 1]; NaN where sxx or syy is 0. Where sxx * syy under- or
+    overflows the normal float range, the root is sqrt(sxx) * sqrt(syy)."""
+    with np.errstate(all="ignore"):
+        product = sxx * syy
+        normal = (product >= np.finfo(np.float64).tiny) & (product < np.inf)
+        root = np.where(normal, np.sqrt(product), np.sqrt(sxx) * np.sqrt(syy))
+        r = np.clip(sxy / root, -1.0, 1.0)
+    return np.where((sxx > 0.0) & (syy > 0.0), r, np.nan)
 
 
 def pearson_p(r: float, n: int) -> float | None:
@@ -121,7 +129,8 @@ def join_sectors(
     return take(mobile), take(survey)
 
 
-# Float64 elements of permuted survey columns one null batch may hold.
+# Float64 elements of permuted survey columns one null batch may hold, and of
+# gathered cells one stack of masked pairs may hold.
 _BATCH_ELEMENTS = 1 << 16
 
 
@@ -133,11 +142,13 @@ def _corr_kernel(
 
     The returned function gives (r, n), each (B, x cols, y cols); undefined
     cells are NaN in r. NaN-free column pairs take one standardized product
-    per stack; every other pair goes through one loop over (mobile group,
-    survey group), the columns of each side grouped by where they have
-    cells. Each value is bit-identical to evaluating one permutation at a
-    time: the C-contiguous layouts below keep numpy's reductions and BLAS
-    calls as they are then.
+    per stack. Every other pair is taken per (mobile group, survey group),
+    the columns of each side grouped by where they have cells: the trials
+    that share a count of common cells are stacked, and their centered cells
+    go through row dots (``np.vecdot`` calls the dot that ``np.dot`` does in
+    :func:`pearson`). Each value is bit-identical to evaluating one
+    permutation at a time: the C-contiguous layouts below keep numpy's
+    reductions and BLAS calls as they are then.
     """
     n_rows = x.shape[0]
     fx, fy = np.isfinite(x), np.isfinite(y)
@@ -145,11 +156,9 @@ def _corr_kernel(
     block_rows, block_cols = np.ix_(np.flatnonzero(x_ok), np.flatnonzero(y_ok))
     xs = _standardize(np.ascontiguousarray(x[:, x_ok].T)) if n_rows >= 3 else None
     yt = np.ascontiguousarray(y[:, y_ok].T)
-    # A mobile group: its columns, their shared cell mask and their rows.
-    x_groups = [(np.array(cols)[:, None], fx[:, cols[0]], np.ascontiguousarray(x[:, cols].T))
-                for cols in _gap_groups(fx)]
-    masked = [(xg, cols) for xg in x_groups for cols in _gap_groups(fy)
-              if not (xg[1].all() and y_ok[cols[0]])]
+    x_groups, y_groups = _gap_groups(x, fx), _gap_groups(y, fy)
+    masked = [(xg, yg) for xg in x_groups for yg in y_groups
+              if not (xg[1].all() and yg[1].all())]
 
     def grids(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.full((len(perms), x.shape[1], y.shape[1]), np.nan, dtype=np.float64)
@@ -157,49 +166,62 @@ def _corr_kernel(
         ns[:, block_rows, block_cols] = n_rows
         if xs is not None:
             # (B, q, n) C-contiguous stack, fed to matmul as (B, n, q) views.
-            ys = _standardize(yt[np.arange(len(yt))[:, None], perms[:, None, :]])
+            ys = _standardize(_stack(yt, perms))
             with np.errstate(invalid="ignore"):
                 block = np.matmul(xs, ys.transpose(0, 2, 1)) / (n_rows - 1)
             r[:, block_rows, block_cols] = np.clip(block, -1.0, 1.0)
-        for b, perm in enumerate(perms):
-            for (x_cols, x_mask, xt), cols in masked:
-                mask = x_mask & fy[perm, cols[0]]
-                ns[b, x_cols, cols] = k = int(mask.sum())
-                if k < 3:
-                    continue
-                xm = np.ascontiguousarray(xt[:, mask])
-                xcs = xm - xm.mean(axis=1, keepdims=True)
-                sxxs = [float(np.dot(xc, xc)) for xc in xcs]
-                for j in cols:
-                    ya = y[perm, j][mask]
-                    yc = ya - ya.mean()
-                    syy = float(np.dot(yc, yc))
-                    for i, xc, sxx in zip(x_cols[:, 0], xcs, sxxs):
-                        if sxx > 0.0 and syy > 0.0:
-                            value = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
-                            r[b, i, j] = max(-1.0, min(1.0, value))
+        for (x_cols, x_mask, xt), (y_cols, y_mask, ymt) in masked:
+            masks = x_mask & y_mask[perms]
+            k = masks.sum(axis=1)
+            ns[:, x_cols[:, None], y_cols] = k[:, None, None]
+            for cells in np.unique(k[k >= 3]):
+                same = np.flatnonzero(k == cells)
+                step = max(1, _BATCH_ELEMENTS // ((len(x_cols) + len(y_cols)) * cells))
+                for t in (same[i:i + step] for i in range(0, len(same), step)):
+                    # each side's cells: the mobile side's at the masks' positions,
+                    # the survey side's at the sectors the permutations put there
+                    pos = np.nonzero(masks[t])[1].reshape(len(t), cells)
+                    xc = _center(_stack(xt, pos))
+                    yc = _center(_stack(ymt, np.take_along_axis(perms[t], pos, axis=1)))
+                    r[t[:, None, None], x_cols[:, None], y_cols] = _r_from_sums(
+                        np.vecdot(xc[:, :, None], yc[:, None]),
+                        np.vecdot(xc, xc)[:, :, None], np.vecdot(yc, yc)[:, None])
         return r, ns
 
     return grids
 
 
-def _gap_groups(finite: np.ndarray) -> list[list[int]]:
-    """Column indices grouped by where the column has cells."""
+def _gap_groups(a: np.ndarray, finite: np.ndarray) -> list[tuple]:
+    """The columns of ``a`` grouped by where they have cells: per group its
+    column indices, their shared cell mask and their (columns, n) rows."""
     groups: dict[bytes, list[int]] = {}
     for j in range(finite.shape[1]):
         groups.setdefault(finite[:, j].tobytes(), []).append(j)
-    return list(groups.values())
+    return [(np.array(cols), finite[:, cols[0]], np.ascontiguousarray(a[:, cols].T))
+            for cols in groups.values()]
+
+
+def _stack(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The (b, rows, cells) C-contiguous stack of ``rows[:, at[i]]`` for each
+    row of the (b, cells) ``at``."""
+    return np.take(rows, at, axis=1).transpose(1, 0, 2).copy()
+
+
+def _center(a: np.ndarray) -> np.ndarray:
+    """``a`` less its mean along the last axis, in place."""
+    return np.subtract(a, a.mean(axis=-1, keepdims=True), out=a)
 
 
 def _standardize(a: np.ndarray) -> np.ndarray:
-    """Center and scale along the last axis to unit sample (n-1) variance;
-    constant rows come out as NaN, which marks the correlation undefined."""
-    mu = a.mean(axis=-1, keepdims=True)
-    sd = a.std(axis=-1, ddof=1, keepdims=True)
+    """Center and scale ``a`` in place along the last axis to unit sample
+    (n-1) variance, by the steps of ``np.std(ddof=1)``; constant rows come
+    out as NaN, which marks the correlation undefined."""
+    _center(a)
+    sd = np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True) / (a.shape[-1] - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (a - mu) / sd
-    np.copyto(out, np.nan, where=sd == 0.0)
-    return out
+        np.divide(a, sd, out=a)
+    np.copyto(a, np.nan, where=sd == 0.0)
+    return a
 
 
 def correlation_matrix(

@@ -73,6 +73,14 @@ class TestAggregateSector:
         assert out["median"] == pytest.approx(statistics.median(values), rel=1e-10, abs=1e-10)
         assert out["std"] == pytest.approx(statistics.stdev(values), rel=1e-10, abs=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=32),
+                              st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+                    min_size=1, max_size=40))
+    def test_median_is_numpys_bit_for_bit(self, values):
+        median = aggregate_sector(values)["median"]
+        assert np.float64(median).tobytes() == np.median(np.array(values)).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=20),

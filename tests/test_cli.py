@@ -11,6 +11,7 @@ import pytest
 import foodsec
 from foodsec.aggregate import read_sector_matrix
 from foodsec.cli import cli, main
+from foodsec.correlate import read_correlations
 from foodsec.synth import SynthConfig, generate
 
 
@@ -99,6 +100,23 @@ class TestExitCodes:
                   "--trials", "5", "--seed", "1", "--out", tmp_path / "out"])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_correlate_at_extreme_scales_is_not_an_internal_error(self, tmp_path):
+        """On the masked pair, sxx * syy underflows to 0 at these scales."""
+        m, v = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3], [2, 7, 1, 8, 2, 8, 1, 8, 2, 8]
+        r = {}
+        for name, m_scale, v_scale in (("unit", 1.0, 1.0), ("tiny", 1e-150, 1e-15)):
+            (tmp_path / "mobile.csv").write_text("sector_id,m,n_users\n" + "".join(
+                f"s{i},{a * m_scale!r},30\n" for i, a in enumerate(m)))
+            (tmp_path / "survey.csv").write_text("sector_id,v,n_households\n" + "".join(
+                f"s{i},{'' if i == 4 else repr(b * v_scale)},10\n" for i, b in enumerate(v)))
+            assert run(["correlate", "--mobile", tmp_path / "mobile.csv",
+                        "--survey-matrix", tmp_path / "survey.csv",
+                        "--out", tmp_path / name]) == 0
+            (entry,) = read_correlations(tmp_path / name / "correlations.csv")
+            assert entry.n == 9
+            r[name] = entry.r
+        assert r["tiny"] == pytest.approx(r["unit"], abs=1e-12)
 
     def test_rolling_window_longer_than_the_data_is_data_error(
         self, medium_dataset, medium_pipeline, tmp_path, capsys
@@ -299,7 +317,7 @@ def test_all_takes_every_stage_option():
                                             ("fit", "degree")}:
                 assert (other.default, other.required) == (option.default, option.required), (
                     option.name)
-    assert set(whole) == stage_options | {"in_dir", "out"}
+    assert set(whole) == stage_options | {"in", "out"}
 
 
 def loaded_after_import(module: str, package: str) -> list[str]:
@@ -588,6 +606,38 @@ class TestDeterminismAndOverrides:
                                        "denominator")} == {
             "home_hours": "all", "columns": "topup_sum.mean,topup_mean.mean",
             "diversity_direction": "out", "denominator": "window"}
+
+    def test_option_names_are_their_flags(self):
+        """Click names an option's environment variable and --config key after
+        its parameter, so each parameter is its flag with '_' for '-'."""
+        for command in cli.commands.values():
+            for option in command.params:
+                assert option.opts == ["--" + option.name.replace("_", "-")], (
+                    command.name, option.name)
+
+    @pytest.mark.parametrize("via", ["env", "config"])
+    def test_path_options_by_env_var_or_config_key(self, medium_dataset, medium_pipeline,
+                                                   small_dataset, tmp_path, monkeypatch, via):
+        """FOODSEC_<SUBCOMMAND>_<OPTION> and the key <option> reach
+        --user-features, --in and --outputs as any other option."""
+        features, in_dir = medium_pipeline / "user_features.csv", small_dataset[1]["cdr"].parent
+        settings = {"aggregate": ("user_features", features), "all": ("in", in_dir),
+                    "verify": ("outputs", medium_pipeline)}
+        if via == "env":
+            for command, (key, value) in settings.items():
+                monkeypatch.setenv(f"FOODSEC_{command.upper()}_{key.upper()}", str(value))
+            head = []
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.values()))
+            head = ["--config", cfg]
+        assert run(head + ["aggregate", "--min-users", "5", "--out", tmp_path / "agg"]) == 0
+        assert (tmp_path / "agg" / "sector_mobile.csv").read_bytes() == (
+            medium_pipeline / "sector_mobile.csv").read_bytes()
+        assert run(head + ["all", "--seed", "1", "--trials", "5", "--min-users", "5",
+                           "--out", tmp_path / "all"]) == 0
+        assert run(head + ["verify", "--truth", medium_dataset[1]["truth"],
+                           "--out", tmp_path / "verify"]) == 0
 
     def test_synth_config_file_via_cli(self, tmp_path):
         cfg = tmp_path / "synth.cfg"

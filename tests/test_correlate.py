@@ -418,6 +418,85 @@ class TestBatchedKernel:
         np.testing.assert_allclose(masked, complete, rtol=0, atol=1e-12)
 
 
+def grids_equal_oracle(x, y, trials, seed):
+    """Assert one call of the kernel over all ``trials`` permutations equals
+    the per-trial oracle exactly; returns the per-trial cell counts and the
+    oracle's null summary."""
+    perms, expected, summary = null_oracle(x, y, trials, seed)
+    r, ns = _corr_kernel(x, y)(perms)
+    for b, (r_exp, n_exp) in enumerate(expected):
+        assert np.array_equal(r[b], r_exp, equal_nan=True)
+        assert np.array_equal(ns[b], n_exp)
+    return ns, summary
+
+
+class TestStackedMaskedPairs:
+    """Masked pairs are stacked by their count of shared cells; these cases
+    pin the stacking against the per-trial oracle, value for value."""
+
+    def test_gaps_on_both_sides_give_several_cell_counts_in_one_batch(self):
+        rng = np.random.default_rng(21)
+        n = 30
+        x = rng.normal(size=(n, 3))
+        y = rng.normal(size=(n, 4)) * 3.0 + 1.0
+        x[rng.uniform(size=n) < 0.3, 0] = np.nan
+        x[rng.uniform(size=n) < 0.2, 1] = np.nan
+        y[rng.uniform(size=n) < 0.25, 1:3] = np.nan
+        ns, summary = grids_equal_oracle(x, y, trials=12, seed=5)
+        assert len(np.unique(ns[:, 0, 1])) >= 2 and len(np.unique(ns[:, 1, 2])) >= 2
+        mobile, survey = as_matrices(x, y)
+        assert shuffle_null(mobile, survey, trials=12, seed=5) == summary
+
+    def test_batch_with_every_cell_count_under_three(self):
+        rng = np.random.default_rng(22)
+        n = 12
+        x = rng.normal(size=(n, 2))
+        y = rng.normal(size=(n, 2))
+        x[2:, 1] = np.nan  # 2 cells on each side: only the complete pair is defined
+        y[rng.permutation(n)[2:], 1] = np.nan
+        ns, summary = grids_equal_oracle(x, y, trials=8, seed=3)
+        assert (ns[:, 1, :] < 3).all() and (ns[:, :, 1] < 3).all()
+        assert len(np.unique(ns[:, 1, 1])) >= 2
+        mobile, survey = as_matrices(x, y)
+        assert shuffle_null(mobile, survey, trials=8, seed=3) == summary
+
+    def test_stack_split_by_the_element_budget(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n = 20
+        x = rng.normal(size=(n, 2))
+        y = rng.normal(size=(n, 3))
+        y[[2, 7, 11, 19], :2] = np.nan  # every trial shares 16 cells
+        cells_per_trial = (x.shape[1] + 2) * 16
+        monkeypatch.setattr(correlate, "_BATCH_ELEMENTS", 2 * cells_per_trial)
+        ns, summary = grids_equal_oracle(x, y, trials=7, seed=8)
+        assert (ns[:, :, :2] == 16).all()  # one cell count: 4 stacks of at most 2
+        mobile, survey = as_matrices(x, y)
+        assert shuffle_null(mobile, survey, trials=7, seed=8) == summary
+
+    @pytest.mark.parametrize("x_scale, y_scale", [(1e-150, 1e-15), (1e150, 1e150)])
+    def test_masked_path_at_extreme_scales_equals_complete_path(self, x_scale, y_scale):
+        # sxx * syy under- or overflows here, while sxx and syy do not
+        rng = np.random.default_rng(24)
+        n = 10
+        x = rng.normal(size=(n, 2))
+        y = x[:, :1] + 0.5 * rng.normal(size=(n, 1))
+        x, y = x * x_scale, y * y_scale
+        (complete,), _ = _corr_kernel(x, y)(np.arange(n)[None, :])
+        (masked,), (n_masked,) = _corr_kernel(
+            np.vstack([x, np.ones((1, 2))]), np.vstack([y, [[np.nan]]])
+        )(np.arange(n + 1)[None, :])
+        assert (n_masked == n).all()
+        assert np.isfinite(complete).all() and abs(complete[0, 0]) > 0.5
+        np.testing.assert_allclose(masked, complete, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_scale, y_scale", [(1e-150, 1e-15), (1e150, 1e150)])
+    def test_pearson_at_extreme_scales(self, x_scale, y_scale):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=10)
+        y = x + 0.5 * rng.normal(size=10)
+        assert pearson(x * x_scale, y * y_scale) == pytest.approx(pearson(x, y), abs=1e-12)
+
+
 class TestShuffleNull:
     def build(self, n=40, seed=1):
         rng = np.random.default_rng(seed)
