@@ -63,10 +63,26 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise ValueError("x and y must be equal-length vectors")
     if xa.size < 2:
         raise ValueError("need at least 2 paired values")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    r = float(_r_from_sums(np.dot(xc, yc), np.dot(xc, xc), np.dot(yc, yc)))
+    xc, yc = (xa - xa.mean())[None], (ya - ya.mean())[None]
+    sxx, syy = _square_sums(xc), _square_sums(yc)
+    r = float(_r_from_sums(np.vecdot(xc, yc), sxx, syy)[0])
     return None if math.isnan(r) else r
+
+
+def _square_sums(a: np.ndarray, sums: Callable = lambda a: np.vecdot(a, a)) -> np.ndarray:
+    """``sums(a)``, the sums of squares of the rows of ``a`` (its last axis),
+    once each row whose sum overflows or falls below the normal float range
+    is scaled in place by the power of two that brings its largest magnitude
+    into [0.5, 1): exact, so r keeps every digit; other rows keep their bytes."""
+    with np.errstate(over="ignore"):
+        ss = sums(a)
+    odd = ~((ss >= np.finfo(np.float64).tiny) & (ss < np.inf))
+    if odd.any():
+        rows = a[odd]
+        rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=-1, keepdims=True))[1])
+        a[odd] = rows
+        ss[odd] = sums(rows)
+    return ss
 
 
 def _r_from_sums(sxy, sxx, syy):
@@ -145,10 +161,9 @@ def _corr_kernel(
     per stack. Every other pair is taken per (mobile group, survey group),
     the columns of each side grouped by where they have cells: the trials
     that share a count of common cells are stacked, and their centered cells
-    go through row dots (``np.vecdot`` calls the dot that ``np.dot`` does in
-    :func:`pearson`). Each value is bit-identical to evaluating one
-    permutation at a time: the C-contiguous layouts below keep numpy's
-    reductions and BLAS calls as they are then.
+    go through row dots (``np.vecdot``, as in :func:`pearson`). Each value is
+    bit-identical to evaluating one permutation at a time: the C-contiguous
+    layouts below keep numpy's reductions and BLAS calls as they are then.
     """
     n_rows = x.shape[0]
     fx, fy = np.isfinite(x), np.isfinite(y)
@@ -183,9 +198,9 @@ def _corr_kernel(
                     pos = np.nonzero(masks[t])[1].reshape(len(t), cells)
                     xc = _center(_stack(xt, pos))
                     yc = _center(_stack(ymt, np.take_along_axis(perms[t], pos, axis=1)))
+                    sxx, syy = _square_sums(xc), _square_sums(yc)
                     r[t[:, None, None], x_cols[:, None], y_cols] = _r_from_sums(
-                        np.vecdot(xc[:, :, None], yc[:, None]),
-                        np.vecdot(xc, xc)[:, :, None], np.vecdot(yc, yc)[:, None])
+                        np.vecdot(xc[:, :, None], yc[:, None]), sxx[:, :, None], syy[:, None])
         return r, ns
 
     return grids
@@ -217,7 +232,8 @@ def _standardize(a: np.ndarray) -> np.ndarray:
     (n-1) variance, by the steps of ``np.std(ddof=1)``; constant rows come
     out as NaN, which marks the correlation undefined."""
     _center(a)
-    sd = np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True) / (a.shape[-1] - 1))
+    ss = _square_sums(a, lambda a: np.add.reduce(a * a, axis=-1))
+    sd = np.sqrt(ss[..., None] / (a.shape[-1] - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(a, sd, out=a)
     np.copyto(a, np.nan, where=sd == 0.0)

@@ -9,16 +9,18 @@ every amount is written ``D+.DD`` is carried as int64 cents, any other as
 ``cdr.csv`` and ``topup.csv`` are read in one pass each into int-coded
 columns (:class:`CallColumns`, :class:`TopUpColumns`): IDs are interned to
 codes in first-seen order, and each call keeps only what the features use,
-its codes and whether it fell in the night window.
+its codes and whether its local time of day fell in the night window.
 
-The data readers take their input in chunks of whole lines. A clean chunk
-(no quote, carriage return or NUL, every line with the header's field count
-and no empty field where one is an error, fixed-layout ``...Z`` timestamps,
-valid amounts and cells) is split and checked in bulk; any other chunk goes
-through the reader's row-wise loop with the same line numbers, and from the
-first quote on, the rest of the input does. An open handle should split
-lines as the csv module asks (``newline=""``): a row-wise chunk ends a line
-at a lone carriage return, as a file the reader opens itself does.
+The data readers (``survey.csv`` too) share one chunk reader,
+:func:`_read_chunks`, which owns the row structure: blank lines, the
+header's field count, empty IDs and line numbers. Each reader gives it its
+typed rules as three closures: ``fast`` checks and splits a clean chunk
+(no quote, carriage return or NUL, fixed-layout ``...Z`` timestamps, valid
+amounts and cells) in bulk, ``check`` reads one row of any other chunk, and
+``take`` appends the columns of either path. From the first quote on, the
+rest of the input goes row by row. An open handle should split lines as
+the csv module asks (``newline=""``): a row-wise chunk ends a line at a
+lone carriage return, as a file the reader opens itself does.
 
 Malformed data rows are quarantined into a :class:`RowErrorLog` and parsing
 continues; structural problems (bad header, conflicting tower map rows) raise
@@ -40,6 +42,7 @@ import io
 import logging
 import re
 from array import array
+from collections import defaultdict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
@@ -131,7 +134,7 @@ def _cents(texts: list[str]) -> np.ndarray | None:
     joined = "\n".join(texts) + "\n"
     if not _CENTS_LINES.fullmatch(joined):
         return None
-    return np.array(joined.replace(".", "").split(), dtype=np.int64)
+    return np.fromstring(joined.replace(".", ""), dtype=np.int64, sep="\n")
 
 
 def money_decimals(values: np.ndarray) -> np.ndarray:
@@ -161,37 +164,26 @@ def money_zeros(shape, like: np.ndarray) -> np.ndarray:
 
 
 class _Amounts:
-    """The accepted amounts of one file in order: cents until one breaks the
-    layout or the total reaches the limit, from then on ``Decimal`` values."""
+    """The accepted amounts of one file in order: cents until a column breaks
+    the layout or the total reaches the limit, from then on ``Decimal`` values."""
 
     def __init__(self) -> None:
         self.cents = array("q")
         self.total = 0
         self.exact: list[Decimal] | None = None
 
-    def add_cents(self, cents: np.ndarray) -> None:
-        if self.exact is None:
+    def add(self, texts: list[str]) -> None:
+        """Append the amounts written ``texts``, each a positive finite decimal."""
+        cents = None if self.exact is not None else _cents(texts)
+        if cents is not None:
             self.total += sum(cents.tolist())  # an int64 sum could wrap
             if self.total < _CENTS_LIMIT:
                 self.cents.frombytes(cents.tobytes())
                 return
-        self.add_exact(money_decimals(cents).tolist())
-
-    def add_one(self, text: str, value: Decimal) -> None:
-        """``value`` read from ``text``, for the row-wise path."""
-        if self.exact is None and _CENTS_LINES.fullmatch(text + "\n"):
-            cents = int(text.replace(".", ""))
-            self.total += cents
-            if self.total < _CENTS_LIMIT:
-                self.cents.append(cents)
-                return
-        self.add_exact([value])
-
-    def add_exact(self, values: list[Decimal]) -> None:
         if self.exact is None:
             self.exact = money_decimals(np.frombuffer(self.cents, np.int64)).tolist()
             self.cents = array("q")
-        self.exact.extend(values)
+        self.exact.extend(map(Decimal, texts))
 
     def column(self) -> np.ndarray:
         if self.exact is None:
@@ -228,22 +220,20 @@ class RowErrorLog:
         return f"{self.count} row error(s), first: {first}"
 
 
+class _BadRow(Exception):
+    """A data row that a reader refuses; the message is its row error."""
+
+
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO 8601 timestamp to a naive UTC datetime."""
-    if text.endswith(("Z", "z")):
-        text = text[:-1]
-    dt = datetime.fromisoformat(text)
+    """Parse an ISO 8601 timestamp to a naive UTC datetime; ValueError if it
+    is none, or if its UTC time falls outside years 1..9999."""
+    dt = datetime.fromisoformat(text[:-1] if text.endswith(("Z", "z")) else text)
     if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError:
+            raise ValueError(f"{text!r} is outside the UTC range") from None
     return dt
-
-
-def in_night_window(t: time, window: tuple[time, time] = DEFAULT_NIGHT_WINDOW) -> bool:
-    """Half-open [start, end) check; a window with start > end wraps midnight."""
-    start, end = window
-    if start <= end:
-        return start <= t < end
-    return t >= start or t < end
 
 
 def _open_text(source) -> ContextManager[IO[str]]:
@@ -274,10 +264,9 @@ _TS_PLACES[5:7, 1] = 10, 1
 _TS_PLACES[8:10, 2] = 10, 1
 _TS_PLACES[[11, 12, 14, 15, 17, 18], 3] = 36_000, 3_600, 600, 60, 10, 1
 _TS_ZERO = ord("0") * _TS_PLACES.sum(axis=0)
-# the second-of-day bound keeps the hour below 24; years 1 and 9999 take the
-# row-wise path, where a UTC offset can overflow them
-_TS_MIN = np.array([2, 1, 1, 0])
-_TS_MAX = np.array([9998, 12, 31, 86_399])
+# the second-of-day bound keeps the hour below 24
+_TS_MIN = np.array([1, 1, 1, 0])
+_TS_MAX = np.array([9999, 12, 31, 86_399])
 # calendar tables as in date.toordinal; rows of the month tables: common, leap year
 _YEARS = np.arange(10_000)
 _LEAP = ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))).astype(np.intp)
@@ -327,10 +316,10 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
     return _Chunk(raw, ends, fields)
 
 
-def _fixed_timestamps(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray] | None:
+def _fixed_timestamps(chunk: _Chunk, period) -> tuple[np.ndarray, np.ndarray] | None:
     """Day ordinals (``date.toordinal``) and seconds of day of the chunk's
     last field, or None unless every one is a valid ``YYYY-MM-DDTHH:MM:SSZ``
-    (or ``z``) in years 2..9998."""
+    (or ``z``) inside ``period`` (``[start, end)``) when that is given."""
     if chunk.ends[0, -1] < len(_TS_BACK):
         return None  # too short a first line; its bytes would index from the end
     stamp = chunk.raw[chunk.ends[:, -1:] + _TS_BACK]
@@ -344,19 +333,32 @@ def _fixed_timestamps(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray] | None:
     leap = _LEAP[year]
     if not (day <= _MONTH_DAYS[leap, month]).all():
         return None
-    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[leap, month] + day, second
+    ordinal = _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[leap, month] + day
+    if period is not None:
+        start, end = ((p - _EPOCH) // _US for p in period)
+        when = ((ordinal - _EPOCH.toordinal()) * 86_400 + second) * 10**6
+        if not ((when >= start) & (when < end)).all():
+            return None
+    return ordinal, second
 
 
-def _within(ordinal: np.ndarray, second: np.ndarray, period: tuple[datetime, datetime]) -> bool:
-    """Whether every UTC time lies in ``period`` (``[start, end)``)."""
-    start, end = ((p - _EPOCH) // _US for p in period)
-    when = ((ordinal - _EPOCH.toordinal()) * 86_400 + second) * 10**6
-    return bool(((when >= start) & (when < end)).all())
+def _utc(text: str, period: tuple[datetime, datetime] | None) -> datetime:
+    """One row's timestamp ``text`` as a naive UTC datetime; a
+    :class:`_BadRow` if it is none or lies outside ``period``."""
+    try:
+        when = parse_timestamp(text)
+    except ValueError:
+        raise _BadRow(f"unparsable timestamp {text!r}") from None
+    if period is not None and not (period[0] <= when < period[1]):
+        raise _BadRow("timestamp outside observation period")
+    return when
 
 
-def _night_flags(second: np.ndarray, offset: timedelta, window: tuple[time, time]) -> np.ndarray:
-    """:func:`in_night_window` of each local time, from UTC seconds of day."""
-    t = (second * 10**6 + offset // _US) % _DAY_US
+def _night_flags(micros, offset: timedelta, window: tuple[time, time]) -> np.ndarray:
+    """Whether each local time of day falls in ``window``, half-open
+    [start, end) and wrapping midnight when start > end, from UTC
+    microseconds of the day; local time is UTC + ``offset``."""
+    t = (np.asarray(micros, dtype=np.int64) + offset // _US) % _DAY_US
     start, end = (((w.hour * 60 + w.minute) * 60 + w.second) * 10**6 + w.microsecond
                   for w in window)
     if start <= end:
@@ -364,10 +366,11 @@ def _night_flags(second: np.ndarray, offset: timedelta, window: tuple[time, time
     return (t >= start) | (t < end)
 
 
-def _intern(table: dict[str, int], ids: list[str]) -> None:
-    """Give the IDs not yet in ``table`` the next codes, in first-seen order."""
-    new = [k for k in dict.fromkeys(ids) if k not in table]
-    table.update(zip(new, range(len(table), len(table) + len(new))))
+def _codes() -> defaultdict[str, int]:
+    """An ID table whose lookup gives each new ID the next code, in first-seen order."""
+    table: defaultdict[str, int] = defaultdict()
+    table.default_factory = table.__len__
+    return table
 
 
 @contextmanager
@@ -388,32 +391,62 @@ def _header(handle: IO[str], what: str) -> tuple[list[str] | None, int]:
         return next(reader, None), reader.line_num
 
 
-def _read_chunks(
-    handle: IO[str],
-    what: str,
-    line: int,
-    bulk: Callable[[str], int],
-    rowwise: Callable[[Iterator, int], int],
-) -> None:
-    """Feed the data after the header to a reader, chunk by chunk.
+#: Accepted rows of a row-wise chunk handed to ``take`` at once, few enough to stay in cache.
+_TAKE_ROWS = 512
 
-    ``bulk(text)`` takes a chunk and returns its line count, or 0 to refuse
-    it; ``rowwise(reader, line)`` reads the rows of a csv reader whose line 1
-    is file line ``line + 1`` and returns the lines read. After the first
-    quote the rest of the input goes row-wise, since a quoted field may hold
-    a newline that straddles chunks.
+
+def _read_chunks(handle: IO[str], what: str, line: int, errors: RowErrorLog,
+                 shape: tuple[int, int, str], fast: Callable, check: Callable,
+                 take: Callable) -> None:
+    """Read the data rows after the header, which ends at file line ``line``,
+    into a reader's columns, chunk by chunk.
+
+    ``shape`` is ``(width, ids, empty)``: the header's field count, how many
+    leading ID fields may not be empty, and the row error for one that is.
+    A chunk that :func:`_split_chunk` splits and that ``fast(chunk)`` turns
+    into columns (None refuses it) goes to ``take(*columns)`` whole. Other
+    chunks are read row by row: blank lines are skipped; a row of another
+    width, with an empty ID or that ``check(*fields)`` refuses with a
+    :class:`_BadRow` is reported to ``errors``; the values ``check`` returns,
+    one per field, reach ``take`` as columns of up to ``_TAKE_ROWS`` rows.
+    From the first quote on the rest of the input goes row by row, since a
+    quoted field may hold a newline that straddles chunks.
     """
+    width, ids, empty = shape
+    limit = _TAKE_ROWS * width
     while text := handle.read(_CHUNK_CHARS):
         if not text.endswith("\n"):
             text += handle.readline()
         quoted = '"' in text
-        lines = 0 if quoted else bulk(text)
-        if not lines:
-            chunk = io.StringIO(text, newline="")
-            reader = csv.reader(chain(chunk, handle) if quoted else chunk)
-            with _csv_errors(what, reader, line):
-                lines = rowwise(reader, line)
-        line += lines
+        chunk = None if quoted else _split_chunk(text, width, ids)
+        columns = None if chunk is None else fast(chunk)
+        if columns is not None:
+            take(*columns)
+            line += len(chunk.ends)
+            continue
+        lines = io.StringIO(text, newline="")
+        reader = csv.reader(chain(lines, handle) if quoted else lines)
+        block: list = []  # the values of the rows, row after row
+        with _csv_errors(what, reader, line):
+            for row in reader:
+                try:
+                    if len(row) != width:
+                        if not row:
+                            continue
+                        raise _BadRow(f"expected {width} fields, got {len(row)}")
+                    if "" in row and not all(row[:ids]):
+                        raise _BadRow(empty)
+                    values = check(*row)
+                except _BadRow as exc:
+                    errors.report(line + reader.line_num, str(exc))
+                    continue
+                block += values
+                if len(block) == limit:
+                    take(*(block[i::width] for i in range(width)))
+                    block = []
+        if block:
+            take(*(block[i::width] for i in range(width)))
+        line += reader.line_num
 
 
 def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
@@ -555,65 +588,35 @@ def read_cdr(
     plus ``utc_offset_minutes``. Memory grows by 13 bytes per accepted row
     plus one entry per distinct ID.
     """
-    if errors is None:
-        errors = RowErrorLog()
-    users: dict[str, int] = {}
-    towers: dict[str, int] = {}
+    users, towers = _codes(), _codes()
     caller, callee, tower = array("i"), array("i"), array("i")
     night = bytearray()
     offset = timedelta(minutes=utc_offset_minutes)
-    # anything else overflows or fails to compare in the row-wise loop only
-    bulk_ok = abs(offset) < timedelta(days=1) and all(t.tzinfo is None for t in night_window)
 
-    def bulk(text: str) -> int:
-        chunk = _split_chunk(text, 4, 3) if bulk_ok else None
-        if chunk is None:
-            return 0
-        stamps = _fixed_timestamps(chunk)
-        if stamps is None or (period is not None and not _within(*stamps, period)):
-            return 0
-        ids = chunk.fields[:]
-        del ids[3::4]
-        del ids[2::3]  # callers and callees, interleaved as the rows meet them
-        _intern(users, ids)
+    def fast(chunk: _Chunk):
+        stamps = _fixed_timestamps(chunk, period)
+        if stamps is None:
+            return None
+        return chunk.fields[0::4], chunk.fields[1::4], chunk.fields[2::4], stamps[1] * 10**6
+
+    def check(caller_id: str, callee_id: str, tower_id: str, stamp: str):
+        since = _utc(stamp, period) - _EPOCH  # whole days apart: seconds are of the day
+        return caller_id, callee_id, tower_id, since.seconds * 10**6 + since.microseconds
+
+    def take(callers, callees, tower_ids, micros) -> None:
+        ids = [*callers, *callees]
+        ids[0::2], ids[1::2] = callers, callees  # as the rows meet them
         codes = list(map(users.__getitem__, ids))
         caller.fromlist(codes[0::2])
         callee.fromlist(codes[1::2])
-        tower_ids = chunk.fields[2::4]
-        _intern(towers, tower_ids)
         tower.fromlist(list(map(towers.__getitem__, tower_ids)))
-        night.extend(_night_flags(stamps[1], offset, night_window).tobytes())
-        return len(chunk.ends)
-
-    def rowwise(reader, line: int) -> int:
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                errors.report(line + reader.line_num, f"expected 4 fields, got {len(row)}")
-                continue
-            caller_id, callee_id, tower_id, ts = row
-            if not caller_id or not callee_id or not tower_id:
-                errors.report(line + reader.line_num, "empty identifier field")
-                continue
-            try:
-                when = parse_timestamp(ts)
-            except ValueError:
-                errors.report(line + reader.line_num, f"unparsable timestamp {ts!r}")
-                continue
-            if period is not None and not (period[0] <= when < period[1]):
-                errors.report(line + reader.line_num, "timestamp outside observation period")
-                continue
-            caller.append(users.setdefault(caller_id, len(users)))
-            callee.append(users.setdefault(callee_id, len(users)))
-            tower.append(towers.setdefault(tower_id, len(towers)))
-            night.append(in_night_window((when + offset).time(), night_window))
-        return reader.line_num
+        night.extend(_night_flags(micros, offset, night_window).tobytes())
 
     with _open_text(source) as handle:
         header, line = _header(handle, "cdr")
         _check_header(header, CDR_HEADER, "cdr")
-        _read_chunks(handle, "cdr", line, bulk, rowwise)
+        _read_chunks(handle, "cdr", line, errors or RowErrorLog(),
+                     (4, 3, "empty identifier field"), fast, check, take)
     return CallColumns(
         users=list(users),
         towers=list(towers),
@@ -631,79 +634,48 @@ def read_topups(
 ) -> TopUpColumns:
     """Read ``topup.csv``-format data into :class:`TopUpColumns`; amounts
     are exact (cents or decimals, see there) and must be positive."""
-    if errors is None:
-        errors = RowErrorLog()
-    users: dict[str, int] = {}
+    users = _codes()
     user, day = array("i"), array("i")
     amounts = _Amounts()
 
-    def bulk(text: str) -> int:
-        chunk = _split_chunk(text, 3, 1)
-        if chunk is None:
-            return 0
-        stamps = _fixed_timestamps(chunk)
-        if stamps is None or (period is not None and not _within(*stamps, period)):
-            return 0
-        amount_texts = chunk.fields[1::3]
-        cents = _cents(amount_texts)
-        if cents is not None:
-            if not cents.all():
-                return 0
-            amounts.add_cents(cents)
-        else:
+    def fast(chunk: _Chunk):
+        stamps = _fixed_timestamps(chunk, period)
+        if stamps is None:
+            return None
+        texts = chunk.fields[1::3]
+        values = _cents(texts)
+        if values is None:  # the rule of check, in bulk
             try:
-                parsed = list(map(Decimal, amount_texts))
+                values = np.array(list(map(Decimal, texts)))
             except InvalidOperation:
-                return 0
-            if not all(map(Decimal.is_finite, parsed)) or min(parsed) <= 0:
-                return 0
-            if "_" in "".join(amount_texts):
-                return 0
-            amounts.add_exact(parsed)
-        user_ids = chunk.fields[0::3]
-        _intern(users, user_ids)
-        user.fromlist(list(map(users.__getitem__, user_ids)))
-        day.frombytes(stamps[0].astype(np.int32).tobytes())
-        return len(chunk.ends)
+                return None
+            if "_" in "".join(texts) or not all(map(Decimal.is_finite, values)):
+                return None
+        if not (values > 0).all():
+            return None
+        return chunk.fields[0::3], texts, stamps[0]
 
-    def rowwise(reader, line: int) -> int:
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                errors.report(line + reader.line_num, f"expected 3 fields, got {len(row)}")
-                continue
-            user_id, amount_text, ts = row
-            if not user_id:
-                errors.report(line + reader.line_num, "empty user_id")
-                continue
-            try:
-                amount = Decimal(amount_text)
-            except InvalidOperation:
-                amount = None
-            if amount is None or "_" in amount_text:
-                errors.report(line + reader.line_num, f"non-numeric amount {amount_text!r}")
-                continue
-            if not amount.is_finite() or amount <= 0:
-                errors.report(line + reader.line_num, f"non-positive amount {amount_text!r}")
-                continue
-            try:
-                when = parse_timestamp(ts)
-            except ValueError:
-                errors.report(line + reader.line_num, f"unparsable timestamp {ts!r}")
-                continue
-            if period is not None and not (period[0] <= when < period[1]):
-                errors.report(line + reader.line_num, "timestamp outside observation period")
-                continue
-            user.append(users.setdefault(user_id, len(users)))
-            day.append(when.toordinal())
-            amounts.add_one(amount_text, amount)
-        return reader.line_num
+    def check(user_id: str, text: str, stamp: str):
+        try:
+            amount = Decimal(text)
+        except InvalidOperation:
+            amount = None
+        if amount is None or "_" in text:
+            raise _BadRow(f"non-numeric amount {text!r}")
+        if not amount.is_finite() or amount <= 0:
+            raise _BadRow(f"non-positive amount {text!r}")
+        return user_id, text, _utc(stamp, period).toordinal()
+
+    def take(user_ids, texts, days) -> None:
+        user.fromlist(list(map(users.__getitem__, user_ids)))
+        amounts.add(texts)
+        day.frombytes(np.asarray(days, dtype=np.int32).tobytes())
 
     with _open_text(source) as handle:
         header, line = _header(handle, "topup")
         _check_header(header, TOPUP_HEADER, "topup")
-        _read_chunks(handle, "topup", line, bulk, rowwise)
+        _read_chunks(handle, "topup", line, errors or RowErrorLog(),
+                     (3, 1, "empty user_id"), fast, check, take)
     return TopUpColumns(
         users=list(users),
         user=np.frombuffer(user, dtype=np.int32),
@@ -777,8 +749,6 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
     bad cells (not a number, written with ``_``, not finite, or a food-group
     frequency outside 0..7) quarantine the whole row. Blank cells are missing.
     """
-    if errors is None:
-        errors = RowErrorLog()
     categories = metadata if isinstance(metadata, dict) else load_survey_metadata(metadata)
     with _open_text(source) as handle:
         header, line = _header(handle, "survey")
@@ -798,80 +768,58 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
         if unused:
             log.debug("survey: %d metadata variable(s) not present in data", len(unused))
         food_cols = [i for i, v in enumerate(variables) if categories[v] == "food_group"]
+        width = len(header)
 
         household_ids: list[str] = []
         sector_ids: list[str] = []
         values = array("d")  # row-major
-        width = len(header)
 
-        def bulk(text: str) -> int:
-            chunk = _split_chunk(text, width, 2)
-            if chunk is None:
-                return 0
+        def fast(chunk: _Chunk):
             cells = chunk.fields[:]
             del cells[0::width]  # household IDs
             del cells[0::width - 1]  # sector IDs
             try:
                 parsed = np.array([float(c) if c else nan for c in cells], dtype=np.float64)
             except ValueError:
-                return 0
+                return None
             # only blank cells may read as NaN
-            if len(parsed) - np.count_nonzero(np.isfinite(parsed)) != cells.count(""):
-                return 0
-            if "_" in "".join(cells):
-                return 0
-            food = parsed.reshape(len(chunk.ends), -1)[:, food_cols]
+            nan_cells = len(parsed) - np.count_nonzero(np.isfinite(parsed))
+            if nan_cells != cells.count("") or "_" in "".join(cells):
+                return None
+            parsed = parsed.reshape(len(chunk.ends), -1)
+            food = parsed[:, food_cols]
             if not (np.isnan(food) | ((food >= 0) & (food <= 7) & (food == np.floor(food)))).all():
-                return 0
-            household_ids.extend(chunk.fields[0::width])
-            sector_ids.extend(chunk.fields[1::width])
-            values.frombytes(parsed.tobytes())
-            return len(chunk.ends)
+                return None
+            return chunk.fields[0::width], chunk.fields[1::width], *parsed.T
 
-        def rowwise(reader, line: int) -> int:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    errors.report(line + reader.line_num,
-                                  f"expected {width} fields, got {len(row)}")
-                    continue
-                household, sector = row[0], row[1]
-                if not household or not sector:
-                    errors.report(line + reader.line_num, "empty household_id or sector_id")
-                    continue
-                parsed: list[float] = []
-                bad = None
-                for name, cell in zip(variables, row[2:]):
-                    if cell == "":
-                        parsed.append(nan)
-                        continue
+        def check(household: str, sector: str, *cells: str):
+            try:
+                parsed = [float(c) if c else nan for c in cells]
+            except ValueError:
+                parsed = []
+            if sum(map(isfinite, parsed)) + cells.count("") != len(cells) or "_" in "".join(cells):
+                for name, cell in zip(variables, cells):  # search for the first bad cell
                     try:
-                        value = float(cell)
+                        value = float(cell) if cell else nan
                     except ValueError:
                         value = None
                     if value is None or "_" in cell:
-                        bad = f"non-numeric value {cell!r} in {name!r}"
-                        break
-                    if not isfinite(value):
-                        bad = f"non-finite value {cell!r} in {name!r}"
-                        break
-                    parsed.append(value)
-                if bad is None:
-                    for i in food_cols:
-                        v = parsed[i]
-                        if v == v and not (v.is_integer() and 0 <= v <= 7):
-                            bad = f"food-group frequency {v!r} in {variables[i]!r} outside 0..7"
-                            break
-                if bad is not None:
-                    errors.report(line + reader.line_num, bad)
-                    continue
-                household_ids.append(household)
-                sector_ids.append(sector)
-                values.extend(parsed)
-            return reader.line_num
+                        raise _BadRow(f"non-numeric value {cell!r} in {name!r}")
+                    if cell and not isfinite(value):
+                        raise _BadRow(f"non-finite value {cell!r} in {name!r}")
+            for i in food_cols:
+                v = parsed[i]
+                if v == v and not (v.is_integer() and 0 <= v <= 7):
+                    raise _BadRow(f"food-group frequency {v!r} in {variables[i]!r} outside 0..7")
+            return household, sector, *parsed
 
-        _read_chunks(handle, "survey", line, bulk, rowwise)
+        def take(households, sectors, *cells) -> None:
+            household_ids.extend(households)
+            sector_ids.extend(sectors)
+            values.frombytes(np.array(cells, dtype=np.float64).T.tobytes())
+
+        _read_chunks(handle, "survey", line, errors or RowErrorLog(),
+                     (width, 2, "empty household_id or sector_id"), fast, check, take)
         return SurveyTable(
             household_ids=household_ids,
             sector_ids=sector_ids,

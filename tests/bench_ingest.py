@@ -5,8 +5,9 @@ name keeps it out of the default test run. The input has the shape of the
 ``c01`` benchmark workload (200 sectors x 40 users x 30 households, 182 days:
 about 255 k calls, 80 k top-ups and 6 k households), generated once per
 session by ``foodsec.synth``. The ``dirty`` variants read copies with one
-malformed row in every chunk, so every chunk takes the row-wise path. No
-timing is asserted.
+malformed row in every chunk, so every chunk takes the row-wise path; the
+``quoted`` variants read copies whose first data row has a quoted field, so
+the rest of the file goes row by row in one pass. No timing is asserted.
 """
 
 import pytest
@@ -24,8 +25,9 @@ def inputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("c01")
     paths = generate(SynthConfig(seed=1, **C01), out)
     for name in ("cdr", "topup", "survey"):
-        paths[f"{name}_dirty"] = out / f"{name}_dirty.csv"
-        dirty(paths[name], paths[f"{name}_dirty"])
+        for variant in (dirty, quoted):
+            paths[f"{name}_{variant.__name__}"] = out / f"{name}_{variant.__name__}.csv"
+            variant(paths[name], paths[f"{name}_{variant.__name__}"])
     return paths
 
 
@@ -41,28 +43,44 @@ def dirty(source, target) -> None:
             out.write(text[:first] + "broken\n" + text[first:])
 
 
-@pytest.mark.parametrize("variant", ["clean", "dirty"])
+def quoted(source, target) -> None:
+    """Copy ``source`` with the first field of its first data row quoted."""
+    with open(source, encoding="utf-8", newline="") as f, \
+            open(target, "w", encoding="utf-8", newline="") as out:
+        out.write(f.readline())
+        first, rest = f.readline().split(",", 1)
+        out.write(f'"{first}",{rest}')
+        while text := f.read(ingest._CHUNK_CHARS):
+            out.write(text)
+
+
+VARIANTS = ["clean", "dirty", "quoted"]
+
+
+def variant_path(inputs, name, variant):
+    return inputs[name if variant == "clean" else f"{name}_{variant}"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_read_cdr(benchmark, inputs, variant):
-    path = inputs["cdr" if variant == "clean" else "cdr_dirty"]
     errors = RowErrorLog()
-    calls = benchmark(read_cdr, path, errors)
+    calls = benchmark(read_cdr, variant_path(inputs, "cdr", variant), errors)
     assert len(calls) > 200_000
     assert (errors.count > 0) == (variant == "dirty")
 
 
-@pytest.mark.parametrize("variant", ["clean", "dirty"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_read_topups(benchmark, inputs, variant):
-    path = inputs["topup" if variant == "clean" else "topup_dirty"]
     errors = RowErrorLog()
-    topups = benchmark(read_topups, path, errors)
+    topups = benchmark(read_topups, variant_path(inputs, "topup", variant), errors)
     assert len(topups) > 50_000
     assert (errors.count > 0) == (variant == "dirty")
 
 
-@pytest.mark.parametrize("variant", ["clean", "dirty"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_load_survey(benchmark, inputs, variant):
-    path = inputs["survey" if variant == "clean" else "survey_dirty"]
     errors = RowErrorLog()
-    table = benchmark(load_survey, path, inputs["survey_meta"], errors)
+    table = benchmark(load_survey, variant_path(inputs, "survey", variant),
+                      inputs["survey_meta"], errors)
     assert len(table) > 5_000
     assert (errors.count > 0) == (variant == "dirty")

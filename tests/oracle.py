@@ -23,7 +23,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from datetime import datetime, time, timedelta
+from datetime import date, datetime, time, timedelta
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -260,7 +260,9 @@ class FeatureConfig(NamedTuple):
 def in_night_local(timestamp: datetime, config: FeatureConfig) -> bool:
     """The night-window rule on a UTC timestamp shifted to local time."""
     start, end = config.night_window
-    t = (timestamp + timedelta(minutes=config.utc_offset_minutes)).time()
+    # the time of day alone, on a day that no offset under a day moves out of range
+    day = datetime.combine(date(2000, 1, 2), timestamp.time())
+    t = (day + timedelta(minutes=config.utc_offset_minutes)).time()
     return (t >= start or t < end) if start > end else (start <= t < end)
 
 

@@ -57,6 +57,33 @@ class TestExitCodes:
         assert manifest["stats"]["row_errors"] == {"cdr": 1, "topup": 0}
         assert manifest["stats"]["users_out"] == 1
 
+    @pytest.mark.parametrize("file, row", [
+        ("cdr", "u1,u2,t1,0001-01-01T00:30:00+01:00"),
+        ("topup", "u1,5.00,9999-12-31T23:30:00-01:00"),
+    ])
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 2)])
+    def test_offset_timestamp_outside_utc_range_is_row_error(self, tmp_path, capsys, file, row,
+                                                             strict, code):
+        """An offset stamp whose UTC time falls before year 1 or after 9999
+        is an unparsable timestamp, not a crash."""
+        bodies = {
+            "cdr": "caller_id,callee_id,tower_id,timestamp\nu1,u2,t1,2012-01-01T20:00:00Z\n",
+            "topup": "user_id,amount,timestamp\nu1,100,2012-01-05T10:00:00Z\n",
+        }
+        bodies[file] += row + "\n"
+        for name, body in bodies.items():
+            (tmp_path / f"{name}.csv").write_text(body)
+        (tmp_path / "towers.csv").write_text("tower_id,sector_id\nt1,s1\n")
+        rc = run(["features", "--cdr", tmp_path / "cdr.csv", "--topup", tmp_path / "topup.csv",
+                  "--towers", tmp_path / "towers.csv", "--out", tmp_path / "out",
+                  *(["--strict"] if strict else [])])
+        assert rc == code
+        if strict:
+            assert "line 3: unparsable timestamp" in capsys.readouterr().err
+        else:
+            manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+            assert manifest["stats"]["row_errors"] == {"cdr": 0, "topup": 0, file: 1}
+
     def test_missing_seed_for_null_is_config_error(self, medium_pipeline, tmp_path, capsys):
         rc = run(["null", "--mobile", medium_pipeline / "sector_mobile.csv",
                   "--survey-matrix", medium_pipeline / "sector_survey.csv",
@@ -543,6 +570,30 @@ class TestDeterminismAndOverrides:
         assert [row[:2] for row in rows[1:] if row[0] == "u1"] == [["u1", home]]
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["utc_offset"] == int(offset)
+
+    @pytest.mark.parametrize("offset, stamp", [("-60", "0001-01-01T00:30:00Z"),
+                                               ("60", "9999-12-31T23:30:00Z")])
+    @pytest.mark.parametrize("caller", ["u1", '"u1"'])
+    def test_utc_offset_at_the_edge_of_the_date_range(self, tmp_path, offset, stamp, caller):
+        """A call whose local time falls on the day before year 1 or after
+        9999 is judged by its local time of day: 23:30 and 00:30 are night.
+        A quoted caller sends the file through the row loop."""
+        (tmp_path / "cdr.csv").write_text(
+            "caller_id,callee_id,tower_id,timestamp\n"
+            f"{caller},u2,tA,{stamp}\n"
+            "u1,u2,tB,2012-01-03T12:00:00Z\n"
+            "u1,u2,tB,2012-01-04T12:00:00Z\n"
+        )
+        (tmp_path / "topup.csv").write_text(
+            "user_id,amount,timestamp\nu1,5.00,2012-01-05T10:00:00Z\n"
+        )
+        (tmp_path / "towers.csv").write_text("tower_id,sector_id\ntA,sA\ntB,sB\n")
+        out = tmp_path / "out"
+        assert run(["features", "--cdr", tmp_path / "cdr.csv", "--topup", tmp_path / "topup.csv",
+                    "--towers", tmp_path / "towers.csv", "--utc-offset", offset,
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "user_features.csv").read_text().splitlines()]
+        assert [row[:2] for row in rows[1:] if row[0] == "u1"] == [["u1", "sA"]]
 
     def test_all_passes_utc_offset_to_features(self, small_dataset, tmp_path):
         _, paths = small_dataset

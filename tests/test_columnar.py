@@ -326,7 +326,7 @@ def read_outcome(read, *args, strict):
     errors = RowErrorLog(strict=strict, keep=10**6)
     try:
         result = read(*args, errors)
-    except (FormatError, OverflowError) as exc:
+    except FormatError as exc:
         return type(exc).__name__, str(exc), errors.count
     return result, errors.count, errors.errors
 
@@ -346,13 +346,19 @@ def field_size_limit(limit):
 field_limits = st.sampled_from([None, None, None, 20])
 
 
+# rows a row-wise chunk hands on at once: one, a few, and the default
+TAKE_ROWS = [1, 3, ingest._TAKE_ROWS]
+
+
 @settings(max_examples=200, deadline=None)
 @given(chunked_cdr, chunked_topup, chunked_survey, configs, chunk_periods, stricts,
-       st.one_of(st.integers(16, 48), st.integers(49, 400)), field_limits)
+       st.one_of(st.integers(16, 48), st.integers(49, 400)), field_limits,
+       st.sampled_from(TAKE_ROWS))
 def test_chunked_readers_equal_rowwise(cdr, topup, survey, config, period, strict, chunk_chars,
-                                       field_limit):
+                                       field_limit, take_rows):
     with pytest.MonkeyPatch.context() as patch, field_size_limit(field_limit):
         patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        patch.setattr(ingest, "_TAKE_ROWS", take_rows)
         actual = (
             read_outcome(decoded_calls, cdr, config, period, strict=strict),
             read_outcome(decoded_topups, topup, period, strict=strict),
@@ -435,15 +441,10 @@ SURVEY_HEADER = "household_id,sector_id,staples,size,oil,cost"
 HEADERS = {"cdr": ",".join(CDR_HEADER), "topup": ",".join(TOPUP_HEADER), "survey": SURVEY_HEADER}
 
 
-@pytest.mark.parametrize("chunk_chars", [16, 100, 1 << 15])
-@pytest.mark.parametrize("what, damaged", [(what, row) for what, rows in DAMAGED_ROWS.items()
-                                           for row in rows])
-def test_one_damaged_row_equals_rowwise(what, damaged, chunk_chars):
-    """A clean file with one row that breaks a clean-chunk condition reads
-    as the row-wise oracle reads it, in chunks of one line, of a few, or of
-    the whole file."""
-    rows = [CLEAN_ROWS[what]] * 8
-    text = "\n".join([HEADERS[what], *rows[:4], damaged, *rows[4:]]) + "\n"
+def chunked_and_rowwise(what, text, chunk_chars, take_rows):
+    """What the chunked reader of ``what`` and its row-wise oracle read from
+    ``text``, the first in chunks of ``chunk_chars`` handing on ``take_rows``
+    row-wise rows at a time."""
     config = FeatureConfig(utc_offset_minutes=180)
     chunked, rowwise = {
         "cdr": ((decoded_calls, text, config, None), (oracle_calls, text, config, None)),
@@ -452,5 +453,38 @@ def test_one_damaged_row_equals_rowwise(what, damaged, chunk_chars):
     }[what]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        patch.setattr(ingest, "_TAKE_ROWS", take_rows)
         actual = read_outcome(*chunked, strict=False)
-    assert actual == read_outcome(*rowwise, strict=False)
+    return actual, read_outcome(*rowwise, strict=False)
+
+
+@pytest.mark.parametrize("chunk_chars", [16, 100, 1 << 15])
+@pytest.mark.parametrize("what, damaged", [(what, row) for what, rows in DAMAGED_ROWS.items()
+                                           for row in rows])
+def test_one_damaged_row_equals_rowwise(what, damaged, chunk_chars):
+    """A clean file with one row that breaks a clean-chunk condition reads
+    as the row-wise oracle reads it, in chunks of one line, of a few, or of
+    the whole file, and with each row-wise block size."""
+    rows = [CLEAN_ROWS[what]] * 8
+    text = "\n".join([HEADERS[what], *rows[:4], damaged, *rows[4:]]) + "\n"
+    for take_rows in TAKE_ROWS:
+        actual, expected = chunked_and_rowwise(what, text, chunk_chars, take_rows)
+        assert actual == expected, take_rows
+
+
+@pytest.mark.parametrize("take_rows", TAKE_ROWS)
+@pytest.mark.parametrize("chunk_chars", [16, 1 << 15])
+@pytest.mark.parametrize("what", DAMAGED_ROWS)
+def test_every_field_quoted_equals_rowwise(what, chunk_chars, take_rows):
+    """A file whose every field is quoted, damaged rows among clean ones,
+    goes row by row from its first chunk and reads as the oracle reads it."""
+    # a quoted lone CR ends a line for a handle opened with newline="" only
+    rows = [row.split(",") for row in [CLEAN_ROWS[what]] * 3 + DAMAGED_ROWS[what]
+            if '"' not in row and "\r" not in row]
+    out = io.StringIO()
+    out.write(HEADERS[what] + "\n")
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    actual, expected = chunked_and_rowwise(what, out.getvalue(), chunk_chars, take_rows)
+    assert actual == expected
+    (accepted, *_), errors, _ = actual
+    assert accepted and errors

@@ -105,6 +105,24 @@ class TestPearson:
         assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e-160])
+def test_extreme_scales_keep_r(scale):
+    """Squares of values near 1e155 overflow and those of values near 1e-160
+    are subnormal; the NaN-free kernel path, the masked path and pearson
+    still give the r of the unscaled values."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(10)
+    y = x + 0.5 * rng.standard_normal(10)
+    gap = y.copy()
+    gap[4] = np.nan
+    (r,), (ns,) = _corr_kernel(x[:, None] * scale, np.column_stack([y, gap]) * scale)(
+        np.arange(10)[None, :])
+    assert ns.tolist() == [[10, 9]]
+    assert r[0, 0] == pytest.approx(pearson(x, y), abs=1e-12)
+    assert r[0, 1] == pytest.approx(pearson(np.delete(x, 4), np.delete(y, 4)), abs=1e-12)
+    assert pearson(x * scale, y * scale) == pytest.approx(pearson(x, y), abs=1e-12)
+
+
 class TestPearsonP:
     def test_zero_r_is_one(self):
         assert pearson_p(0.0, 10) == pytest.approx(1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec.features import read_user_features, social_diversity, write_user_features
-from foodsec.ingest import StrictModeError, in_night_window
+from foodsec.ingest import StrictModeError, _night_flags
 from oracle import (
     CallRecord,
     FeatureAccumulator,
@@ -30,21 +30,27 @@ def topup(amount, user="u1", day=1):
     return TopUpRecord(user, Decimal(amount), datetime(2012, 3, day, 12, 0))
 
 
+def is_night(t: time, window: tuple[time, time]) -> bool:
+    """``_night_flags`` of one UTC time of day, with no offset."""
+    us = ((t.hour * 60 + t.minute) * 60 + t.second) * 10**6 + t.microsecond
+    return bool(_night_flags([us], timedelta(0), window)[0])
+
+
 class TestNightWindow:
     def test_wrapping_window(self):
         window = (time(18, 0), time(8, 0))
-        assert in_night_window(time(18, 0), window)
-        assert in_night_window(time(2, 30), window)
-        assert in_night_window(time(7, 59, 59), window)
-        assert not in_night_window(time(8, 0), window)
-        assert not in_night_window(time(12, 0), window)
-        assert not in_night_window(time(17, 59), window)
+        assert is_night(time(18, 0), window)
+        assert is_night(time(2, 30), window)
+        assert is_night(time(7, 59, 59), window)
+        assert not is_night(time(8, 0), window)
+        assert not is_night(time(12, 0), window)
+        assert not is_night(time(17, 59), window)
 
     def test_non_wrapping_window(self):
         window = (time(9, 0), time(17, 0))
-        assert in_night_window(time(9, 0), window)
-        assert not in_night_window(time(17, 0), window)
-        assert not in_night_window(time(20, 0), window)
+        assert is_night(time(9, 0), window)
+        assert not is_night(time(17, 0), window)
+        assert not is_night(time(20, 0), window)
 
 
 class TestAssignHomeTower:
