@@ -18,10 +18,10 @@ import numpy as np
 from .features import UserFeatures
 from .ingest import (
     FormatError,
-    TableReader,
     format_number,
     money_floats,
     parse_column,
+    read_table,
     write_table,
 )
 
@@ -149,16 +149,17 @@ def write_sector_matrix(matrix: SectorMatrix, path, count_column: str = "n_users
 
 def read_sector_matrix(path, count_column: str = "n_users") -> SectorMatrix:
     what = "sector matrix"
-    table = TableReader(path, what, None)
-    header = table.header
-    if not header or header[0] != "sector_id" or header[-1] != count_column:
-        raise FormatError(f"{what}: expected 'sector_id,...,{count_column}' header in {path}")
-    lines, (sectors, *cells, counts) = table.columns()
+
+    def check(header) -> None:
+        if not header or header[0] != "sector_id" or header[-1] != count_column:
+            raise FormatError(f"{what}: expected 'sector_id,...,{count_column}' header in {path}")
+
+    header, lines, (sectors, *cells, counts) = read_table(path, what, check)
     values = np.empty((len(sectors), len(cells)), dtype=np.float64)
     for j, column in enumerate(cells):
         values[:, j] = parse_column(what, lines, column, optional=True)
     return SectorMatrix(
-        sectors=list(sectors),
+        sectors=sectors,
         columns=header[1:-1],
         values=values,
         counts=np.array(parse_column(what, lines, counts, int), dtype=np.int64),

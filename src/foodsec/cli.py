@@ -130,7 +130,7 @@ FEATURES = _declare(
     diversity_direction=dict(type=click.Choice(["both", "out"]), default="both"),
 ) | STRICT
 AGGREGATE = _declare(
-    min_users=dict(type=int, default=DEFAULT_MIN_USERS, show_default=True),
+    min_users=dict(type=click.IntRange(min=0), default=DEFAULT_MIN_USERS, show_default=True),
     columns=dict(default=None, help="comma list pruning feature.aggregator columns"),
 )
 INDICES = _declare(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregate import SectorMatrix
-from .ingest import FormatError, TableReader, format_number, parse_column, write_table
+from .ingest import FormatError, format_number, parse_column, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -348,8 +348,8 @@ def write_correlations(entries: Sequence[CorrelationEntry], path) -> None:
 
 def read_correlations(path) -> list[CorrelationEntry]:
     what = "correlations"
-    table = TableReader(path, what, CORRELATION_HEADER)
-    lines, (mobile, survey, r, p, ci_low, ci_high, n, defined) = table.columns()
+    _, lines, columns = read_table(path, what, CORRELATION_HEADER)
+    mobile, survey, r, p, ci_low, ci_high, n, defined = columns
 
     def optional(cells):
         return parse_column(what, lines, cells, optional=True)

@@ -23,11 +23,11 @@ import numpy as np
 
 from .ingest import (
     CallColumns,
-    TableReader,
     TopUpColumns,
     money_decimals,
     money_texts,
     parse_column,
+    read_table,
     write_table,
 )
 
@@ -263,14 +263,19 @@ def write_user_features(features: UserFeatures, path) -> None:
 def read_user_features(path) -> UserFeatures:
     """``user_features.csv`` as written, its money columns as ``Decimal``."""
     what = "user_features"
-    table = TableReader(path, what, USER_FEATURE_HEADER)
-    lines, (users, homes, sums, means, mins, maxs, counts, diversity) = table.columns()
+    _, lines, columns = read_table(path, what, USER_FEATURE_HEADER)
+    texts = dict(zip(USER_FEATURE_HEADER, columns))
+    del columns  # each column's texts go once its values are made, which lowers the peak
 
-    def money(cells):
-        return np.array(parse_column(what, lines, cells, Decimal), dtype=object)
+    def parse(name, *how, **options):
+        return parse_column(what, lines, texts.pop(name), *how, **options)
 
-    diversity = parse_column(what, lines, diversity, optional=True)
+    def money(name):
+        return np.array(parse(name, Decimal), dtype=object)
+
+    diversity = parse("social_diversity", optional=True)
     return UserFeatures.from_columns(
-        users, homes, money(sums), money(means), money(mins), money(maxs),
-        parse_column(what, lines, counts, int), [math.nan if d is None else d for d in diversity],
+        texts.pop("user_id"), texts.pop("home_sector"), money("topup_sum"), money("topup_mean"),
+        money("topup_min"), money("topup_max"), parse("topup_count", int),
+        [math.nan if d is None else d for d in diversity],
     )

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .aggregate import SectorMatrix
-from .ingest import FormatError, SurveyTable, TableReader, parse_number
+from .ingest import FormatError, SurveyTable, parse_number, read_table
 
 log = logging.getLogger(__name__)
 
@@ -139,11 +139,11 @@ def load_csi_weights(source) -> dict[str, float]:
 
 def _load_weight_table(source, header: list[str], what: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    table = TableReader(source, what, header, ids=1)
-    for key, text in table:
-        weight = parse_number(what, table.line_num, text)
+    _, lines, columns = read_table(source, what, header, ids=1)
+    for line, key, text in zip(lines, *columns):
+        weight = parse_number(what, line, text)
         if weight < 0:
-            raise FormatError(f"{what}: negative weight at line {table.line_num}")
+            raise FormatError(f"{what}: negative weight at line {line}")
         if key in out:
             raise FormatError(f"{what}: duplicate entry {key!r}")
         out[key] = weight
@@ -156,9 +156,8 @@ def load_poverty(source) -> dict[str, tuple[float, float]]:
     """Read ``poverty.csv`` (header ``sector_id,headcount,intensity``)."""
     what = "poverty"
     out: dict[str, tuple[float, float]] = {}
-    table = TableReader(source, what, ["sector_id", "headcount", "intensity"], ids=1)
-    for sector, headcount, intensity in table:
-        line = table.line_num
+    _, lines, columns = read_table(source, what, ["sector_id", "headcount", "intensity"], ids=1)
+    for line, sector, headcount, intensity in zip(lines, *columns):
         h, a = parse_number(what, line, headcount), parse_number(what, line, intensity)
         if not (0 <= h <= 1 and 0 <= a <= 1):
             raise FormatError(f"{what}: value outside [0, 1] at line {line}")

@@ -28,11 +28,11 @@ continues; structural problems (bad header, conflicting tower map rows) raise
 holds: no row is silently dropped.
 
 Every other file, the small inputs and the files the stages hand each other,
-is read through :class:`TableReader` and its numbers through
-:func:`parse_number` or :func:`parse_column`: exact header, blank lines
-skipped, the header's field count on every row, and numbers finite and
-written without ``_``. Any breach there is a :class:`FormatError`, as is a
-field over the csv field limit in any file.
+goes through the same chunk reader as string columns (:func:`read_table`),
+and its numbers through :func:`parse_number` or :func:`parse_column`: exact
+header, blank lines skipped, the header's field count on every row, and
+numbers finite and written without ``_``. Any breach there is a
+:class:`FormatError`, as is a field over the csv field limit in any file.
 """
 
 from __future__ import annotations
@@ -129,11 +129,12 @@ _CENTS_LIMIT = 2**53
 _scaled = np.frompyfunc(lambda cents: Decimal(cents).scaleb(-2), 1, 1)
 
 
-def _cents(texts: list[str]) -> np.ndarray | None:
-    """The amounts as int64 cents if each is written ``D+.DD``, else None."""
+def _money(texts: list[str]) -> np.ndarray:
+    """The amounts as int64 cents if each is written ``D+.DD``, else as
+    ``Decimal`` objects; InvalidOperation if one is no number."""
     joined = "\n".join(texts) + "\n"
     if not _CENTS_LINES.fullmatch(joined):
-        return None
+        return np.array(list(map(Decimal, texts)), dtype=object)
     return np.fromstring(joined.replace(".", ""), dtype=np.int64, sep="\n")
 
 
@@ -172,18 +173,17 @@ class _Amounts:
         self.total = 0
         self.exact: list[Decimal] | None = None
 
-    def add(self, texts: list[str]) -> None:
-        """Append the amounts written ``texts``, each a positive finite decimal."""
-        cents = None if self.exact is not None else _cents(texts)
-        if cents is not None:
-            self.total += sum(cents.tolist())  # an int64 sum could wrap
+    def add(self, values: np.ndarray) -> None:
+        """Append positive finite amounts as :func:`_money` reads them."""
+        if self.exact is None and values.dtype != object:
+            self.total += sum(values.tolist())  # an int64 sum could wrap
             if self.total < _CENTS_LIMIT:
-                self.cents.frombytes(cents.tobytes())
+                self.cents.frombytes(values.tobytes())
                 return
         if self.exact is None:
             self.exact = money_decimals(np.frombuffer(self.cents, np.int64)).tolist()
             self.cents = array("q")
-        self.exact.extend(map(Decimal, texts))
+        self.exact.extend(money_decimals(values).tolist())
 
     def column(self) -> np.ndarray:
         if self.exact is None:
@@ -294,6 +294,8 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
     longer than the csv field limit. Quotes never get here."""
     if "\r" in text or "\0" in text or text.startswith(",") or "\n," in text:
         return None
+    if n_fields == 1 and (text.startswith("\n") or "\n\n" in text):
+        return None  # a blank line: with one field a line has no comma, as it has
     if not text.endswith("\n"):
         text += "\n"
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
@@ -395,7 +397,7 @@ def _header(handle: IO[str], what: str) -> tuple[list[str] | None, int]:
 _TAKE_ROWS = 512
 
 
-def _read_chunks(handle: IO[str], what: str, line: int, errors: RowErrorLog,
+def _read_chunks(handle: IO[str], what: str, line: int, report: Callable,
                  shape: tuple[int, int, str], fast: Callable, check: Callable,
                  take: Callable) -> None:
     """Read the data rows after the header, which ends at file line ``line``,
@@ -404,13 +406,14 @@ def _read_chunks(handle: IO[str], what: str, line: int, errors: RowErrorLog,
     ``shape`` is ``(width, ids, empty)``: the header's field count, how many
     leading ID fields may not be empty, and the row error for one that is.
     A chunk that :func:`_split_chunk` splits and that ``fast(chunk)`` turns
-    into columns (None refuses it) goes to ``take(*columns)`` whole. Other
-    chunks are read row by row: blank lines are skipped; a row of another
-    width, with an empty ID or that ``check(*fields)`` refuses with a
-    :class:`_BadRow` is reported to ``errors``; the values ``check`` returns,
-    one per field, reach ``take`` as columns of up to ``_TAKE_ROWS`` rows.
-    From the first quote on the rest of the input goes row by row, since a
-    quoted field may hold a newline that straddles chunks.
+    into columns (None refuses it) goes to ``take(lines, *columns)`` whole,
+    ``lines`` being the file line number of each row. Other chunks are read
+    row by row: blank lines are skipped; a row of another width, with an
+    empty ID or that ``check(*fields)`` refuses with a :class:`_BadRow` goes
+    to ``report(line, message)``; the values ``check`` returns, one per field,
+    reach ``take`` as columns of up to ``_TAKE_ROWS`` rows. From the first
+    quote on the rest of the input goes row by row, since a quoted field may
+    hold a newline that straddles chunks.
     """
     width, ids, empty = shape
     limit = _TAKE_ROWS * width
@@ -421,11 +424,13 @@ def _read_chunks(handle: IO[str], what: str, line: int, errors: RowErrorLog,
         chunk = None if quoted else _split_chunk(text, width, ids)
         columns = None if chunk is None else fast(chunk)
         if columns is not None:
-            take(*columns)
-            line += len(chunk.ends)
+            rows = len(chunk.ends)
+            take(range(line + 1, line + 1 + rows), *columns)
+            line += rows
             continue
         lines = io.StringIO(text, newline="")
         reader = csv.reader(chain(lines, handle) if quoted else lines)
+        at: list[int] = []  # the line of each row of the block
         block: list = []  # the values of the rows, row after row
         with _csv_errors(what, reader, line):
             for row in reader:
@@ -438,14 +443,15 @@ def _read_chunks(handle: IO[str], what: str, line: int, errors: RowErrorLog,
                         raise _BadRow(empty)
                     values = check(*row)
                 except _BadRow as exc:
-                    errors.report(line + reader.line_num, str(exc))
+                    report(line + reader.line_num, str(exc))
                     continue
+                at.append(line + reader.line_num)
                 block += values
                 if len(block) == limit:
-                    take(*(block[i::width] for i in range(width)))
-                    block = []
+                    take(at, *(block[i::width] for i in range(width)))
+                    at, block = [], []
         if block:
-            take(*(block[i::width] for i in range(width)))
+            take(at, *(block[i::width] for i in range(width)))
         line += reader.line_num
 
 
@@ -457,59 +463,40 @@ def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
         )
 
 
-class TableReader:
-    """The data rows of a small CSV file, each a list of fields, read as
-    they are iterated (once, like a file); ``line_num`` is the line number
-    of the row last produced.
+def read_table(source, what: str, header: list[str] | Callable,
+               ids: int = 0) -> tuple[list[str], list[int], list[list[str]]]:
+    """The header row, the line numbers of the data rows and their fields
+    as string columns, of a CSV file that is not ``cdr``, ``topup`` or
+    ``survey``.
 
-    ``source`` is a path or an open text handle. The file's header row,
-    ``self.header`` (None for an empty file), must equal ``header`` unless
-    that is None. Blank lines are skipped; any other row with a
-    field count other than the header's, or an empty field among the first
-    ``ids``, raises :class:`FormatError` ``"{what}: malformed row at line N"``.
-    Rows come without their line numbers: a ``(line, fields)`` pair for each
-    row made reading ``truth.csv`` about 20 % slower.
+    ``source`` is a path or an open text handle. The header must equal
+    ``header``, or pass it when that is a function that raises a
+    :class:`FormatError` on a wrong one; it is checked before any row is
+    read. Blank lines are skipped; any other row with a field count other
+    than the header's, or an empty field among the first ``ids``, raises
+    :class:`FormatError` ``"{what}: malformed row at line N"``.
     """
-
-    def __init__(self, source, what: str, header: list[str] | None, ids: int = 0):
-        self._rows = _table_rows(source, what, header, ids)
-        self._reader, self.header = next(self._rows)
-
-    def __iter__(self) -> Iterator[list[str]]:
-        return self._rows
-
-    @property
-    def line_num(self) -> int:
-        return self._reader.line_num
-
-    def columns(self) -> tuple[list[int], list[tuple[str, ...]]]:
-        """The line numbers and the columns of the rows not yet produced."""
-        lines, rows = [], []
-        add_line, add_row = lines.append, rows.append
-        for row in self._rows:
-            # as tuples, which the garbage collector stops tracking: holding
-            # the lists made reading user_features.csv about 10 % slower
-            add_row(tuple(row))
-            add_line(self._reader.line_num)
-        return lines, list(zip(*rows)) or [()] * len(self.header or ())
-
-
-def _table_rows(source, what: str, header: list[str] | None, ids: int) -> Iterator:
-    """For :class:`TableReader`: its csv reader and the header row, once
-    checked, then the rows."""
     with _open_text(source) as handle:
-        reader = csv.reader(handle)
-        with _csv_errors(what, reader):
-            got = next(reader, None)
-            if header is not None:
-                _check_header(got, header, what)
-            yield reader, got
-            width = len(got or ())
-            for row in reader:
-                if len(row) == width and (not ids or all(row[:ids])):
-                    yield row
-                elif row:
-                    raise FormatError(f"{what}: malformed row at line {reader.line_num}")
+        got, line = _header(handle, what)
+        if callable(header):
+            header(got)
+        else:
+            _check_header(got, header, what)
+        width = len(got)
+        lines, columns = [], [[] for _ in range(width)]
+
+        def malformed(at: int, _message: str):  # the first bad row is fatal
+            raise FormatError(f"{what}: malformed row at line {at}")
+
+        def take(at, *cells) -> None:
+            lines.extend(at)
+            for column, new in zip(columns, cells):
+                column.extend(new)
+
+        _read_chunks(handle, what, line, malformed, (width, ids, ""),
+                     lambda chunk: [chunk.fields[i::width] for i in range(width)],
+                     lambda *fields: fields, take)
+    return got, lines, columns
 
 
 #: what float, int and Decimal raise on text that is no number
@@ -603,7 +590,7 @@ def read_cdr(
         since = _utc(stamp, period) - _EPOCH  # whole days apart: seconds are of the day
         return caller_id, callee_id, tower_id, since.seconds * 10**6 + since.microseconds
 
-    def take(callers, callees, tower_ids, micros) -> None:
+    def take(_lines, callers, callees, tower_ids, micros) -> None:
         ids = [*callers, *callees]
         ids[0::2], ids[1::2] = callers, callees  # as the rows meet them
         codes = list(map(users.__getitem__, ids))
@@ -615,7 +602,7 @@ def read_cdr(
     with _open_text(source) as handle:
         header, line = _header(handle, "cdr")
         _check_header(header, CDR_HEADER, "cdr")
-        _read_chunks(handle, "cdr", line, errors or RowErrorLog(),
+        _read_chunks(handle, "cdr", line, (errors or RowErrorLog()).report,
                      (4, 3, "empty identifier field"), fast, check, take)
     return CallColumns(
         users=list(users),
@@ -643,17 +630,16 @@ def read_topups(
         if stamps is None:
             return None
         texts = chunk.fields[1::3]
-        values = _cents(texts)
-        if values is None:  # the rule of check, in bulk
-            try:
-                values = np.array(list(map(Decimal, texts)))
-            except InvalidOperation:
-                return None
-            if "_" in "".join(texts) or not all(map(Decimal.is_finite, values)):
-                return None
+        try:
+            values = _money(texts)
+        except InvalidOperation:
+            return None
+        if values.dtype == object and (  # the rule of check, in bulk
+                "_" in "".join(texts) or not all(map(Decimal.is_finite, values))):
+            return None
         if not (values > 0).all():
             return None
-        return chunk.fields[0::3], texts, stamps[0]
+        return chunk.fields[0::3], values, stamps[0]
 
     def check(user_id: str, text: str, stamp: str):
         try:
@@ -666,15 +652,16 @@ def read_topups(
             raise _BadRow(f"non-positive amount {text!r}")
         return user_id, text, _utc(stamp, period).toordinal()
 
-    def take(user_ids, texts, days) -> None:
+    def take(_lines, user_ids, values, days) -> None:
         user.fromlist(list(map(users.__getitem__, user_ids)))
-        amounts.add(texts)
+        # a clean chunk brings its amounts parsed, a row-wise block their texts
+        amounts.add(values if isinstance(values, np.ndarray) else _money(values))
         day.frombytes(np.asarray(days, dtype=np.int32).tobytes())
 
     with _open_text(source) as handle:
         header, line = _header(handle, "topup")
         _check_header(header, TOPUP_HEADER, "topup")
-        _read_chunks(handle, "topup", line, errors or RowErrorLog(),
+        _read_chunks(handle, "topup", line, (errors or RowErrorLog()).report,
                      (3, 1, "empty user_id"), fast, check, take)
     return TopUpColumns(
         users=list(users),
@@ -690,7 +677,8 @@ def load_tower_map(source) -> dict[str, str]:
     warning."""
     entries: dict[str, str] = {}
     duplicates = 0
-    for tower, sector in TableReader(source, "towers", TOWER_HEADER, ids=2):
+    _, _, columns = read_table(source, "towers", TOWER_HEADER, ids=2)
+    for tower, sector in zip(*columns):
         known = entries.get(tower)
         if known is None:
             entries[tower] = sector
@@ -728,7 +716,8 @@ class SurveyTable:
 def load_survey_metadata(source) -> dict[str, str]:
     """Load ``survey_meta.csv`` mapping each variable to its category tag."""
     categories: dict[str, str] = {}
-    for variable, category in TableReader(source, "survey_meta", SURVEY_META_HEADER):
+    _, _, columns = read_table(source, "survey_meta", SURVEY_META_HEADER)
+    for variable, category in zip(*columns):
         if category not in SURVEY_CATEGORIES:
             raise FormatError(
                 f"survey_meta: unknown category {category!r} for {variable!r} "
@@ -813,12 +802,12 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
                     raise _BadRow(f"food-group frequency {v!r} in {variables[i]!r} outside 0..7")
             return household, sector, *parsed
 
-        def take(households, sectors, *cells) -> None:
+        def take(_lines, households, sectors, *cells) -> None:
             household_ids.extend(households)
             sector_ids.extend(sectors)
             values.frombytes(np.array(cells, dtype=np.float64).T.tobytes())
 
-        _read_chunks(handle, "survey", line, errors or RowErrorLog(),
+        _read_chunks(handle, "survey", line, (errors or RowErrorLog()).report,
                      (width, 2, "empty household_id or sector_id"), fast, check, take)
         return SurveyTable(
             household_ids=household_ids,
@@ -851,7 +840,7 @@ _WRITE_ROWS = 256
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write ``header`` and ``rows`` (sequences of str) to the CSV file
     ``path``, ``\\n``-terminated, quoting a field that holds a comma, a quote
-    or a line break (RFC 4180) so that :class:`TableReader` reads it back as
+    or a line break (RFC 4180) so that :func:`read_table` reads it back as
     written; a block of rows that needs no quotes goes out as joined text. A
     :class:`FormatError` raised while the rows are made names the file."""
     rows = iter(rows)

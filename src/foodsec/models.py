@@ -24,7 +24,7 @@ import numpy as np
 
 from .aggregate import SectorMatrix
 from .correlate import join_sectors, pearson
-from .ingest import FormatError, TableReader, format_number, parse_number, write_table
+from .ingest import FormatError, format_number, parse_number, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -251,10 +251,10 @@ def write_model(model: RegressionModel, path) -> None:
 
 def read_model_summary(path) -> dict[str, float]:
     """Pull the fit_r / n footer values back out of a model file."""
-    table = TableReader(path, "model", MODEL_HEADER)
+    _, lines, (terms, values, _) = read_table(path, "model", MODEL_HEADER)
     return {
-        term: parse_number("model", table.line_num, value)
-        for term, value, _ in table
+        term: parse_number("model", line, value)
+        for line, term, value in zip(lines, terms, values)
         if term in ("fit_r", "n")
     }
 

@@ -30,12 +30,12 @@ import numpy as np
 
 from .ingest import (
     FormatError,
-    TableReader,
     TopUpColumns,
     format_number,
     money_decimals,
     money_zeros,
     parse_number,
+    read_table,
     write_table,
 )
 
@@ -204,13 +204,13 @@ def load_stock_series(source) -> list[tuple[date, str, float]]:
     silently wrong)."""
     what = "stock series"
     out: list[tuple[date, str, float]] = []
-    table = TableReader(source, what, ["date", "label", "percentage"])
-    for day, label, value in table:
+    _, lines, columns = read_table(source, what, ["date", "label", "percentage"])
+    for line, day, label, value in zip(lines, *columns):
         try:
             when = date.fromisoformat(day)
         except ValueError as exc:
-            raise FormatError(f"{what}: line {table.line_num}: {exc}")
-        out.append((when, label, parse_number(what, table.line_num, value)))
+            raise FormatError(f"{what}: line {line}: {exc}")
+        out.append((when, label, parse_number(what, line, value)))
     return out
 
 

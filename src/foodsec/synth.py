@@ -29,16 +29,16 @@ within half a cent.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import date
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .config import ConfigError, parse_kv_file
-from .ingest import FormatError, TableReader, parse_number, write_table
+from .ingest import FormatError, parse_number, read_table, write_table
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -605,11 +605,12 @@ def _write_truth(cfg, path, sector_ids, latents, topup_mu, items, user_home_rows
 
 def read_truth(path) -> dict[str, list[tuple[int, str, str, str]]]:
     """truth.csv grouped by kind: {kind: [(line, key, value, extra), ...]}."""
-    lines, (kinds, *rest) = TableReader(path, "truth", TRUTH_HEADER).columns()
-    out: dict[str, list[tuple[int, str, str, str]]] = defaultdict(list)
-    for kind, row in zip(kinds, zip(lines, *rest)):
-        out[kind].append(row)
-    return dict(out)
+    _, lines, (kinds, *rest) = read_table(path, "truth", TRUTH_HEADER)
+    rows = zip(lines, *rest)
+    out: dict[str, list[tuple[int, str, str, str]]] = {}
+    for kind, run in groupby(kinds):  # runs of one kind; synth writes each as one
+        out.setdefault(kind, []).extend(islice(rows, sum(1 for _ in run)))
+    return out
 
 
 @dataclass(frozen=True)

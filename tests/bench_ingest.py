@@ -7,14 +7,17 @@ about 255 k calls, 80 k top-ups and 6 k households), generated once per
 session by ``foodsec.synth``. The ``dirty`` variants read copies with one
 malformed row in every chunk, so every chunk takes the row-wise path; the
 ``quoted`` variants read copies whose first data row has a quoted field, so
-the rest of the file goes row by row in one pass. No timing is asserted.
+the rest of the file goes row by row in one pass. The ``table`` cases read
+two files the stages hand on, ``user_features.csv`` (8 k users, written
+from the same inputs) and ``truth.csv``. No timing is asserted.
 """
 
 import pytest
 
 from foodsec import ingest
-from foodsec.ingest import RowErrorLog, load_survey, read_cdr, read_topups
-from foodsec.synth import SynthConfig, generate
+from foodsec.features import read_user_features, user_features, write_user_features
+from foodsec.ingest import RowErrorLog, load_survey, load_tower_map, read_cdr, read_topups
+from foodsec.synth import SynthConfig, generate, read_truth
 
 C01 = dict(n_sectors=200, users_per_sector=40, households_per_sector=30, period_days=182,
            planted_r=0.9, topup_base=2000.0)
@@ -28,6 +31,10 @@ def inputs(tmp_path_factory):
         for variant in (dirty, quoted):
             paths[f"{name}_{variant.__name__}"] = out / f"{name}_{variant.__name__}.csv"
             variant(paths[name], paths[f"{name}_{variant.__name__}"])
+    features, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]),
+                                load_tower_map(paths["towers"]))
+    paths["user_features"] = out / "user_features.csv"
+    write_user_features(features, paths["user_features"])
     return paths
 
 
@@ -84,3 +91,11 @@ def test_load_survey(benchmark, inputs, variant):
                       inputs["survey_meta"], errors)
     assert len(table) > 5_000
     assert (errors.count > 0) == (variant == "dirty")
+
+
+def test_table_user_features(benchmark, inputs):
+    assert len(benchmark(read_user_features, inputs["user_features"])) > 5_000
+
+
+def test_table_truth(benchmark, inputs):
+    assert len(benchmark(read_truth, inputs["truth"])["user_home"]) > 5_000

@@ -58,7 +58,7 @@ from foodsec.ingest import (
     parse_number,
     parse_timestamp,
     read_cdr,
-    TableReader,
+    read_table,
     read_topups,
 )
 from foodsec.models import FitError, RegressionModel, predict_rows
@@ -464,9 +464,8 @@ def evaluate_model(model: RegressionModel, x: SectorMatrix, y: np.ndarray) -> fl
 
 def read_null_summary(path) -> NullSummary:
     what = "null_summary"
-    table = TableReader(path, what, NULL_SUMMARY_HEADER)
-    trials, *quantiles = next(iter(table))
-    line = table.line_num
+    _, lines, columns = read_table(path, what, NULL_SUMMARY_HEADER)
+    line, trials, *quantiles = next(zip(lines, *columns))
     return NullSummary(
         parse_number(what, line, trials, int), *(parse_number(what, line, q) for q in quantiles)
     )

@@ -14,6 +14,7 @@ from foodsec.aggregate import (
     read_sector_matrix,
     write_sector_matrix,
 )
+from foodsec.ingest import FormatError
 from oracle import UserFeatureVector, feature_columns
 
 
@@ -181,3 +182,10 @@ def test_sector_matrix_round_trip(tmp_path):
     assert again.columns == matrix.columns
     assert np.array_equal(again.values, matrix.values, equal_nan=True)
     assert np.array_equal(again.counts, matrix.counts)
+
+
+def test_sector_matrix_header_error_comes_before_a_row_error(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("sector,a.mean,n_users\ns1,1.5\n")
+    with pytest.raises(FormatError, match=r"expected 'sector_id,\.\.\.,n_users' header"):
+        read_sector_matrix(path)

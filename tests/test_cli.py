@@ -269,6 +269,16 @@ class TestExitCodes:
         assert run([command, *args, "--seed", "-1", "--out", out]) == 1
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["aggregate", "all"])
+    def test_negative_min_users_is_config_error(self, small_dataset, medium_pipeline, tmp_path,
+                                                command):
+        _, paths = small_dataset
+        args = {"aggregate": ["--user-features", medium_pipeline / "user_features.csv"],
+                "all": ["--in", paths["cdr"].parent, "--seed", "1"]}[command]
+        out = tmp_path / "out"
+        assert run([command, *args, "--min-users", "-3", "--out", out]) == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_negative_synth_config_seed_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("seed = -1\nn_sectors = 2\n")

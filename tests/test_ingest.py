@@ -1,4 +1,5 @@
 import ast
+import csv
 import io
 from datetime import date, datetime, time
 from decimal import Decimal
@@ -16,13 +17,13 @@ from foodsec.ingest import (
     FormatError,
     RowErrorLog,
     StrictModeError,
-    TableReader,
     load_survey,
     load_survey_metadata,
     load_tower_map,
     money_decimals,
     parse_timestamp,
     read_cdr,
+    read_table,
     read_topups,
     split_list,
     write_table,
@@ -366,7 +367,7 @@ def test_parse_timestamp_accepts_z_and_offset():
 
 
 def test_only_ingest_imports_csv():
-    """Every CSV file is read through foodsec.ingest (TableReader for the
+    """Every CSV file is read through foodsec.ingest (read_table for the
     small ones), so no other module parses CSV on its own."""
     importers = []
     for path in sorted(Path(foodsec.__file__).parent.glob("*.py")):
@@ -393,6 +394,53 @@ def test_field_over_the_csv_limit_is_a_format_error(tmp_path, read, text, line):
         read(path)
 
 
+def csv_line_of(text: str, width: int) -> int:
+    """The line csv.reader gives for the first row of another width than
+    ``width``, or for a field over the limit, in ``text``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if row and len(row) != width:
+                break
+    except csv.Error:
+        pass
+    return reader.line_num
+
+
+# clean rows, a blank line and a carriage return, then clean rows again
+TOWERS = ("tower_id,sector_id\n" + "".join(f"t{i},s{i % 7}\n" for i in range(20))
+          + "\n\nt20,s6\r\n" + "".join(f"t{i},s{i % 7}\n" for i in range(21, 60)))
+DEFECTS = {"short_row": (TOWERS + '"t\n60","s\n\n2"\n\nt61,s3\nt99\nt100,s1\n', "malformed row"),
+           "long_field": (TOWERS + f'"t\n60",s2\n\nt61,{LONG}\nt99\n',
+                          "field larger than field limit .*")}
+
+
+@pytest.mark.parametrize("chunk_chars", [16, ingest._CHUNK_CHARS])
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_table_errors_name_the_csv_line(tmp_path, monkeypatch, chunk_chars, defect):
+    """Blank lines, carriage returns and quoted line breaks before the bad
+    row count as the csv module counts them, on either reading path."""
+    text, message = DEFECTS[defect]
+    path = tmp_path / "towers.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    line = csv_line_of(text, 2)
+    assert line > 60
+    with pytest.raises(FormatError, match=f"^towers: {message} at line {line}$"):
+        load_tower_map(path)
+
+
+@pytest.mark.parametrize("chunk_chars", [4, ingest._CHUNK_CHARS])
+@pytest.mark.parametrize("last", ["g", '""'])
+def test_one_column_table_skips_blank_lines(tmp_path, monkeypatch, chunk_chars, last):
+    """At chunk size 4 the rows a to f come in clean and row-wise chunks by turns."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"name\na\nb\n\nc\nd\ne\nf\n\n\n{last}\n\n")
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    got = read_table(path, "t", ["name"])
+    assert got[1:] == ([2, 3, 5, 6, 7, 8, 11], [[*"abcdef", last.strip('"')]])
+
+
 table_fields = st.one_of(
     st.sampled_from(["", ",", '"', "\n", "\r\n", "\r", "a,b", 'say "hi"', "ü,ß", " x "]),
     st.text(st.characters(blacklist_categories=["Cs"]), max_size=6),
@@ -413,5 +461,5 @@ def test_written_table_reads_back_exactly(tmp_path_factory, table, block_rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_WRITE_ROWS", block_rows)
         write_table(path, header, rows)
-    reader = TableReader(path, "t", header)
-    assert (reader.header, list(reader)) == (header, rows)
+    got, _, columns = read_table(path, "t", header)
+    assert (got, list(map(list, zip(*columns)))) == (header, rows)
