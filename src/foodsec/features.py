@@ -17,7 +17,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Mapping, Sequence
+from itertools import islice
+from operator import mul
+from typing import Mapping
 
 import numpy as np
 
@@ -93,10 +95,10 @@ def home_towers(calls: CallColumns, home_hours: str = "night") -> np.ndarray:
     return np.asarray(by_id + [-1], dtype=np.int64)[home]
 
 
-def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.ndarray, list[int]]:
+def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.ndarray, np.ndarray]:
     """Call volume per (user, contact) pair, grouped by user.
 
-    Returns ``(bounds, volumes)``: user code ``u``'s volumes are
+    Returns ``(bounds, volumes)``, both int64: user code ``u``'s volumes are
     ``volumes[bounds[u]:bounds[u + 1]]``. ``direction="both"`` counts a call
     for caller and callee, ``"out"`` for the caller only.
     """
@@ -105,7 +107,7 @@ def contact_volumes(calls: CallColumns, direction: str = "both") -> tuple[np.nda
         pairs.append((calls.callee, calls.caller))
     n = len(calls.users)
     keys, counts = _pair_counts(pairs, n)
-    return np.searchsorted(keys // n, np.arange(n + 1)), counts.tolist()
+    return np.searchsorted(keys // n, np.arange(n + 1)), counts
 
 
 def topup_stats(topups: TopUpColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -129,26 +131,25 @@ def topup_stats(topups: TopUpColumns) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return (*stats, np.bincount(topups.user, minlength=len(topups.users)))
 
 
-def social_diversity(volumes: Sequence[int]) -> float:
-    """Shannon entropy of the contact-volume distribution, normalized to [0, 1].
+def social_diversity(bounds: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each user's contact volumes, normalized to [0, 1].
 
-    ``volumes`` lists the call volume of each contact. With k contacts and
-    volume shares p_j, this is -sum(p_j * log p_j) / log k. A single contact
-    has no diversity and is defined as 0 (the normalizer is 0 there). The log
-    base cancels; base 2 is used internally. The terms are summed with
-    ``math.fsum``, which rounds once, so the result does not depend on the
-    order of the contacts.
+    User ``u``'s contacts have the int64 volumes ``volumes[bounds[u]:bounds[u + 1]]``,
+    each >= 1 (see :func:`contact_volumes`). With k contacts and volume shares
+    p_j, this is -sum(p_j * log2 p_j) / log2 k: 0 for one contact (the
+    normalizer is 0 there), NaN (undefined) for none. ``math.log2`` is used
+    since numpy's SIMD ``log2`` need not round as libm does; each user's
+    terms go through one ``math.fsum``, which rounds once, so the order of
+    the contacts does not matter.
     """
-    k = len(volumes)
-    if k == 0:
-        raise ValueError("no contacts")
-    if min(volumes) <= 0:
-        raise ValueError("contact volumes must be >= 1")
-    if k == 1:
-        return 0.0
-    total = sum(volumes)
-    entropy = -math.fsum([(p := v / total) * math.log2(p) for v in volumes])
-    return min(max(entropy / math.log2(k), 0.0), 1.0)
+    k = np.diff(bounds)
+    totals = np.diff(np.r_[0, np.cumsum(volumes)][bounds])
+    # int64 over int64 rounds as Python's int / int below 2**53; the
+    # memoryview makes one Python float at a time, not one per term at once
+    shares = memoryview(volumes / np.repeat(totals, k))
+    terms = map(mul, shares, map(math.log2, shares))
+    entropy = np.array([math.fsum(islice(terms, n)) / math.log2(max(n, 2)) for n in k.tolist()])
+    return np.where(k > 1, np.clip(-entropy, 0.0, 1.0), np.where(k == 1, 0.0, np.nan))
 
 
 @dataclass(frozen=True)
@@ -218,36 +219,23 @@ def user_features(
         raise ValueError(f"home_hours must be 'night' or 'all' ({home_hours!r}), "
                          f"diversity_direction 'both' or 'out' ({diversity_direction!r})")
     home = home_towers(calls, home_hours)
-    tower_sector = [tower_map.get(t) for t in calls.towers]
-    callers = {calls.users[c]: c for c in np.flatnonzero(home >= 0).tolist()}
-    payers = {user: c for c, user in enumerate(topups.users)}
-    exclusions: Counter = Counter()
-    users, sectors, call_codes, topup_codes = [], [], [], []
-    home = home.tolist()
-    for user in sorted(callers.keys() | payers.keys()):
-        code = callers.get(user)
-        if code is None:
-            exclusions["no_calls"] += 1
-            continue
-        if user not in payers:
-            exclusions["no_topups"] += 1
-            continue
-        sector = tower_sector[home[code]]
-        if sector is None:
-            exclusions["unmapped_home_tower"] += 1
-            continue
-        users.append(user)
-        sectors.append(sector)
-        call_codes.append(code)
-        topup_codes.append(payers[user])
-    bounds, volumes = contact_volumes(calls, diversity_direction)
-    bounds = bounds.tolist()
-    diversity = [social_diversity(volumes[bounds[c]:bounds[c + 1]]) for c in call_codes]
-    kept = np.array(topup_codes, dtype=np.int64)
-    total, lo, hi, count = (column[kept] for column in topup_stats(topups))
+    callers = np.flatnonzero(home >= 0)
+    # object arrays sort as sorted() does, and keep an ID's trailing NULs,
+    # which a fixed-width str array drops
+    users, at_call, at_topup = np.intersect1d(
+        np.array(calls.users, dtype=object)[callers], np.array(topups.users, dtype=object),
+        assume_unique=True, return_indices=True)
+    codes = callers[at_call]
+    sectors = np.array([tower_map.get(t) for t in calls.towers], dtype=object)[home[codes]]
+    mapped = np.not_equal(sectors, None)
+    exclusions = +Counter(no_calls=len(topups.users) - len(users),
+                          no_topups=len(callers) - len(users),
+                          unmapped_home_tower=len(users) - np.count_nonzero(mapped))
+    diversity = social_diversity(*contact_volumes(calls, diversity_direction))
+    total, lo, hi, count = (column[at_topup[mapped]] for column in topup_stats(topups))
     mean = money_decimals(total) / count  # one Decimal division per user
-    features = UserFeatures.from_columns(users, sectors, total, mean, lo, hi, count, diversity)
-    return features, exclusions
+    return UserFeatures.from_columns(users[mapped].tolist(), sectors[mapped].tolist(), total, mean,
+                                     lo, hi, count, diversity[codes[mapped]]), exclusions
 
 
 def write_user_features(features: UserFeatures, path) -> None:
@@ -263,7 +251,7 @@ def write_user_features(features: UserFeatures, path) -> None:
 def read_user_features(path) -> UserFeatures:
     """``user_features.csv`` as written, its money columns as ``Decimal``."""
     what = "user_features"
-    _, lines, columns = read_table(path, what, USER_FEATURE_HEADER)
+    _, lines, columns = read_table(path, what, USER_FEATURE_HEADER, ids=2, unique=True)
     texts = dict(zip(USER_FEATURE_HEADER, columns))
     del columns  # each column's texts go once its values are made, which lowers the peak
 
@@ -273,9 +261,7 @@ def read_user_features(path) -> UserFeatures:
     def money(name):
         return np.array(parse(name, Decimal), dtype=object)
 
-    diversity = parse("social_diversity", optional=True)
+    diversity = parse("social_diversity", optional=True)  # None reads as NaN
     return UserFeatures.from_columns(
         texts.pop("user_id"), texts.pop("home_sector"), money("topup_sum"), money("topup_mean"),
-        money("topup_min"), money("topup_max"), parse("topup_count", int),
-        [math.nan if d is None else d for d in diversity],
-    )
+        money("topup_min"), money("topup_max"), parse("topup_count", int), diversity)

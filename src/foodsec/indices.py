@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .aggregate import SectorMatrix
-from .ingest import FormatError, SurveyTable, parse_number, read_table
+from .ingest import POVERTY_HEADER, FormatError, SurveyTable, parse_number, read_table
 
 log = logging.getLogger(__name__)
 
@@ -139,13 +139,11 @@ def load_csi_weights(source) -> dict[str, float]:
 
 def _load_weight_table(source, header: list[str], what: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    _, lines, columns = read_table(source, what, header, ids=1)
+    _, lines, columns = read_table(source, what, header, ids=1, unique=True)
     for line, key, text in zip(lines, *columns):
         weight = parse_number(what, line, text)
         if weight < 0:
             raise FormatError(f"{what}: negative weight at line {line}")
-        if key in out:
-            raise FormatError(f"{what}: duplicate entry {key!r}")
         out[key] = weight
     if not out:
         raise FormatError(f"{what}: empty table")
@@ -156,13 +154,11 @@ def load_poverty(source) -> dict[str, tuple[float, float]]:
     """Read ``poverty.csv`` (header ``sector_id,headcount,intensity``)."""
     what = "poverty"
     out: dict[str, tuple[float, float]] = {}
-    _, lines, columns = read_table(source, what, ["sector_id", "headcount", "intensity"], ids=1)
+    _, lines, columns = read_table(source, what, POVERTY_HEADER, ids=1, unique=True)
     for line, sector, headcount, intensity in zip(lines, *columns):
         h, a = parse_number(what, line, headcount), parse_number(what, line, intensity)
         if not (0 <= h <= 1 and 0 <= a <= 1):
             raise FormatError(f"{what}: value outside [0, 1] at line {line}")
-        if sector in out:
-            raise FormatError(f"{what}: duplicate sector {sector!r}")
         out[sector] = (h, a)
     return out
 

@@ -60,6 +60,7 @@ log = logging.getLogger(__name__)
 CDR_HEADER = ["caller_id", "callee_id", "tower_id", "timestamp"]
 TOPUP_HEADER = ["user_id", "amount", "timestamp"]
 TOWER_HEADER = ["tower_id", "sector_id"]
+POVERTY_HEADER = ["sector_id", "headcount", "intensity"]
 SURVEY_META_HEADER = ["variable", "category"]
 SURVEY_ID_COLUMNS = ["household_id", "sector_id"]
 
@@ -292,7 +293,7 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
     csv before Python 3.11), a line with another number of fields (blank
     lines included), an empty field among the first ``ids``, or a field
     longer than the csv field limit. Quotes never get here."""
-    if "\r" in text or "\0" in text or text.startswith(",") or "\n," in text:
+    if "\r" in text or "\0" in text:
         return None
     if n_fields == 1 and (text.startswith("\n") or "\n\n" in text):
         return None  # a blank line: with one field a line has no comma, as it has
@@ -308,7 +309,9 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
     # rows newlines, each closing a row: every line has n_fields - 1 commas
     if not (raw[ends[:, -1]] == _NL).all():
         return None
-    if ids > 1 and not (np.diff(ends[:, :ids], axis=1) > 1).all():
+    # a row starts after the newline of the row before it
+    before = np.r_[-1, ends[:-1, -1]][:, None]
+    if ids and not (np.diff(ends[:, :ids], axis=1, prepend=before) > 1).all():
         return None
     limit = csv.field_size_limit()
     if len(raw) > limit and np.diff(ends.ravel(), prepend=-1).max() > limit + 1:
@@ -464,7 +467,7 @@ def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
 
 
 def read_table(source, what: str, header: list[str] | Callable,
-               ids: int = 0) -> tuple[list[str], list[int], list[list[str]]]:
+               ids: int = 0, unique: bool = False) -> tuple[list[str], list[int], list[list[str]]]:
     """The header row, the line numbers of the data rows and their fields
     as string columns, of a CSV file that is not ``cdr``, ``topup`` or
     ``survey``.
@@ -474,7 +477,9 @@ def read_table(source, what: str, header: list[str] | Callable,
     :class:`FormatError` on a wrong one; it is checked before any row is
     read. Blank lines are skipped; any other row with a field count other
     than the header's, or an empty field among the first ``ids``, raises
-    :class:`FormatError` ``"{what}: malformed row at line N"``.
+    :class:`FormatError` ``"{what}: malformed row at line N"``; with
+    ``unique``, so does a first field that repeats an earlier row's, as
+    ``"{what}: duplicate '...' at line N"``.
     """
     with _open_text(source) as handle:
         got, line = _header(handle, what)
@@ -496,6 +501,12 @@ def read_table(source, what: str, header: list[str] | Callable,
         _read_chunks(handle, what, line, malformed, (width, ids, ""),
                      lambda chunk: [chunk.fields[i::width] for i in range(width)],
                      lambda *fields: fields, take)
+    if unique:
+        seen: set[str] = set()
+        for at, key in zip(lines, columns[0]):
+            if key in seen:
+                raise FormatError(f"{what}: duplicate {key!r} at line {at}")
+            seen.add(key)
     return got, lines, columns
 
 
@@ -779,7 +790,7 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
             food = parsed[:, food_cols]
             if not (np.isnan(food) | ((food >= 0) & (food <= 7) & (food == np.floor(food)))).all():
                 return None
-            return chunk.fields[0::width], chunk.fields[1::width], *parsed.T
+            return chunk.fields[0::width], chunk.fields[1::width], parsed
 
         def check(household: str, sector: str, *cells: str):
             try:
@@ -805,7 +816,9 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
         def take(_lines, households, sectors, *cells) -> None:
             household_ids.extend(households)
             sector_ids.extend(sectors)
-            values.frombytes(np.array(cells, dtype=np.float64).T.tobytes())
+            # a clean chunk brings one row-major matrix, a row-wise block columns
+            rows = cells[0] if cells and isinstance(cells[0], np.ndarray) else np.array(cells).T
+            values.frombytes(rows.tobytes())
 
         _read_chunks(handle, "survey", line, (errors or RowErrorLog()).report,
                      (width, 2, "empty household_id or sector_id"), fast, check, take)

@@ -38,7 +38,18 @@ from typing import Mapping
 import numpy as np
 
 from .config import ConfigError, parse_kv_file
-from .ingest import FormatError, parse_number, read_table, write_table
+from .ingest import (
+    CDR_HEADER,
+    POVERTY_HEADER,
+    SURVEY_ID_COLUMNS,
+    SURVEY_META_HEADER,
+    TOPUP_HEADER,
+    TOWER_HEADER,
+    FormatError,
+    parse_number,
+    read_table,
+    write_table,
+)
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -487,9 +498,9 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
     with open(paths["cdr"], "w", encoding="utf-8", newline="\n") as f_cdr, open(
         paths["topup"], "w", encoding="utf-8", newline="\n"
     ) as f_top, open(paths["survey"], "w", encoding="utf-8", newline="\n") as f_survey:
-        f_cdr.write("caller_id,callee_id,tower_id,timestamp\n")
-        f_top.write("user_id,amount,timestamp\n")
-        f_survey.write("household_id,sector_id," + ",".join(survey_columns) + "\n")
+        f_cdr.write(",".join(CDR_HEADER) + "\n")
+        f_top.write(",".join(TOPUP_HEADER) + "\n")
+        f_survey.write(",".join(SURVEY_ID_COLUMNS + survey_columns) + "\n")
 
         for si in range(cfg.n_sectors):
             rng = np.random.default_rng(sector_seeds[si])
@@ -553,22 +564,15 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
                 ))
             ]))
 
-    with open(paths["towers"], "w", encoding="utf-8", newline="\n") as f:
-        f.write("tower_id,sector_id\n")
-        for i, tower in enumerate(tower_ids):
-            f.write(f"{tower},{sector_ids[i // cfg.towers_per_sector]}\n")
-
-    with open(paths["survey_meta"], "w", encoding="utf-8", newline="\n") as f:
-        f.write("variable,category\n")
-        for name, category in zip(survey_columns, survey_categories):
-            f.write(f"{name},{category}\n")
-
+    write_table(paths["towers"], TOWER_HEADER,
+                zip(tower_ids.tolist(), np.repeat(sector_ids, cfg.towers_per_sector).tolist()))
+    write_table(paths["survey_meta"], SURVEY_META_HEADER,
+                zip(survey_columns, survey_categories))
     headcount = _sigmoid(-0.1 - 0.9 * (latents.wealth + 0.3 * latents.pov_h))
     intensity = 0.34 + 0.25 * _sigmoid(-0.8 * (latents.wealth + 0.3 * latents.pov_a))
-    with open(paths["poverty"], "w", encoding="utf-8", newline="\n") as f:
-        f.write("sector_id,headcount,intensity\n")
-        for i, sector in enumerate(sector_ids):
-            f.write(f"{sector},{headcount[i]:.6f},{intensity[i]:.6f}\n")
+    write_table(paths["poverty"], POVERTY_HEADER, (
+        (s, f"{h:.6f}", f"{a:.6f}") for s, h, a in zip(sector_ids, headcount, intensity)
+    ))
 
     _write_truth(cfg, paths["truth"], sector_ids, latents, topup_mu, items, user_home_rows)
     return paths

@@ -4,9 +4,10 @@ Run with ``PYTHONPATH=src python -m pytest tests/bench_features.py -s``; the
 file name keeps it out of the default test run. The input has the shape of
 the ``c01`` benchmark workload (200 sectors x 40 users x 30 households, 182
 days: about 255 k calls, 80 k top-ups and 8 k users), generated once per
-session by ``foodsec.synth``. Each function runs on the top-ups as written
-(every amount ``D+.DD``, so carried as cents) and on a copy whose first
-amount has a third decimal, so the whole file is carried as ``Decimal``.
+session by ``foodsec.synth``. Each function that reads top-ups runs on them
+as written (every amount ``D+.DD``, so carried as cents) and on a copy whose
+first amount has a third decimal, so the whole file is carried as
+``Decimal``; ``social_diversity`` reads only the calls.
 
 pytest-benchmark times each call; one more call under ``tracemalloc``
 gives its peak of traced memory, printed and kept in the benchmark's
@@ -18,7 +19,7 @@ import tracemalloc
 import pytest
 
 from foodsec.aggregate import build_sector_matrix
-from foodsec.features import user_features
+from foodsec.features import contact_volumes, social_diversity, user_features
 from foodsec.ingest import load_tower_map, read_cdr, read_topups
 from foodsec.rolling import rolling_sector_series
 from foodsec.synth import SynthConfig, generate
@@ -69,6 +70,12 @@ def test_user_features(benchmark, inputs, money):
     features, _ = measure(benchmark, user_features, data["calls"], data["topups"],
                           data["tower_map"])
     assert len(features) > 7_000
+
+
+def test_social_diversity(benchmark, inputs):
+    calls = inputs["cents"]["calls"]
+    diversity = measure(benchmark, social_diversity, *contact_volumes(calls))
+    assert len(diversity) == len(calls.users)
 
 
 @pytest.mark.parametrize("money", MONEY)

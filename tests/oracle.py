@@ -34,7 +34,6 @@ from foodsec.correlate import NULL_SUMMARY_HEADER, NullSummary, pearson
 from foodsec.features import (
     UserFeatures,
     home_towers,
-    social_diversity,
     topup_stats,
     user_features,
 )
@@ -266,6 +265,20 @@ def in_night_local(timestamp: datetime, config: FeatureConfig) -> bool:
     return (t >= start or t < end) if start > end else (start <= t < end)
 
 
+def contact_diversity(volumes: list[int]) -> float:
+    """One user's normalized Shannon entropy over the call volumes of their
+    contacts, 0 for a single contact: the rule of
+    ``foodsec.features.social_diversity``, one user at a time, with the same
+    float operations (``int / int`` shares, ``math.log2``, one ``math.fsum``)
+    so that the two agree bit for bit."""
+    k = len(volumes)
+    if k == 1:
+        return 0.0
+    total = sum(volumes)
+    entropy = -math.fsum([(p := v / total) * math.log2(p) for v in volumes])
+    return min(max(entropy / math.log2(k), 0.0), 1.0)
+
+
 @dataclass
 class FeatureAccumulator:
     """Per-row ``Counter`` accumulation of the feature rules; partitions of
@@ -363,7 +376,7 @@ class FeatureAccumulator:
                     topup_max=self.topup_maxs[user],
                     topup_count=count,
                     social_diversity=(
-                        social_diversity(list(contacts.values())) if contacts else None
+                        contact_diversity(list(contacts.values())) if contacts else None
                     ),
                 )
             )

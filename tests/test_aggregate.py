@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 from decimal import Decimal
 
@@ -182,6 +183,18 @@ def test_sector_matrix_round_trip(tmp_path):
     assert again.columns == matrix.columns
     assert np.array_equal(again.values, matrix.values, equal_nan=True)
     assert np.array_equal(again.counts, matrix.counts)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("s1,2.5,40", "duplicate 's1' at line 4"),
+    (",2.5,40", "malformed row at line 4"),
+])
+def test_sector_matrix_refuses_a_repeated_or_empty_sector(tmp_path, row, message):
+    """A repeated sector would leave the join to keep whichever row it met last."""
+    path = tmp_path / "matrix.csv"
+    path.write_text(f"sector_id,a.mean,n_users\ns1,1.5,31\ns2,,45\n{row}\n")
+    with pytest.raises(FormatError, match=f"^sector matrix {re.escape(str(path))}: {message}$"):
+        read_sector_matrix(path)
 
 
 def test_sector_matrix_header_error_comes_before_a_row_error(tmp_path):

@@ -183,6 +183,21 @@ class TestExitCodes:
         assert rc == 1
         assert "unknown column(s) bogus.mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [("aggregate", "user_features.csv"),
+                                               ("correlate", "sector_mobile.csv")])
+    def test_repeated_intermediate_row_is_data_error(self, medium_pipeline, tmp_path, capsys,
+                                                     command, name):
+        text = (medium_pipeline / name).read_text()
+        first = text.split("\n")[1]
+        repeated = tmp_path / name
+        repeated.write_text(f"{text}{first}\n")
+        args = {"aggregate": ["--user-features", repeated],
+                "correlate": ["--mobile", repeated,
+                              "--survey-matrix", medium_pipeline / "sector_survey.csv"]}[command]
+        assert run([command, *args, "--out", tmp_path / "out"]) == 2
+        line = text.count("\n") + 1
+        assert f"duplicate {first.split(',')[0]!r} at line {line}" in capsys.readouterr().err
+
     def test_unknown_survey_variable_is_config_error(self, medium_dataset, tmp_path, capsys):
         _, paths = medium_dataset
         rc = run(["indices", "--survey", paths["survey"], "--survey-meta", paths["survey_meta"],

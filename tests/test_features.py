@@ -1,12 +1,14 @@
+import math
 from datetime import datetime, time, timedelta
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodsec.features import read_user_features, social_diversity, write_user_features
-from foodsec.ingest import StrictModeError, _night_flags
+from foodsec.ingest import FormatError, StrictModeError, _night_flags
 from oracle import (
     CallRecord,
     FeatureAccumulator,
@@ -16,6 +18,7 @@ from oracle import (
     UserFeatureVector,
     assign_home_tower,
     build_user_features,
+    contact_diversity,
     feature_columns,
     feature_vectors,
     topup_features,
@@ -155,35 +158,50 @@ class TestTopupFeatures:
         assert float(mean) * count == pytest.approx(float(total), rel=1e-12)
 
 
+def diversity(volumes):
+    """The column rule over one user with the given contact volumes."""
+    (value,) = social_diversity(np.array([0, len(volumes)]), np.array(volumes, dtype=np.int64))
+    return float(value)
+
+
 class TestSocialDiversity:
     def test_uniform_four_contacts_is_one(self):
-        assert social_diversity([5, 5, 5, 5]) == pytest.approx(1.0)
+        assert diversity([5, 5, 5, 5]) == pytest.approx(1.0)
 
     def test_single_contact_is_zero(self):
-        assert social_diversity([17]) == 0.0
+        assert diversity([17]) == 0.0
 
     def test_three_one_split(self):
         # Direct evaluation: -(0.75 log2 0.75 + 0.25 log2 0.25) / log2 2.
-        assert social_diversity([3, 1]) == pytest.approx(0.8113, abs=1e-4)
+        assert diversity([3, 1]) == pytest.approx(0.8113, abs=1e-4)
 
-    def test_no_contacts_raises(self):
-        with pytest.raises(ValueError):
-            social_diversity([])
+    def test_no_contacts_reads_nan(self):
+        assert math.isnan(diversity([]))
 
     def test_zero_volume_raises(self):
         with pytest.raises(ValueError):
-            social_diversity([0, 2])
+            diversity([0, 2])
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(1, 500), min_size=1, max_size=20))
     def test_bounds(self, volumes):
-        d = social_diversity(volumes)
+        d = diversity(volumes)
         assert 0.0 <= d <= 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 60), max_size=7), max_size=12))
+    def test_column_equals_the_rule_per_user(self, users):
+        """Every user's value equals the per-user oracle bit for bit, and
+        users without contacts read NaN."""
+        bounds = np.cumsum([0, *map(len, users)])
+        volumes = np.array([v for user in users for v in user], dtype=np.int64)
+        assert list(map(repr, social_diversity(bounds, volumes).tolist())) == [
+            repr(contact_diversity(user) if user else math.nan) for user in users]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 100))
     def test_uniform_attains_max(self, k, v):
-        assert social_diversity([v] * k) == pytest.approx(1.0)
+        assert diversity([v] * k) == pytest.approx(1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 200), min_size=3, max_size=10), st.data())
@@ -195,8 +213,8 @@ class TestSocialDiversity:
         equalized = list(volumes)
         equalized[idx] = equalized[idx + 1] = (a + b) // 2
         volumes = volumes[:idx] + [a, b] + volumes[idx + 2 :]
-        before = social_diversity(volumes)
-        after = social_diversity(equalized)
+        before = diversity(volumes)
+        after = diversity(equalized)
         assert after >= before - 1e-12
 
 
@@ -241,6 +259,25 @@ class TestBuildUserFeatures:
         vectors, exclusions = build_user_features(cdr, [topup("10")], TOWERS)
         assert vectors == []
         assert exclusions["unmapped_home_tower"] == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'),
+                            min_size=1, max_size=3), min_size=1, max_size=10, unique=True),
+           st.data())
+    def test_user_order_is_sorted_str_order(self, ids, data):
+        """Users come out in ``sorted()`` order of their IDs, non-ASCII and
+        astral-plane ones included, and an ID with a trailing NUL stays apart
+        from the same ID without it."""
+        ids += [i + "\0" for i in data.draw(st.lists(st.sampled_from(ids), unique=True))]
+        callers = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        payers = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        cdr = [CallRecord(c, ids[0], "t1", datetime(2012, 3, 1, 20, 0)) for c in callers]
+        vectors, exclusions = build_user_features(cdr, [topup("10", user=p) for p in payers],
+                                                  TOWERS)
+        both = set(callers) & set(payers)
+        assert [v.user_id for v in vectors] == sorted(both)
+        counts = {"no_calls": len(payers) - len(both), "no_topups": len(callers) - len(both)}
+        assert dict(exclusions) == {reason: n for reason, n in counts.items() if n}
 
     def test_partitioned_processing_matches_single_pass(self):
         cdr = [
@@ -329,3 +366,20 @@ def test_user_features_csv_round_trip(tmp_path):
     path = tmp_path / "user_features.csv"
     write_user_features(feature_columns(vectors), path)
     assert feature_vectors(read_user_features(path)) == vectors
+
+
+FEATURES_CSV = ("user_id,home_sector,topup_sum,topup_mean,topup_min,topup_max,topup_count,"
+                "social_diversity\nu1,s1,10.50,5.25,5,5.50,2,\nu2,s2,7,7,7,7,1,0.5\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("u1,s2,7,7,7,7,1,0.5", "duplicate 'u1' at line 4"),
+    (",s2,7,7,7,7,1,0.5", "malformed row at line 4"),
+    ("u3,,7,7,7,7,1,0.5", "malformed row at line 4"),
+])
+def test_user_features_csv_refuses_a_repeated_or_empty_id(tmp_path, row, message):
+    """A repeated user would count twice in every sector statistic."""
+    path = tmp_path / "user_features.csv"
+    path.write_text(f"{FEATURES_CSV}{row}\n")
+    with pytest.raises(FormatError, match=f"^user_features: {message}$"):
+        read_user_features(path)
