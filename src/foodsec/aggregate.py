@@ -154,7 +154,7 @@ def read_sector_matrix(path, count_column: str = "n_users") -> SectorMatrix:
         if not header or header[0] != "sector_id" or header[-1] != count_column:
             raise FormatError(f"{what}: expected 'sector_id,...,{count_column}' header")
 
-    header, lines, (sectors, *cells, counts) = read_table(path, what, check, ids=1, unique=True)
+    header, lines, (sectors, *cells, counts) = read_table(path, what, check, ids=1, unique=1)
     values = np.empty((len(sectors), len(cells)), dtype=np.float64)
     for j, column in enumerate(cells):
         values[:, j] = parse_column(what, lines, column, optional=True)

@@ -348,7 +348,7 @@ def write_correlations(entries: Sequence[CorrelationEntry], path) -> None:
 
 def read_correlations(path) -> list[CorrelationEntry]:
     what = "correlations"
-    _, lines, columns = read_table(path, what, CORRELATION_HEADER)
+    _, lines, columns = read_table(path, what, CORRELATION_HEADER, unique=2)
     mobile, survey, r, p, ci_low, ci_high, n, defined = columns
 
     def optional(cells):

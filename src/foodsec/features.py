@@ -16,7 +16,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
 from itertools import islice
 from operator import mul
 from typing import Mapping
@@ -29,6 +28,7 @@ from .ingest import (
     money_decimals,
     money_texts,
     parse_column,
+    parse_money,
     read_table,
     write_table,
 )
@@ -158,9 +158,9 @@ class UserFeatures:
 
     ``home`` indexes the sorted ``sectors``, each of which is some user's
     home. Sum, min and max are money columns (see
-    :class:`foodsec.ingest.TopUpColumns`); the mean is a ``Decimal`` column,
-    the sum divided by the count at context precision. An undefined
-    diversity is NaN.
+    :class:`foodsec.ingest.TopUpColumns`); the mean, the sum divided by the
+    count at context precision, is a ``Decimal`` column, or a money column
+    when read back from a file. An undefined diversity is NaN.
     """
 
     user_id: list[str]
@@ -249,19 +249,17 @@ def write_user_features(features: UserFeatures, path) -> None:
 
 
 def read_user_features(path) -> UserFeatures:
-    """``user_features.csv`` as written, its money columns as ``Decimal``."""
+    """``user_features.csv`` as written, each money column laid out as a
+    top-up file's amounts (:func:`foodsec.ingest.parse_money`)."""
     what = "user_features"
-    _, lines, columns = read_table(path, what, USER_FEATURE_HEADER, ids=2, unique=True)
+    _, lines, columns = read_table(path, what, USER_FEATURE_HEADER, ids=2, unique=1)
     texts = dict(zip(USER_FEATURE_HEADER, columns))
     del columns  # each column's texts go once its values are made, which lowers the peak
 
     def parse(name, *how, **options):
         return parse_column(what, lines, texts.pop(name), *how, **options)
 
-    def money(name):
-        return np.array(parse(name, Decimal), dtype=object)
-
     diversity = parse("social_diversity", optional=True)  # None reads as NaN
-    return UserFeatures.from_columns(
-        texts.pop("user_id"), texts.pop("home_sector"), money("topup_sum"), money("topup_mean"),
-        money("topup_min"), money("topup_max"), parse("topup_count", int), diversity)
+    money = [parse_money(what, lines, texts.pop(name)) for name in USER_FEATURE_HEADER[2:6]]
+    return UserFeatures.from_columns(texts.pop("user_id"), texts.pop("home_sector"), *money,
+                                     parse("topup_count", int), diversity)

@@ -139,7 +139,7 @@ def load_csi_weights(source) -> dict[str, float]:
 
 def _load_weight_table(source, header: list[str], what: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    _, lines, columns = read_table(source, what, header, ids=1, unique=True)
+    _, lines, columns = read_table(source, what, header, ids=1, unique=1)
     for line, key, text in zip(lines, *columns):
         weight = parse_number(what, line, text)
         if weight < 0:
@@ -154,7 +154,7 @@ def load_poverty(source) -> dict[str, tuple[float, float]]:
     """Read ``poverty.csv`` (header ``sector_id,headcount,intensity``)."""
     what = "poverty"
     out: dict[str, tuple[float, float]] = {}
-    _, lines, columns = read_table(source, what, POVERTY_HEADER, ids=1, unique=True)
+    _, lines, columns = read_table(source, what, POVERTY_HEADER, ids=1, unique=1)
     for line, sector, headcount, intensity in zip(lines, *columns):
         h, a = parse_number(what, line, headcount), parse_number(what, line, intensity)
         if not (0 <= h <= 1 and 0 <= a <= 1):

@@ -4,7 +4,8 @@ All files are UTF-8, comma-separated, header row mandatory. Timestamps are
 ISO 8601; a trailing ``Z`` or an explicit offset is accepted and normalized
 to naive UTC internally. Monetary amounts stay exact: a top-up file whose
 every amount is written ``D+.DD`` is carried as int64 cents, any other as
-``Decimal`` values (see :class:`TopUpColumns`).
+``Decimal`` values (see :class:`TopUpColumns`), and so is a money column
+of ``user_features.csv``.
 
 ``cdr.csv`` and ``topup.csv`` are read in one pass each into int-coded
 columns (:class:`CallColumns`, :class:`TopUpColumns`): IDs are interned to
@@ -13,14 +14,13 @@ its codes and whether its local time of day fell in the night window.
 
 The data readers (``survey.csv`` too) share one chunk reader,
 :func:`_read_chunks`, which owns the row structure: blank lines, the
-header's field count, empty IDs and line numbers. Each reader gives it its
-typed rules as three closures: ``fast`` checks and splits a clean chunk
-(no quote, carriage return or NUL, fixed-layout ``...Z`` timestamps, valid
-amounts and cells) in bulk, ``check`` reads one row of any other chunk, and
-``take`` appends the columns of either path. From the first quote on, the
-rest of the input goes row by row. An open handle should split lines as
-the csv module asks (``newline=""``): a row-wise chunk ends a line at a
-lone carriage return, as a file the reader opens itself does.
+header's field count, empty IDs and line numbers. A chunk free of quotes,
+carriage returns, NULs and such row faults is split in bulk, any other
+goes through the csv row loop; either way one typed rule per reader, built
+on :func:`_timestamps` and :func:`_numbers`, turns the rows into columns
+and names the rows it refuses. An open handle should split lines as the
+csv module asks (``newline=""``): a row-wise chunk ends a line at a lone
+carriage return, as a file the reader opens itself does.
 
 Malformed data rows are quarantined into a :class:`RowErrorLog` and parsing
 continues; structural problems (bad header, conflicting tower map rows) raise
@@ -29,10 +29,11 @@ holds: no row is silently dropped.
 
 Every other file, the small inputs and the files the stages hand each other,
 goes through the same chunk reader as string columns (:func:`read_table`),
-and its numbers through :func:`parse_number` or :func:`parse_column`: exact
-header, blank lines skipped, the header's field count on every row, and
-numbers finite and written without ``_``. Any breach there is a
-:class:`FormatError`, as is a field over the csv field limit in any file.
+and its numbers through :func:`parse_number`, :func:`parse_column` or
+:func:`parse_money`: exact header, blank lines skipped, the header's field
+count on every row, and numbers finite and written without ``_``. Any
+breach there is a :class:`FormatError`, as is a field over the csv field
+limit in any file.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import isfinite, isinf, nan
 from typing import IO, Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
@@ -130,13 +131,14 @@ _CENTS_LIMIT = 2**53
 _scaled = np.frompyfunc(lambda cents: Decimal(cents).scaleb(-2), 1, 1)
 
 
-def _money(texts: list[str]) -> np.ndarray:
+def _money(texts: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     """The amounts as int64 cents if each is written ``D+.DD``, else as
-    ``Decimal`` objects; InvalidOperation if one is no number."""
-    joined = "\n".join(texts) + "\n"
-    if not _CENTS_LINES.fullmatch(joined):
-        return np.array(list(map(Decimal, texts)), dtype=object)
-    return np.fromstring(joined.replace(".", ""), dtype=np.int64, sep="\n")
+    ``Decimal`` objects, and the faulty ones as :func:`_numbers` gives them."""
+    joined = "\n".join(texts) + "\n"  # a quoted text may hold a newline of its own
+    if _CENTS_LINES.fullmatch(joined) and joined.count("\n") == len(texts):
+        return np.fromstring(joined.replace(".", ""), dtype=np.int64, sep="\n"), {}
+    values, faults = _numbers(texts, Decimal)
+    return np.array(values, dtype=object), faults
 
 
 def money_decimals(values: np.ndarray) -> np.ndarray:
@@ -175,7 +177,7 @@ class _Amounts:
         self.exact: list[Decimal] | None = None
 
     def add(self, values: np.ndarray) -> None:
-        """Append positive finite amounts as :func:`_money` reads them."""
+        """Append finite amounts as :func:`_money` reads them; cents are never negative."""
         if self.exact is None and values.dtype != object:
             self.total += sum(values.tolist())  # an int64 sum could wrap
             if self.total < _CENTS_LIMIT:
@@ -221,10 +223,6 @@ class RowErrorLog:
         return f"{self.count} row error(s), first: {first}"
 
 
-class _BadRow(Exception):
-    """A data row that a reader refuses; the message is its row error."""
-
-
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO 8601 timestamp to a naive UTC datetime; ValueError if it
     is none, or if its UTC time falls outside years 1..9999."""
@@ -258,16 +256,16 @@ _DAY_US = 86_400 * 10**6
 _TS_BACK = np.arange(-21, 0)
 _TS_LO = np.frombuffer(b",0000-00-00T00:00:00z", np.uint8)
 _TS_HI = np.frombuffer(b",9999-19-39T29:59:59z", np.uint8)
-# digit place values giving year, month, day and second of day
+# digit place values giving year, month, day and microsecond of the day
 _TS_PLACES = np.zeros((19, 4))
 _TS_PLACES[0:4, 0] = 1000, 100, 10, 1
 _TS_PLACES[5:7, 1] = 10, 1
 _TS_PLACES[8:10, 2] = 10, 1
-_TS_PLACES[[11, 12, 14, 15, 17, 18], 3] = 36_000, 3_600, 600, 60, 10, 1
+_TS_PLACES[[11, 12, 14, 15, 17, 18], 3] = np.array([36_000, 3_600, 600, 60, 10, 1]) * 10**6
 _TS_ZERO = ord("0") * _TS_PLACES.sum(axis=0)
-# the second-of-day bound keeps the hour below 24
+# the bound on the microsecond of the day keeps the hour below 24
 _TS_MIN = np.array([1, 1, 1, 0])
-_TS_MAX = np.array([9999, 12, 31, 86_399])
+_TS_MAX = np.array([9999, 12, 31, _DAY_US - 10**6])
 # calendar tables as in date.toordinal; rows of the month tables: common, leap year
 _YEARS = np.arange(10_000)
 _LEAP = ((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))).astype(np.intp)
@@ -321,42 +319,56 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
     return _Chunk(raw, ends, fields)
 
 
-def _fixed_timestamps(chunk: _Chunk, period) -> tuple[np.ndarray, np.ndarray] | None:
-    """Day ordinals (``date.toordinal``) and seconds of day of the chunk's
-    last field, or None unless every one is a valid ``YYYY-MM-DDTHH:MM:SSZ``
-    (or ``z``) inside ``period`` (``[start, end)``) when that is given."""
-    if chunk.ends[0, -1] < len(_TS_BACK):
-        return None  # too short a first line; its bytes would index from the end
-    stamp = chunk.raw[chunk.ends[:, -1:] + _TS_BACK]
+def _fixed_timestamps(chunk: _Chunk, period) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Day ordinals (``date.toordinal``) and microseconds of the day of the
+    chunk's last field, and whether each is a valid ``YYYY-MM-DDTHH:MM:SSZ`` (or
+    ``z``) inside ``period`` (``[start, end)``) when that is given; the
+    ordinal and microseconds of a row that is not are meaningless."""
+    # a field starting before the chunk fails: its comma and first digit are both byte 0
+    stamp = chunk.raw.take(chunk.ends[:, -1:] + _TS_BACK, mode="clip")
     stamp[:, -1] |= 0x20
-    if not ((stamp >= _TS_LO) & (stamp <= _TS_HI)).all():
-        return None
     parts = (stamp[:, 1:-1] @ _TS_PLACES - _TS_ZERO).astype(np.int64)
-    if not ((parts >= _TS_MIN) & (parts <= _TS_MAX)).all():
-        return None
-    year, month, day, second = parts.T
+    tests = (stamp >= _TS_LO) & (stamp <= _TS_HI), (parts >= _TS_MIN) & (parts <= _TS_MAX)
+    # rows are searched only when the chunk as a whole fails
+    fixed = tests[0].all() and tests[1].all() or tests[0].all(axis=1) & tests[1].all(axis=1)
+    parts[~fixed] = _TS_MIN  # a valid date to index the tables with
+    year, month, day, micros = parts.T
     leap = _LEAP[year]
-    if not (day <= _MONTH_DAYS[leap, month]).all():
-        return None
+    fixed = fixed & (day <= _MONTH_DAYS[leap, month])
     ordinal = _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[leap, month] + day
     if period is not None:
         start, end = ((p - _EPOCH) // _US for p in period)
-        when = ((ordinal - _EPOCH.toordinal()) * 86_400 + second) * 10**6
-        if not ((when >= start) & (when < end)).all():
-            return None
-    return ordinal, second
+        when = (ordinal - _EPOCH.toordinal()) * _DAY_US + micros
+        fixed &= (when >= start) & (when < end)
+    return ordinal, micros, fixed
 
 
-def _utc(text: str, period: tuple[datetime, datetime] | None) -> datetime:
-    """One row's timestamp ``text`` as a naive UTC datetime; a
-    :class:`_BadRow` if it is none or lies outside ``period``."""
-    try:
-        when = parse_timestamp(text)
-    except ValueError:
-        raise _BadRow(f"unparsable timestamp {text!r}") from None
-    if period is not None and not (period[0] <= when < period[1]):
-        raise _BadRow("timestamp outside observation period")
-    return when
+def _timestamps(fields: list[str], width: int, chunk: _Chunk | None,
+                period) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Day ordinals and UTC microseconds of the day of the timestamps that
+    end the rows of ``width`` ``fields``, and ``{row: message}`` for those
+    that are none or lie outside ``period``: the fixed layout of the
+    ``chunk`` in bulk, any other alone."""
+    if chunk is None:
+        ordinal, micros = np.zeros((2, len(fields) // width), dtype=np.int64)
+        rows = range(len(ordinal))
+    else:
+        ordinal, micros, fixed = _fixed_timestamps(chunk, period)
+        rows = [] if fixed.all() else np.flatnonzero(~fixed).tolist()
+    bad = {}
+    for i in rows:
+        text = fields[(i + 1) * width - 1]
+        try:
+            when = parse_timestamp(text)
+        except ValueError:
+            bad[i] = f"unparsable timestamp {text!r}"
+            continue
+        if period is not None and not (period[0] <= when < period[1]):
+            bad[i] = "timestamp outside observation period"
+            continue
+        since = when - _EPOCH  # whole days apart: seconds are of the day
+        ordinal[i], micros[i] = when.toordinal(), since.seconds * 10**6 + since.microseconds
+    return ordinal, micros, bad
 
 
 def _night_flags(micros, offset: timedelta, window: tuple[time, time]) -> np.ndarray:
@@ -396,65 +408,74 @@ def _header(handle: IO[str], what: str) -> tuple[list[str] | None, int]:
         return next(reader, None), reader.line_num
 
 
-#: Accepted rows of a row-wise chunk handed to ``take`` at once, few enough to stay in cache.
+#: Rows of a row-wise chunk, refused ones included, handled at once: few enough to stay in cache.
 _TAKE_ROWS = 512
 
 
 def _read_chunks(handle: IO[str], what: str, line: int, report: Callable,
-                 shape: tuple[int, int, str], fast: Callable, check: Callable,
-                 take: Callable) -> None:
+                 shape: tuple[int, int, str], rule: Callable, take: Callable) -> None:
     """Read the data rows after the header, which ends at file line ``line``,
     into a reader's columns, chunk by chunk.
 
     ``shape`` is ``(width, ids, empty)``: the header's field count, how many
     leading ID fields may not be empty, and the row error for one that is.
-    A chunk that :func:`_split_chunk` splits and that ``fast(chunk)`` turns
-    into columns (None refuses it) goes to ``take(lines, *columns)`` whole,
-    ``lines`` being the file line number of each row. Other chunks are read
-    row by row: blank lines are skipped; a row of another width, with an
-    empty ID or that ``check(*fields)`` refuses with a :class:`_BadRow` goes
-    to ``report(line, message)``; the values ``check`` returns, one per field,
-    reach ``take`` as columns of up to ``_TAKE_ROWS`` rows. From the first
-    quote on the rest of the input goes row by row, since a quoted field may
-    hold a newline that straddles chunks.
+    A chunk that :func:`_split_chunk` splits is one batch. Any other is read
+    row by row, skipping blank lines and refusing rows of another width or
+    with an empty ID, in batches of up to ``_TAKE_ROWS`` rows; so is the rest
+    of the input from the first quote on, since a quoted field may hold a
+    newline. ``rule(fields, chunk)`` gets a batch's fields row after row and
+    its :class:`_Chunk` (None when row-wise), and returns its columns and
+    ``{row: message}`` for the rows it refuses. Refused rows go to
+    ``report(line, message)`` in line order, the others to ``take(lines,
+    *columns)`` with their file line numbers.
     """
     width, ids, empty = shape
-    limit = _TAKE_ROWS * width
+
+    def batch(lines: Sequence[int], fields: list[str], chunk: _Chunk | None, faults) -> None:
+        columns, refused = rule(fields, chunk) if lines else ([], {})
+        if faults or refused:
+            for at, message in sorted([*faults, *((lines[i], m) for i, m in refused.items())]):
+                report(at, message)
+        if refused:  # the spans of rows between refused ones
+            cuts = [-1, *sorted(refused), len(lines)]
+            spans = [slice(start + 1, end) for start, end in zip(cuts, cuts[1:])]
+            lines, *columns = [np.concatenate([c[s] for s in spans]) if isinstance(c, np.ndarray)
+                               else list(chain.from_iterable(c[s] for s in spans))
+                               for c in (lines, *columns)]
+        if lines:
+            take(lines, *columns)
+
     while text := handle.read(_CHUNK_CHARS):
         if not text.endswith("\n"):
             text += handle.readline()
         quoted = '"' in text
         chunk = None if quoted else _split_chunk(text, width, ids)
-        columns = None if chunk is None else fast(chunk)
-        if columns is not None:
+        if chunk is not None:
             rows = len(chunk.ends)
-            take(range(line + 1, line + 1 + rows), *columns)
+            batch(range(line + 1, line + 1 + rows), chunk.fields, chunk, [])
             line += rows
             continue
         lines = io.StringIO(text, newline="")
         reader = csv.reader(chain(lines, handle) if quoted else lines)
-        at: list[int] = []  # the line of each row of the block
-        block: list = []  # the values of the rows, row after row
+        at: list[int] = []  # the line of each row of the batch
+        block: list[str] = []  # the fields of the rows, row after row
+        faults: list[tuple[int, str]] = []  # the rows refused since the last batch
         with _csv_errors(what, reader, line):
-            for row in reader:
-                try:
-                    if len(row) != width:
-                        if not row:
-                            continue
-                        raise _BadRow(f"expected {width} fields, got {len(row)}")
-                    if "" in row and not all(row[:ids]):
-                        raise _BadRow(empty)
-                    values = check(*row)
-                except _BadRow as exc:
-                    report(line + reader.line_num, str(exc))
-                    continue
-                at.append(line + reader.line_num)
-                block += values
-                if len(block) == limit:
-                    take(at, *(block[i::width] for i in range(width)))
-                    at, block = [], []
-        if block:
-            take(at, *(block[i::width] for i in range(width)))
+            try:
+                for row in reader:
+                    if len(row) == width and ("" not in row or all(row[:ids])):
+                        at.append(line + reader.line_num)
+                        block += row
+                    elif row:  # not a blank line
+                        faults.append((line + reader.line_num, empty if len(row) == width
+                                       else f"expected {width} fields, got {len(row)}"))
+                    if len(at) + len(faults) == _TAKE_ROWS:  # refused rows count too
+                        batch(at, block, None, faults)
+                        at, block, faults = [], [], []
+            except csv.Error:  # a field over the limit: the rows before it come first
+                batch(at, block, None, faults)
+                raise
+        batch(at, block, None, faults)
         line += reader.line_num
 
 
@@ -467,7 +488,7 @@ def _check_header(got: list[str] | None, want: list[str], what: str) -> None:
 
 
 def read_table(source, what: str, header: list[str] | Callable,
-               ids: int = 0, unique: bool = False) -> tuple[list[str], list[int], list[list[str]]]:
+               ids: int = 0, unique: int = 0) -> tuple[list[str], list[int], list[list[str]]]:
     """The header row, the line numbers of the data rows and their fields
     as string columns, of a CSV file that is not ``cdr``, ``topup`` or
     ``survey``.
@@ -477,8 +498,8 @@ def read_table(source, what: str, header: list[str] | Callable,
     :class:`FormatError` on a wrong one; it is checked before any row is
     read. Blank lines are skipped; any other row with a field count other
     than the header's, or an empty field among the first ``ids``, raises
-    :class:`FormatError` ``"{what}: malformed row at line N"``; with
-    ``unique``, so does a first field that repeats an earlier row's, as
+    :class:`FormatError` ``"{what}: malformed row at line N"``; so does a
+    row whose first ``unique`` fields repeat an earlier row's, as
     ``"{what}: duplicate '...' at line N"``.
     """
     with _open_text(source) as handle:
@@ -499,38 +520,54 @@ def read_table(source, what: str, header: list[str] | Callable,
                 column.extend(new)
 
         _read_chunks(handle, what, line, malformed, (width, ids, ""),
-                     lambda chunk: [chunk.fields[i::width] for i in range(width)],
-                     lambda *fields: fields, take)
-    if unique:
-        seen: set[str] = set()
-        for at, key in zip(lines, columns[0]):
-            if key in seen:
-                raise FormatError(f"{what}: duplicate {key!r} at line {at}")
-            seen.add(key)
+                     lambda fields, _chunk: ([fields[i::width] for i in range(width)], {}), take)
+    seen: set = set()
+    keys = columns[0] if unique == 1 else zip(*columns[:unique])  # none without a key
+    for at, key in zip(lines, keys):
+        if key in seen:
+            raise FormatError(f"{what}: duplicate {key!r} at line {at}")
+        seen.add(key)
     return got, lines, columns
 
 
 #: what float, int and Decimal raise on text that is no number
 _NOT_A_NUMBER = (ValueError, InvalidOperation)
-#: the finiteness test of each number type; an int is always finite
-_FINITE = {float: isfinite, Decimal: Decimal.is_finite}
+#: a quick test that the numbers of each type are all finite: a float sum
+#: overflows only on huge terms, which then go to the search; an int always is
+_FINITE = {
+    float: lambda values: isfinite(sum(values)),
+    Decimal: lambda values: all(map(Decimal.is_finite, values)),
+}
+
+
+def _numbers(cells: Sequence[str], parse: Callable = float, optional: bool = False,
+             blank=None) -> tuple[list, dict[int, str]]:
+    """Each cell read by ``parse`` (float, int or Decimal), ``blank`` for a
+    blank one with ``optional``, and ``{index: fault}`` in cell order for the
+    cells that are no finite number written without ``_`` (``1_5`` and
+    ``nan`` parse): ``"non-numeric"`` or ``"non-finite"``, their values None.
+    The cells are read as a whole, and searched by halves only when that fails."""
+    finite, blanks = _FINITE.get(parse), optional and not all(cells)
+    try:
+        values = [parse(c) if c else blank for c in cells] if blanks else list(map(parse, cells))
+    except _NOT_A_NUMBER:
+        values = None
+    if values is not None and "_" not in "".join(cells) and (
+            not finite or finite(compress(values, cells) if blanks else values)):
+        return values, {}
+    if len(cells) == 1:
+        return [None], {0: "non-numeric" if values is None or "_" in cells[0] else "non-finite"}
+    half = len(cells) // 2  # search each half
+    (values, faults), (rest, more) = (_numbers(part, parse, optional, blank)
+                                      for part in (cells[:half], cells[half:]))
+    faults.update((half + i, fault) for i, fault in more.items())
+    return values + rest, faults
 
 
 def parse_number(what: str, line: int, text: str, parse: Callable = float):
-    """``text`` read by ``parse`` (float, int or Decimal) if it is a finite
-    number written without ``_``, else :class:`FormatError`
-    ``"{what}: bad number '...' at line N"``. All three parsers take ``1_5``
-    as 15, and float and Decimal take ``nan`` and ``inf``."""
-    if "_" not in text:
-        try:
-            value = parse(text)
-        except _NOT_A_NUMBER:
-            pass
-        else:
-            finite = _FINITE.get(parse)
-            if finite is None or finite(value):
-                return value
-    raise FormatError(f"{what}: bad number {text!r} at line {line}")
+    """``text`` on ``line`` read by ``parse`` (float, int or Decimal) as
+    :func:`parse_column` reads a cell."""
+    return parse_column(what, [line], [text], parse)[0]
 
 
 def split_list(key: str, text: str) -> list[str]:
@@ -545,6 +582,14 @@ def split_list(key: str, text: str) -> list[str]:
     return [f.strip() for f in fields]
 
 
+def _valid(what: str, lines: Sequence[int], cells: Sequence[str], read: tuple[list, dict]):
+    """The values of ``read``, the cells' ``(values, faults)``, unless a cell is faulty."""
+    values, faults = read
+    if faults:
+        raise FormatError(f"{what}: bad number {cells[min(faults)]!r} at line {lines[min(faults)]}")
+    return values
+
+
 def parse_column(
     what: str,
     lines: Sequence[int],
@@ -552,23 +597,20 @@ def parse_column(
     parse: Callable = float,
     optional: bool = False,
 ) -> list:
-    """:func:`parse_number` of each cell, the one on ``lines[i]`` being
-    ``cells[i]``; with ``optional``, a blank cell reads as None. The column
-    is checked as a whole, and searched cell by cell only when it fails."""
-    given = [c for c in cells if c] if optional else cells
-    try:
-        values = list(map(parse, given))
-    except _NOT_A_NUMBER:
-        values = None
-    finite = _FINITE.get(parse)
-    if values is None or "_" in "".join(given) or finite and not all(map(finite, values)):
-        for line, cell in zip(lines, cells):
-            if cell or not optional:
-                parse_number(what, line, cell, parse)
-    if len(given) < len(cells):
-        numbers = iter(values)
-        values = [next(numbers) if c else None for c in cells]
-    return values
+    """Each cell read by ``parse`` (float, int or Decimal), the one on
+    ``lines[i]`` being ``cells[i]``; with ``optional``, a blank cell reads
+    as None. A cell that is no finite number written without ``_`` (see
+    :func:`_numbers`) is a :class:`FormatError` ``"{what}: bad number '...'
+    at line N"``."""
+    return _valid(what, lines, cells, _numbers(cells, parse, optional))
+
+
+def parse_money(what: str, lines: Sequence[int], cells: Sequence[str]) -> np.ndarray:
+    """The cells as a money column laid out as a top-up file's (see
+    :class:`TopUpColumns`), each a number as :func:`parse_number` reads it."""
+    amounts = _Amounts()
+    amounts.add(_valid(what, lines, cells, _money(cells)))
+    return amounts.column()
 
 
 def read_cdr(
@@ -591,15 +633,9 @@ def read_cdr(
     night = bytearray()
     offset = timedelta(minutes=utc_offset_minutes)
 
-    def fast(chunk: _Chunk):
-        stamps = _fixed_timestamps(chunk, period)
-        if stamps is None:
-            return None
-        return chunk.fields[0::4], chunk.fields[1::4], chunk.fields[2::4], stamps[1] * 10**6
-
-    def check(caller_id: str, callee_id: str, tower_id: str, stamp: str):
-        since = _utc(stamp, period) - _EPOCH  # whole days apart: seconds are of the day
-        return caller_id, callee_id, tower_id, since.seconds * 10**6 + since.microseconds
+    def rule(fields: list[str], chunk: _Chunk | None):
+        _, micros, bad = _timestamps(fields, 4, chunk, period)
+        return [fields[0::4], fields[1::4], fields[2::4], micros], bad
 
     def take(_lines, callers, callees, tower_ids, micros) -> None:
         ids = [*callers, *callees]
@@ -614,7 +650,7 @@ def read_cdr(
         header, line = _header(handle, "cdr")
         _check_header(header, CDR_HEADER, "cdr")
         _read_chunks(handle, "cdr", line, (errors or RowErrorLog()).report,
-                     (4, 3, "empty identifier field"), fast, check, take)
+                     (4, 3, "empty identifier field"), rule, take)
     return CallColumns(
         users=list(users),
         towers=list(towers),
@@ -636,44 +672,29 @@ def read_topups(
     user, day = array("i"), array("i")
     amounts = _Amounts()
 
-    def fast(chunk: _Chunk):
-        stamps = _fixed_timestamps(chunk, period)
-        if stamps is None:
-            return None
-        texts = chunk.fields[1::3]
-        try:
-            values = _money(texts)
-        except InvalidOperation:
-            return None
-        if values.dtype == object and (  # the rule of check, in bulk
-                "_" in "".join(texts) or not all(map(Decimal.is_finite, values))):
-            return None
-        if not (values > 0).all():
-            return None
-        return chunk.fields[0::3], values, stamps[0]
-
-    def check(user_id: str, text: str, stamp: str):
-        try:
-            amount = Decimal(text)
-        except InvalidOperation:
-            amount = None
-        if amount is None or "_" in text:
-            raise _BadRow(f"non-numeric amount {text!r}")
-        if not amount.is_finite() or amount <= 0:
-            raise _BadRow(f"non-positive amount {text!r}")
-        return user_id, text, _utc(stamp, period).toordinal()
+    def rule(fields: list[str], chunk: _Chunk | None):
+        days, _, bad = _timestamps(fields, 3, chunk, period)
+        texts = fields[1::3]
+        values, faults = _money(texts)
+        if faults:  # refused below, with the message of their fault
+            values[list(faults)] = 0
+        for i in np.flatnonzero(values <= 0).tolist():
+            wrong = "non-numeric" if faults.get(i) == "non-numeric" else "non-positive"
+            bad[i] = f"{wrong} amount {texts[i]!r}"  # before the timestamp's
+        if bad and values.dtype == object:  # the layout is that of the accepted amounts
+            values, _ = _money(["1.00" if i in bad else t for i, t in enumerate(texts)])
+        return [fields[0::3], values, days], bad
 
     def take(_lines, user_ids, values, days) -> None:
         user.fromlist(list(map(users.__getitem__, user_ids)))
-        # a clean chunk brings its amounts parsed, a row-wise block their texts
-        amounts.add(values if isinstance(values, np.ndarray) else _money(values))
-        day.frombytes(np.asarray(days, dtype=np.int32).tobytes())
+        amounts.add(values)
+        day.frombytes(days.astype(np.int32).tobytes())
 
     with _open_text(source) as handle:
         header, line = _header(handle, "topup")
         _check_header(header, TOPUP_HEADER, "topup")
         _read_chunks(handle, "topup", line, (errors or RowErrorLog()).report,
-                     (3, 1, "empty user_id"), fast, check, take)
+                     (3, 1, "empty user_id"), rule, take)
     return TopUpColumns(
         users=list(users),
         user=np.frombuffer(user, dtype=np.int32),
@@ -774,54 +795,30 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
         sector_ids: list[str] = []
         values = array("d")  # row-major
 
-        def fast(chunk: _Chunk):
-            cells = chunk.fields[:]
+        def rule(fields: list[str], _chunk: _Chunk | None):
+            cells = fields[:]
             del cells[0::width]  # household IDs
             del cells[0::width - 1]  # sector IDs
-            try:
-                parsed = np.array([float(c) if c else nan for c in cells], dtype=np.float64)
-            except ValueError:
-                return None
-            # only blank cells may read as NaN
-            nan_cells = len(parsed) - np.count_nonzero(np.isfinite(parsed))
-            if nan_cells != cells.count("") or "_" in "".join(cells):
-                return None
-            parsed = parsed.reshape(len(chunk.ends), -1)
+            numbers, faults = _numbers(cells, optional=True, blank=nan)
+            parsed = np.array(numbers, dtype=np.float64).reshape(len(fields) // width, -1)
+            bad = {}
+            for i, fault in faults.items():  # the first faulty cell of a row names it
+                row, j = divmod(i, len(variables))
+                bad.setdefault(row, f"{fault} value {cells[i]!r} in {variables[j]!r}")
             food = parsed[:, food_cols]
-            if not (np.isnan(food) | ((food >= 0) & (food <= 7) & (food == np.floor(food)))).all():
-                return None
-            return chunk.fields[0::width], chunk.fields[1::width], parsed
+            wrong = ~(np.isnan(food) | ((food >= 0) & (food <= 7) & (food == np.floor(food))))
+            for row, j in np.argwhere(wrong).tolist():  # row by row, columns in order
+                v, name = float(food[row, j]), variables[food_cols[j]]
+                bad.setdefault(row, f"food-group frequency {v!r} in {name!r} outside 0..7")
+            return [fields[0::width], fields[1::width], parsed], bad
 
-        def check(household: str, sector: str, *cells: str):
-            try:
-                parsed = [float(c) if c else nan for c in cells]
-            except ValueError:
-                parsed = []
-            if sum(map(isfinite, parsed)) + cells.count("") != len(cells) or "_" in "".join(cells):
-                for name, cell in zip(variables, cells):  # search for the first bad cell
-                    try:
-                        value = float(cell) if cell else nan
-                    except ValueError:
-                        value = None
-                    if value is None or "_" in cell:
-                        raise _BadRow(f"non-numeric value {cell!r} in {name!r}")
-                    if cell and not isfinite(value):
-                        raise _BadRow(f"non-finite value {cell!r} in {name!r}")
-            for i in food_cols:
-                v = parsed[i]
-                if v == v and not (v.is_integer() and 0 <= v <= 7):
-                    raise _BadRow(f"food-group frequency {v!r} in {variables[i]!r} outside 0..7")
-            return household, sector, *parsed
-
-        def take(_lines, households, sectors, *cells) -> None:
+        def take(_lines, households, sectors, rows) -> None:
             household_ids.extend(households)
             sector_ids.extend(sectors)
-            # a clean chunk brings one row-major matrix, a row-wise block columns
-            rows = cells[0] if cells and isinstance(cells[0], np.ndarray) else np.array(cells).T
             values.frombytes(rows.tobytes())
 
         _read_chunks(handle, "survey", line, (errors or RowErrorLog()).report,
-                     (width, 2, "empty household_id or sector_id"), fast, check, take)
+                     (width, 2, "empty household_id or sector_id"), rule, take)
         return SurveyTable(
             household_ids=household_ids,
             sector_ids=sector_ids,

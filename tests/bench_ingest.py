@@ -5,9 +5,15 @@ name keeps it out of the default test run. The input has the shape of the
 ``c01`` benchmark workload (200 sectors x 40 users x 30 households, 182 days:
 about 255 k calls, 80 k top-ups and 6 k households), generated once per
 session by ``foodsec.synth``. The ``dirty`` variants read copies with one
-malformed row in every chunk, so every chunk takes the row-wise path; the
-``quoted`` variants read copies whose first data row has a quoted field, so
-the rest of the file goes row by row in one pass. The ``table`` cases read
+malformed row in every chunk, so every chunk takes the row-wise path. The
+``typed`` variants read copies with one whole row in every chunk whose last
+field is ``x`` (an unparsable timestamp, a non-numeric survey cell): such a
+row keeps its chunk in bulk and only it is parsed on its own, so these
+variants time what one type-bad row costs a chunk. The ``quoted``
+variants read copies whose first data row has a quoted field, so
+the rest of the file goes row by row in one pass. The ``blank`` survey
+reads a copy with every fifth answer left blank, as missing answers are:
+the generated survey has none. The ``table`` cases read
 two files the stages hand on, ``user_features.csv`` (8 k users, written
 from the same inputs) and ``truth.csv``. No timing is asserted.
 """
@@ -28,9 +34,11 @@ def inputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("c01")
     paths = generate(SynthConfig(seed=1, **C01), out)
     for name in ("cdr", "topup", "survey"):
-        for variant in (dirty, quoted):
+        for variant in (dirty, typed, quoted):
             paths[f"{name}_{variant.__name__}"] = out / f"{name}_{variant.__name__}.csv"
             variant(paths[name], paths[f"{name}_{variant.__name__}"])
+    paths["survey_blank"] = out / "survey_blank.csv"
+    blank(paths["survey"], paths["survey_blank"])
     features, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]),
                                 load_tower_map(paths["towers"]))
     paths["user_features"] = out / "user_features.csv"
@@ -50,6 +58,18 @@ def dirty(source, target) -> None:
             out.write(text[:first] + "broken\n" + text[first:])
 
 
+def typed(source, target) -> None:
+    """Copy ``source`` with a copy of the first data line of every chunk's
+    worth of text after it, its last field replaced by ``x``."""
+    with open(source, encoding="utf-8", newline="") as f, \
+            open(target, "w", encoding="utf-8", newline="") as out:
+        out.write(f.readline())
+        while text := f.read(ingest._CHUNK_CHARS):
+            text += f.readline()
+            first = text.index("\n") + 1
+            out.write(text[:first] + text[:first].rsplit(",", 1)[0] + ",x\n" + text[first:])
+
+
 def quoted(source, target) -> None:
     """Copy ``source`` with the first field of its first data row quoted."""
     with open(source, encoding="utf-8", newline="") as f, \
@@ -61,7 +81,18 @@ def quoted(source, target) -> None:
             out.write(text)
 
 
-VARIANTS = ["clean", "dirty", "quoted"]
+def blank(source, target) -> None:
+    """Copy the survey ``source`` with every fifth answer cell blank."""
+    with open(source, encoding="utf-8", newline="") as f, \
+            open(target, "w", encoding="utf-8", newline="") as out:
+        out.write(f.readline())
+        for row, line in enumerate(f):
+            household, sector, *answers = line.rstrip("\n").split(",")
+            answers[row % 5::5] = [""] * len(answers[row % 5::5])
+            out.write(",".join([household, sector, *answers]) + "\n")
+
+
+VARIANTS = ["clean", "dirty", "typed", "quoted"]
 
 
 def variant_path(inputs, name, variant):
@@ -73,7 +104,7 @@ def test_read_cdr(benchmark, inputs, variant):
     errors = RowErrorLog()
     calls = benchmark(read_cdr, variant_path(inputs, "cdr", variant), errors)
     assert len(calls) > 200_000
-    assert (errors.count > 0) == (variant == "dirty")
+    assert (errors.count > 0) == (variant in ("dirty", "typed"))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -81,16 +112,16 @@ def test_read_topups(benchmark, inputs, variant):
     errors = RowErrorLog()
     topups = benchmark(read_topups, variant_path(inputs, "topup", variant), errors)
     assert len(topups) > 50_000
-    assert (errors.count > 0) == (variant == "dirty")
+    assert (errors.count > 0) == (variant in ("dirty", "typed"))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", [*VARIANTS, "blank"])
 def test_load_survey(benchmark, inputs, variant):
     errors = RowErrorLog()
     table = benchmark(load_survey, variant_path(inputs, "survey", variant),
                       inputs["survey_meta"], errors)
     assert len(table) > 5_000
-    assert (errors.count > 0) == (variant == "dirty")
+    assert (errors.count > 0) == (variant in ("dirty", "typed"))
 
 
 def test_table_user_features(benchmark, inputs):

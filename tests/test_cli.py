@@ -436,6 +436,27 @@ class TestAllPipeline:
         rc = run(["verify", "--truth", paths["truth"], "--outputs", corrupt])
         assert rc == 2
 
+    def test_verify_refuses_a_repeated_correlation(self, medium_dataset, medium_pipeline,
+                                                   tmp_path, capsys):
+        """A repeated pair is a data error naming its line, not a silent
+        override of the recovered r."""
+        import shutil
+
+        _, paths = medium_dataset
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(medium_pipeline, corrupt)
+        lines = (corrupt / "correlations.csv").read_text().splitlines()
+        (planted,) = [line for line in lines if line.startswith("topup_sum.mean,food_expenditure,")]
+        cells = planted.split(",")
+        cells[2] = "0.1"
+        lines.append(",".join(cells))
+        (corrupt / "correlations.csv").write_text("\n".join(lines) + "\n")
+        rc = run(["verify", "--truth", paths["truth"], "--outputs", corrupt])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: correlations: duplicate ('topup_sum.mean', 'food_expenditure') at line "
+            f"{len(lines)}\n")
+
     def test_verify_keeps_the_manifest_of_the_run_it_checks(self, medium_dataset,
                                                            medium_pipeline, tmp_path):
         import shutil

@@ -488,3 +488,33 @@ def test_every_field_quoted_equals_rowwise(what, chunk_chars, take_rows):
     assert actual == expected
     (accepted, *_), errors, _ = actual
     assert accepted and errors
+
+
+TYPE_BAD_ROWS = [
+    ("topup", f"u1,abc,{STAMP}"),
+    ("topup", "u1,5.00,nope"),
+    ("topup", "u1,5.00,2012-01-10T21:15:00+02:00"),
+    ("cdr", "u1,u2,t1,nope"),
+    ("cdr", "u1,u2,t1,2012-01-10T21:15:00+02:00"),
+    ("survey", "h1,s1,1,x,3,4"),
+]
+
+
+@pytest.mark.parametrize("what, row", TYPE_BAD_ROWS)
+def test_a_type_bad_row_keeps_its_chunk_in_bulk(what, row):
+    """A row that is whole but has a bad amount, timestamp or cell, or a
+    timestamp off the fixed layout, is typed with the rest of its chunk: the
+    csv row loop reads the header only."""
+    rows = [CLEAN_ROWS[what]] * 8
+    text = "\n".join([HEADERS[what], *rows[:4], row, *rows[4:]]) + "\n"
+    chunked = {
+        "cdr": (decoded_calls, text, FeatureConfig(utc_offset_minutes=180), None),
+        "topup": (decoded_topups, text, None),
+        "survey": (survey_table, load_survey, text),
+    }[what]
+    reader, readers = csv.reader, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest.csv, "reader", lambda *args: readers.append(args) or reader(*args))
+        actual = read_outcome(*chunked, strict=False)
+    assert len(readers) == 1
+    assert actual == chunked_and_rowwise(what, text, 1 << 15, ingest._TAKE_ROWS)[1]

@@ -278,6 +278,20 @@ class TestCorrelationMatrix:
         write_correlations(entries, path)
         assert read_correlations(path) == entries
 
+    def test_repeated_pair_is_a_format_error(self, tmp_path):
+        """A second row for one pair would hide the first from every reader."""
+        sectors = [f"s{i}" for i in range(6)]
+        rng = np.random.default_rng(11)
+        entries = correlation_matrix(matrix(sectors, ["m1", "m2"], rng.normal(size=(6, 2))),
+                                     matrix(sectors, ["v1"], rng.normal(size=(6, 1))))
+        path = tmp_path / "correlations.csv"
+        write_correlations(entries, path)
+        with path.open("a") as f:
+            # a repeated mobile_var alone is no repeat
+            f.write("m1,v2,0.5,0.2,,,6,true\nm1,v1,0.1,0.8,,,6,true\n")
+        with pytest.raises(FormatError, match=r"^correlations: duplicate \('m1', 'v1'\) at line 5$"):
+            read_correlations(path)
+
     def test_heatmap_output(self, tmp_path):
         sectors = [f"s{i}" for i in range(5)]
         mobile = matrix(sectors, ["m"], np.arange(5.0)[:, None])

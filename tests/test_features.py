@@ -383,3 +383,13 @@ def test_user_features_csv_refuses_a_repeated_or_empty_id(tmp_path, row, message
     path.write_text(f"{FEATURES_CSV}{row}\n")
     with pytest.raises(FormatError, match=f"^user_features: {message}$"):
         read_user_features(path)
+
+
+def test_user_features_csv_refuses_a_money_cell_holding_a_line_break(tmp_path):
+    """Every other cell of the column is written ``D+.DD``, and so are both
+    lines of the quoted one; it is still one cell, and no number."""
+    path = tmp_path / "user_features.csv"
+    path.write_text(FEATURES_CSV.split("\n", 1)[0] + "\nu1,s1,10.50,5.25,5.00,5.50,2,\n"
+                    'u2,s2,"7.00\n1.00",7.00,7.00,7.00,1,0.5\n')
+    with pytest.raises(FormatError, match=r"^user_features: bad number '7.00\\n1.00' at line 4$"):
+        read_user_features(path)

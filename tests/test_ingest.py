@@ -103,6 +103,20 @@ class TestParseCdr:
         with pytest.raises(StrictModeError):
             read_cdr(stream(body), RowErrorLog(strict=True))
 
+    def test_strict_read_of_a_quoted_file_stops_near_the_bad_row(self):
+        """From a quote on, the rest of the input goes row by row; a strict
+        read raises within a batch of rows of the first bad one, though no
+        row after it is accepted."""
+
+        class Bounded(io.StringIO):
+            def __next__(self):  # the row loop reads on past the first chunk
+                raise AssertionError("read past the bad row")
+
+        rows = ['"u0",u1,t1,2012-03-01T19:22:05Z', *["broken"] * 20_000]
+        body = "caller_id,callee_id,tower_id,timestamp\n" + "\n".join(rows) + "\n"
+        with pytest.raises(StrictModeError, match="^line 3: expected 4 fields, got 1$"):
+            read_cdr(Bounded(body), RowErrorLog(strict=True))
+
     def test_period_filter(self):
         body = (
             "caller_id,callee_id,tower_id,timestamp\n"
@@ -186,6 +200,21 @@ class TestParseTopup:
         columns = read_topups(stream(body), errors)
         assert [user for user, _, _ in topup_rows(columns)] == (["u0", "u2"] if quoted else ["u2"])
         assert [e.message for e in errors.errors] == ["non-numeric amount '1_5'"]
+        oracle_errors = RowErrorLog()
+        assert len(list(parse_topup_stream(stream(body), oracle_errors))) == len(columns)
+        assert oracle_errors.errors == errors.errors
+
+
+    def test_amount_holding_a_line_break_is_row_error(self):
+        """A quoted amount may hold a line break: ``5.00\\n1.00`` is no
+        number, and the other rows keep their own amounts."""
+        body = ('user_id,amount,timestamp\nu1,"5.00\n1.00",2012-03-01T08:00:00Z\n'
+                "u2,3.00,2012-03-02T08:00:00Z\nu3,4.00,2012-03-03T08:00:00Z\n")
+        errors = RowErrorLog()
+        columns = read_topups(stream(body), errors)
+        assert topup_rows(columns) == [("u2", Decimal("3.00"), date(2012, 3, 2)),
+                                       ("u3", Decimal("4.00"), date(2012, 3, 3))]
+        assert [e.message for e in errors.errors] == ["non-numeric amount '5.00\\n1.00'"]
         oracle_errors = RowErrorLog()
         assert len(list(parse_topup_stream(stream(body), oracle_errors))) == len(columns)
         assert oracle_errors.errors == errors.errors
