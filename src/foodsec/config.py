@@ -36,7 +36,7 @@ def parse_kv_file(path) -> dict[str, str]:
 def parse_night_window(text: str) -> tuple[time, time]:
     """Parse ``18:00-08:00`` into a (start, end) pair of local times. A time
     with a UTC offset is refused: the offset to local time is a setting of
-    its own."""
+    its own. So is a window whose start is its end: [start, end) holds no time."""
     try:
         start_text, _, end_text = text.partition("-")
         window = time.fromisoformat(start_text.strip()), time.fromisoformat(end_text.strip())
@@ -45,4 +45,6 @@ def parse_night_window(text: str) -> tuple[time, time]:
     if any(t.tzinfo is not None for t in window):
         raise ConfigError(f"night window {text!r}: a time with a UTC offset; "
                           "give local times and the offset as --utc-offset")
+    if window[0] == window[1]:
+        raise ConfigError(f"night window {text!r}: empty, its start is its end")
     return window

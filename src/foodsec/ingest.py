@@ -1,11 +1,13 @@
 """Readers and the one writer of the pipeline's CSV interchange files.
 
 All files are UTF-8, comma-separated, header row mandatory. Timestamps are
-ISO 8601; a trailing ``Z`` or an explicit offset is accepted and normalized
-to naive UTC internally. Monetary amounts stay exact: a top-up file whose
-every amount is written ``D+.DD`` is carried as int64 cents, any other as
-``Decimal`` values (see :class:`TopUpColumns`), and so is a money column
-of ``user_features.csv``.
+ISO 8601; a trailing ``Z`` or an explicit offset is accepted, and each is
+read as one int64 of UTC microseconds since 1970-01-01, on which the
+observation period is checked. Monetary amounts stay exact: a top-up file
+whose every amount is written ``D+.DD`` is carried as int64 cents, any
+other as ``Decimal`` values (see :class:`TopUpColumns`), and so is a money
+column of ``user_features.csv``; :func:`_money_column` decides the layout
+once, from the amounts of the whole column.
 
 ``cdr.csv`` and ``topup.csv`` are read in one pass each into int-coded
 columns (:class:`CallColumns`, :class:`TopUpColumns`): IDs are interned to
@@ -167,31 +169,14 @@ def money_zeros(shape, like: np.ndarray) -> np.ndarray:
     return np.full(shape, Decimal(0) if like.dtype == object else 0, dtype=like.dtype)
 
 
-class _Amounts:
-    """The accepted amounts of one file in order: cents until a column breaks
-    the layout or the total reaches the limit, from then on ``Decimal`` values."""
-
-    def __init__(self) -> None:
-        self.cents = array("q")
-        self.total = 0
-        self.exact: list[Decimal] | None = None
-
-    def add(self, values: np.ndarray) -> None:
-        """Append finite amounts as :func:`_money` reads them; cents are never negative."""
-        if self.exact is None and values.dtype != object:
-            self.total += sum(values.tolist())  # an int64 sum could wrap
-            if self.total < _CENTS_LIMIT:
-                self.cents.frombytes(values.tobytes())
-                return
-        if self.exact is None:
-            self.exact = money_decimals(np.frombuffer(self.cents, np.int64)).tolist()
-            self.cents = array("q")
-        self.exact.extend(money_decimals(values).tolist())
-
-    def column(self) -> np.ndarray:
-        if self.exact is None:
-            return np.frombuffer(self.cents, dtype=np.int64)
-        return np.array(self.exact, dtype=object)
+def _money_column(parts: list[np.ndarray]) -> np.ndarray:
+    """The accepted amounts of a file, given as the money arrays of its
+    batches, as one column: int64 cents when every part is cents and their
+    total stays below the limit, else ``Decimal`` values."""
+    # the total is of Python ints: an int64 sum could wrap
+    if all(p.dtype != object for p in parts) and sum(sum(p.tolist()) for p in parts) < _CENTS_LIMIT:
+        return np.concatenate(parts) if parts else np.zeros(0, np.int64)
+    return np.concatenate([money_decimals(p) for p in parts])
 
 
 @dataclass(frozen=True)
@@ -248,6 +233,7 @@ _CHUNK_CHARS = 1 << 15
 
 _NL = ord("\n")
 _EPOCH = datetime(1970, 1, 1)
+_EPOCH_DAY = _EPOCH.toordinal()
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400 * 10**6
 # A timestamp field of a clean chunk: its comma, then YYYY-MM-DDTHH:MM:SSZ with
@@ -319,11 +305,13 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
     return _Chunk(raw, ends, fields)
 
 
-def _fixed_timestamps(chunk: _Chunk, period) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Day ordinals (``date.toordinal``) and microseconds of the day of the
-    chunk's last field, and whether each is a valid ``YYYY-MM-DDTHH:MM:SSZ`` (or
-    ``z``) inside ``period`` (``[start, end)``) when that is given; the
-    ordinal and microseconds of a row that is not are meaningless."""
+def _fixed_timestamps(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """UTC microseconds since 1970-01-01 of the chunk's last field, and
+    whether each is a valid ``YYYY-MM-DDTHH:MM:SSZ`` (or ``z``); the
+    microseconds of a row that is not are meaningless."""
+    # numpy's own ISO parser (astype("datetime64[us]")) is not used: numpy 2.4.6
+    # crashed with SIGSEGV converting 511 or more S19 stamps among which one
+    # held an impossible date (2012-02-30T10:00:00)
     # a field starting before the chunk fails: its comma and first digit are both byte 0
     stamp = chunk.raw.take(chunk.ends[:, -1:] + _TS_BACK, mode="clip")
     stamp[:, -1] |= 0x20
@@ -335,46 +323,42 @@ def _fixed_timestamps(chunk: _Chunk, period) -> tuple[np.ndarray, np.ndarray, np
     year, month, day, micros = parts.T
     leap = _LEAP[year]
     fixed = fixed & (day <= _MONTH_DAYS[leap, month])
-    ordinal = _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[leap, month] + day
-    if period is not None:
-        start, end = ((p - _EPOCH) // _US for p in period)
-        when = (ordinal - _EPOCH.toordinal()) * _DAY_US + micros
-        fixed &= (when >= start) & (when < end)
-    return ordinal, micros, fixed
+    days = _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE_MONTH[leap, month] + day - _EPOCH_DAY
+    return days * _DAY_US + micros, fixed
 
 
 def _timestamps(fields: list[str], width: int, chunk: _Chunk | None,
-                period) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Day ordinals and UTC microseconds of the day of the timestamps that
-    end the rows of ``width`` ``fields``, and ``{row: message}`` for those
-    that are none or lie outside ``period``: the fixed layout of the
-    ``chunk`` in bulk, any other alone."""
+                period) -> tuple[np.ndarray, dict[int, str]]:
+    """UTC microseconds since 1970-01-01 of the timestamps that end the rows
+    of ``width`` ``fields``, and ``{row: message}`` for those that are none
+    or lie outside ``period`` (``[start, end)``) when it is given: the fixed
+    layout of the ``chunk`` in bulk, any other alone; the period is then
+    checked once, on the column."""
     if chunk is None:
-        ordinal, micros = np.zeros((2, len(fields) // width), dtype=np.int64)
-        rows = range(len(ordinal))
+        micros = np.zeros(len(fields) // width, dtype=np.int64)
+        rows = range(len(micros))
     else:
-        ordinal, micros, fixed = _fixed_timestamps(chunk, period)
+        micros, fixed = _fixed_timestamps(chunk)
         rows = [] if fixed.all() else np.flatnonzero(~fixed).tolist()
     bad = {}
     for i in rows:
         text = fields[(i + 1) * width - 1]
         try:
-            when = parse_timestamp(text)
+            micros[i] = (parse_timestamp(text) - _EPOCH) // _US
         except ValueError:
             bad[i] = f"unparsable timestamp {text!r}"
-            continue
-        if period is not None and not (period[0] <= when < period[1]):
-            bad[i] = "timestamp outside observation period"
-            continue
-        since = when - _EPOCH  # whole days apart: seconds are of the day
-        ordinal[i], micros[i] = when.toordinal(), since.seconds * 10**6 + since.microseconds
-    return ordinal, micros, bad
+    if period is not None:
+        start, end = ((p - _EPOCH) // _US for p in period)
+        for i in np.flatnonzero((micros < start) | (micros >= end)).tolist():
+            bad.setdefault(i, "timestamp outside observation period")
+    return micros, bad
 
 
 def _night_flags(micros, offset: timedelta, window: tuple[time, time]) -> np.ndarray:
     """Whether each local time of day falls in ``window``, half-open
     [start, end) and wrapping midnight when start > end, from UTC
-    microseconds of the day; local time is UTC + ``offset``."""
+    microseconds (since 1970-01-01, or of the day: only the time of day
+    counts); local time is UTC + ``offset``."""
     t = (np.asarray(micros, dtype=np.int64) + offset // _US) % _DAY_US
     start, end = (((w.hour * 60 + w.minute) * 60 + w.second) * 10**6 + w.microsecond
                   for w in window)
@@ -608,9 +592,7 @@ def parse_column(
 def parse_money(what: str, lines: Sequence[int], cells: Sequence[str]) -> np.ndarray:
     """The cells as a money column laid out as a top-up file's (see
     :class:`TopUpColumns`), each a number as :func:`parse_number` reads it."""
-    amounts = _Amounts()
-    amounts.add(_valid(what, lines, cells, _money(cells)))
-    return amounts.column()
+    return _money_column([_valid(what, lines, cells, _money(cells))])
 
 
 def read_cdr(
@@ -634,7 +616,7 @@ def read_cdr(
     offset = timedelta(minutes=utc_offset_minutes)
 
     def rule(fields: list[str], chunk: _Chunk | None):
-        _, micros, bad = _timestamps(fields, 4, chunk, period)
+        micros, bad = _timestamps(fields, 4, chunk, period)
         return [fields[0::4], fields[1::4], fields[2::4], micros], bad
 
     def take(_lines, callers, callees, tower_ids, micros) -> None:
@@ -670,10 +652,10 @@ def read_topups(
     are exact (cents or decimals, see there) and must be positive."""
     users = _codes()
     user, day = array("i"), array("i")
-    amounts = _Amounts()
+    amounts: list[np.ndarray] = []  # per batch
 
     def rule(fields: list[str], chunk: _Chunk | None):
-        days, _, bad = _timestamps(fields, 3, chunk, period)
+        micros, bad = _timestamps(fields, 3, chunk, period)
         texts = fields[1::3]
         values, faults = _money(texts)
         if faults:  # refused below, with the message of their fault
@@ -683,12 +665,12 @@ def read_topups(
             bad[i] = f"{wrong} amount {texts[i]!r}"  # before the timestamp's
         if bad and values.dtype == object:  # the layout is that of the accepted amounts
             values, _ = _money(["1.00" if i in bad else t for i, t in enumerate(texts)])
-        return [fields[0::3], values, days], bad
+        return [fields[0::3], values, micros], bad
 
-    def take(_lines, user_ids, values, days) -> None:
+    def take(_lines, user_ids, values, micros) -> None:
         user.fromlist(list(map(users.__getitem__, user_ids)))
-        amounts.add(values)
-        day.frombytes(days.astype(np.int32).tobytes())
+        amounts.append(values)
+        day.frombytes((micros // _DAY_US + _EPOCH_DAY).astype(np.int32).tobytes())
 
     with _open_text(source) as handle:
         header, line = _header(handle, "topup")
@@ -699,7 +681,7 @@ def read_topups(
         users=list(users),
         user=np.frombuffer(user, dtype=np.int32),
         day=np.frombuffer(day, dtype=np.int32),
-        amount=amounts.column(),
+        amount=_money_column(amounts),
     )
 
 

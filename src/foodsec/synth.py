@@ -681,7 +681,8 @@ def verify_outputs(truth_path, outputs_dir) -> VerifyReport:
             checks.append(CheckResult(f"pair {key}", False, "correlation undefined"))
             continue
         ok = abs(entry.r - target) <= tol and entry.p is not None and entry.p < p_max
-        detail = f"recovered r={entry.r:.4f} (target {target} +/- {tol}), p={entry.p:.3g}"
+        detail = (f"recovered r={entry.r:.4f} (target {target} +/- {tol}), "
+                  f"p={entry.p:.3g} (required < {p_max})")
         checks.append(CheckResult(f"pair {key}", ok, detail))
 
     # food-item ordering across planted groups

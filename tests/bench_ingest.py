@@ -13,7 +13,11 @@ variants time what one type-bad row costs a chunk. The ``quoted``
 variants read copies whose first data row has a quoted field, so
 the rest of the file goes row by row in one pass. The ``blank`` survey
 reads a copy with every fifth answer left blank, as missing answers are:
-the generated survey has none. The ``table`` cases read
+the generated survey has none. The ``decimal`` top-ups read a copy with
+the trailing zeros of each amount dropped (``12.50`` as ``12.5``), so the
+file is carried as ``Decimal`` values, not cents: the benchmark workloads
+read only ``D+.DD`` amounts, and a file in any other layout takes its own
+path through the money rule. The ``table`` cases read
 two files the stages hand on, ``user_features.csv`` (8 k users, written
 from the same inputs) and ``truth.csv``. No timing is asserted.
 """
@@ -39,6 +43,8 @@ def inputs(tmp_path_factory):
             variant(paths[name], paths[f"{name}_{variant.__name__}"])
     paths["survey_blank"] = out / "survey_blank.csv"
     blank(paths["survey"], paths["survey_blank"])
+    paths["topup_decimal"] = out / "topup_decimal.csv"
+    decimal(paths["topup"], paths["topup_decimal"])
     features, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]),
                                 load_tower_map(paths["towers"]))
     paths["user_features"] = out / "user_features.csv"
@@ -92,6 +98,17 @@ def blank(source, target) -> None:
             out.write(",".join([household, sector, *answers]) + "\n")
 
 
+def decimal(source, target) -> None:
+    """Copy the top-ups ``source`` with each amount's trailing zeros, and a
+    point left last, dropped."""
+    with open(source, encoding="utf-8", newline="") as f, \
+            open(target, "w", encoding="utf-8", newline="") as out:
+        out.write(f.readline())
+        for line in f:
+            user, amount, stamp = line.split(",")
+            out.write(",".join([user, amount.rstrip("0").rstrip("."), stamp]))
+
+
 VARIANTS = ["clean", "dirty", "typed", "quoted"]
 
 
@@ -107,11 +124,12 @@ def test_read_cdr(benchmark, inputs, variant):
     assert (errors.count > 0) == (variant in ("dirty", "typed"))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", [*VARIANTS, "decimal"])
 def test_read_topups(benchmark, inputs, variant):
     errors = RowErrorLog()
     topups = benchmark(read_topups, variant_path(inputs, "topup", variant), errors)
     assert len(topups) > 50_000
+    assert (topups.amount.dtype == object) == (variant == "decimal")
     assert (errors.count > 0) == (variant in ("dirty", "typed"))
 
 

@@ -257,12 +257,13 @@ class TestExitCodes:
         assert run([command, *args, "--utc-offset", offset, "--out", tmp_path]) == 1
         assert not (tmp_path / "run_manifest.json").exists()
 
-    @pytest.mark.parametrize("window", ["18:00+01:00-08:00", "18:00-08:00-09:00"])
+    @pytest.mark.parametrize("window", ["18:00+01:00-08:00", "18:00-08:00-09:00", "18:00-18:00"])
     @pytest.mark.parametrize("command", ["features", "all"])
-    def test_night_window_with_a_utc_offset_is_config_error(self, small_dataset, tmp_path,
-                                                            command, window, capsys):
-        """The offset to local time is --utc-offset; a window time that
-        carries one of its own is refused before any stage runs."""
+    def test_refused_night_window_is_config_error(self, small_dataset, tmp_path, command, window,
+                                                  capsys):
+        """The offset to local time is --utc-offset, so a window time that
+        carries one of its own is refused before any stage runs; so is an
+        empty window, whose start is its end."""
         _, paths = small_dataset
         args = {"features": ["--cdr", paths["cdr"], "--topup", paths["topup"],
                              "--towers", paths["towers"]],

@@ -220,6 +220,31 @@ class TestParseTopup:
         assert oracle_errors.errors == errors.errors
 
 
+#: 2**53 - 1 cents, the largest total a cents column holds
+LAST_CENT = "90071992547409.91"
+
+
+@pytest.mark.parametrize("chunk_chars", [16, ingest._CHUNK_CHARS])
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("amounts, layout", [([LAST_CENT], np.int64),
+                                             ([LAST_CENT, "0.01"], object),
+                                             (["0.01", LAST_CENT], object)])
+def test_cents_limit_decides_the_whole_file(monkeypatch, chunk_chars, quoted, amounts, layout):
+    """A file whose amounts total 2**53 - 1 cents stays int64 cents; one cent
+    more turns every amount of it to ``Decimal``, also when the amounts
+    come in different chunks (size 16: a row each) or row by row after a
+    quoted ID; ``parse_money`` lays the same cells out alike."""
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    rows = [f"u{i},{a},2012-03-01T08:00:00Z\n" for i, a in enumerate(amounts)]
+    if quoted:
+        rows[0] = '"u0"' + rows[0][2:]
+    columns = read_topups(stream("user_id,amount,timestamp\n" + "".join(rows)))
+    money = ingest.parse_money("t", range(2, 2 + len(amounts)), amounts)
+    for column in (columns.amount, money):
+        assert column.dtype == layout
+        assert money_decimals(column).tolist() == [Decimal(a) for a in amounts]
+
+
 class TestTowerMap:
     def test_two_rows_one_sector(self):
         m = load_tower_map(stream("tower_id,sector_id\nt1,s1\nt2,s1\n"))

@@ -374,6 +374,26 @@ class TestVerify:
         failures = {c.name for c in report.checks if not c.passed}
         assert "home accuracy" in failures
 
+    def test_failed_pair_names_the_p_bound(self, medium_dataset, medium_pipeline, tmp_path):
+        """A planted pair whose r is on target but whose p is too large names
+        the bound it broke."""
+        import shutil
+
+        _, paths = medium_dataset
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(medium_pipeline, corrupt)
+        lines = (corrupt / "correlations.csv").read_text().splitlines()
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            if cells[:2] == ["topup_sum.mean", "food_expenditure"]:
+                cells[3] = "0.0025"
+                lines[i] = ",".join(cells)
+        (corrupt / "correlations.csv").write_text("\n".join(lines) + "\n")
+        report = verify_outputs(paths["truth"], corrupt)
+        (pair,) = [c for c in report.checks if c.name == "pair topup_sum.mean|food_expenditure"]
+        assert not pair.passed
+        assert pair.detail.endswith("p=0.0025 (required < 1e-06)")
+
     def test_missing_outputs_fatal(self, small_dataset, tmp_path):
         _, paths = small_dataset
         with pytest.raises(FormatError, match="missing"):
