@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_names
 from .features import UserFeatures
 from .ingest import (
     FormatError,
@@ -91,10 +92,8 @@ def build_sector_matrix(
     """
     wanted = list(MOBILE_COLUMNS)
     if columns is not None:
-        unknown = [c for c in columns if c not in wanted]
-        if unknown:
-            raise ValueError(f"unknown column(s): {', '.join(unknown)}")
-        wanted = [c for c in wanted if c in set(columns)]
+        check_names("columns", columns, wanted, "column")
+        wanted = [c for c in wanted if c in columns]
 
     n_users = np.bincount(features.home, minlength=len(features.sectors)).tolist()
     excluded = {s: n for s, n in zip(features.sectors, n_users) if n < min_users}
@@ -153,6 +152,8 @@ def read_sector_matrix(path, count_column: str = "n_users") -> SectorMatrix:
     def check(header) -> None:
         if not header or header[0] != "sector_id" or header[-1] != count_column:
             raise FormatError(f"{what}: expected 'sector_id,...,{count_column}' header")
+        if len(set(header)) != len(header):
+            raise FormatError(f"{what}: duplicate column names")
 
     header, lines, (sectors, *cells, counts) = read_table(path, what, check, ids=1, unique=1)
     values = np.empty((len(sectors), len(cells)), dtype=np.float64)

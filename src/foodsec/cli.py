@@ -35,7 +35,6 @@ import click
 from . import __version__
 from .aggregate import (
     DEFAULT_MIN_USERS,
-    MOBILE_COLUMNS,
     build_sector_matrix,
     read_sector_matrix,
     write_sector_matrix,
@@ -163,12 +162,13 @@ ROLLING = _declare(  # its subcommand's --strict is for reading the top-ups
 
 
 def _inputs(**paths) -> dict[str, Path]:
-    """The given input files by config key, each checked to exist; a None
-    path is an optional input left out."""
+    """The given input files by config key, each checked to exist and not
+    to be a directory; a None path is an optional input left out."""
     inputs = {key: Path(p) for key, p in paths.items() if p is not None}
     for key, p in inputs.items():
-        if not p.exists():
-            raise ConfigError(f"config key {key!r}: file not found: {p}")
+        if not p.exists() or p.is_dir():
+            fault = "a directory, not a file" if p.exists() else "file not found"
+            raise ConfigError(f"config key {key!r}: {fault}: {p}")
     return inputs
 
 
@@ -277,8 +277,8 @@ def cli(ctx, config_path, verbose):
         ctx.default_map = _config_defaults(config_path)
 
 
-# --- stages: each validates its settings, does its work, writes its artifacts
-# into ``out`` and returns (result, outputs, stats) ---
+# --- stages: each hands its settings to the library calls that check them,
+# writes its artifacts into ``out`` and returns (result, outputs, stats) ---
 
 
 def _read(name, read, *args, strict, **kwargs):
@@ -314,9 +314,6 @@ def _stage_features(inputs, out, night_window, utc_offset, home_hours, diversity
 
 def _stage_aggregate(features, out, min_users, columns):
     wanted = split_list("columns", columns) if columns else None
-    unknown = [c for c in wanted or () if c not in MOBILE_COLUMNS]
-    if unknown:
-        raise ConfigError(f"config key 'columns': unknown column(s) {', '.join(unknown)}")
     matrix, excluded = build_sector_matrix(features, min_users=min_users, columns=wanted)
     write_sector_matrix(matrix, out / "sector_mobile.csv")
     stats = {"sectors_out": len(matrix), "sectors_excluded": excluded}
@@ -329,11 +326,6 @@ def _stage_indices(inputs, out, strict, variables=None):
     table, errors = _read("survey", load_survey, inputs["survey"], inputs["survey_meta"],
                           strict=strict)
     wanted = split_list("variables", variables) if variables else None
-    unknown = [v for v in wanted or () if v not in table.variables]
-    if unknown:
-        raise ConfigError(
-            f"config key 'variables': unknown survey variable(s) {', '.join(unknown)}"
-        )
     fcs = load_fcs_weights(inputs["fcs_weights"]) if "fcs_weights" in inputs else None
     csi = load_csi_weights(inputs["csi_weights"]) if "csi_weights" in inputs else None
     pov = load_poverty(inputs["poverty"]) if "poverty" in inputs else None
@@ -368,18 +360,8 @@ def _stage_null(mobile, survey, out, trials, seed):
 
 
 def _stage_fit(mobile, survey, out, target, variables, degree, scatter_data):
-    names = [v for v in split_list("variables", variables) if v]
-    if target not in survey.columns:
-        raise ConfigError(f"config key 'target': {target!r} not in the survey matrix")
-    unknown = [v for v in names if v not in mobile.columns]
-    if unknown or not names:
-        raise ConfigError(
-            f"config key 'variables': unknown mobile variable(s) {', '.join(unknown) or '<none>'}"
-        )
-    repeated = sorted({v for v in names if names.count(v) > 1})
-    if repeated:
-        raise ConfigError(f"config key 'variables': repeated variable(s) {', '.join(repeated)}")
-    model, joined, y = fit_from_matrices(mobile, survey, target, degree=degree, variables=names)
+    model, joined, y = fit_from_matrices(mobile, survey, target, degree=degree,
+                                         variables=split_list("variables", variables))
     outputs = [f"model_{target}.csv"]
     write_model(model, out / outputs[0])
     if scatter_data:

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .aggregate import SectorMatrix
+from .config import check_names
 from .ingest import POVERTY_HEADER, FormatError, SurveyTable, parse_number, read_table
 
 log = logging.getLogger(__name__)
@@ -94,18 +95,19 @@ def multidimensional_poverty_index(headcount: float, intensity: float) -> float:
     return headcount * intensity
 
 
-def sector_survey_means(
-    table: SurveyTable, variables: Sequence[str], scores: Mapping[str, np.ndarray] | None = None
-) -> SectorMatrix:
-    """Per-sector arithmetic means of the requested variables, then of each
-    per-household column in ``scores`` (name -> one value per household).
+def sector_survey_means(table: SurveyTable, variables: Sequence[str] | None = None,
+                        scores: Mapping[str, np.ndarray] | None = None) -> SectorMatrix:
+    """Per-sector arithmetic means of the requested variables (default:
+    every survey variable), then of each per-household column in ``scores``
+    (name -> one value per household).
 
     NaN cells are excluded per column (pairwise); the per-sector household
     count rides along in ``counts``.
     """
-    unknown = [v for v in variables if v not in table.variables]
-    if unknown:
-        raise ValueError(f"variable(s) not in survey: {', '.join(unknown)}")
+    if variables is None:
+        variables = table.variables
+    else:
+        check_names("variables", variables, table.variables, "survey variable")
     scores = scores or {}
     sectors = sorted(set(table.sector_ids))
     sector_index = {s: i for i, s in enumerate(sectors)}
@@ -187,8 +189,6 @@ def build_survey_matrix(
     number of households left out of each composite mean (only those with
     any).
     """
-    if variables is None:
-        variables = list(table.variables)
     scores: dict[str, np.ndarray] = {}
     incomplete: dict[str, int] = {}
     for name, index, weights in (
@@ -225,5 +225,5 @@ def build_survey_matrix(
         values=np.column_stack([means.values, mpi]),
         counts=means.counts,
     )
-    categories = {v: table.categories[v] for v in variables}
+    categories = {v: table.categories[v] for v in variables or table.variables}
     return matrix, {**categories, **COMPOSITE_CATEGORIES}, incomplete

@@ -1,6 +1,7 @@
 """Readers and the one writer of the pipeline's CSV interchange files.
 
-All files are UTF-8, comma-separated, header row mandatory. Timestamps are
+All files are UTF-8 (a file that is not is a :class:`FormatError`),
+comma-separated, header row mandatory. Timestamps are
 ISO 8601; a trailing ``Z`` or an explicit offset is accepted, and each is
 read as one int64 of UTC microseconds since 1970-01-01, on which the
 observation period is checked. Monetary amounts stay exact: a top-up file
@@ -52,7 +53,7 @@ from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import chain, compress, islice
 from math import isfinite, isinf, nan
-from typing import IO, Callable, ContextManager, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,12 +221,18 @@ def parse_timestamp(text: str) -> datetime:
     return dt
 
 
-def _open_text(source) -> ContextManager[IO[str]]:
+@contextmanager
+def _open_text(source) -> Iterator[IO[str]]:
     """``source`` as a ``with`` target: an open handle is left open on exit,
-    a path is opened and then closed."""
-    if hasattr(source, "read"):
-        return nullcontext(source)
-    return open(source, "r", encoding="utf-8", newline="")
+    a path is opened and then closed. Text in it that is not UTF-8 is a
+    :class:`FormatError` naming the file."""
+    is_handle = hasattr(source, "read")
+    try:
+        with nullcontext(source) if is_handle else open(source, encoding="utf-8", newline="") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "input") if is_handle else source
+        raise FormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 #: Characters read per chunk; a chunk then runs on to the end of its last line.

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .aggregate import SectorMatrix
+from .config import check_names
 from .correlate import join_sectors, pearson
 from .ingest import FormatError, format_number, parse_number, read_table, write_table
 
@@ -49,12 +50,7 @@ class RegressionModel:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for term in self.terms:
-            for v in term:
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
+        return tuple(dict.fromkeys(v for term in self.terms for v in term))
 
 
 def term_name(term: tuple[str, ...]) -> str:
@@ -111,9 +107,8 @@ def fit_model(
     """
     if variables is None:
         variables = list(x.columns)
-    missing = [v for v in variables if v not in x.columns]
-    if missing:
-        raise ValueError(f"variable(s) not in matrix: {', '.join(missing)}")
+    else:
+        check_names("variables", variables, x.columns, "variable")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (len(x.sectors),):
         raise ValueError("y must align with the matrix's sectors")
@@ -221,8 +216,7 @@ def fit_from_matrices(
     """Join the two matrices on sector_id and fit ``target`` (a survey
     column) from the mobile variables. Returns the model plus the joined
     mobile matrix and target vector for prediction/scatter output."""
-    if target not in survey.columns:
-        raise ValueError(f"target {target!r} not in the survey matrix")
+    check_names("target", [target], survey.columns, "survey column")
     joined, matched = join_sectors(mobile, survey)
     if not joined.sectors:
         raise FitError("mobile and survey matrices share no sectors")
@@ -233,10 +227,7 @@ def fit_from_matrices(
 
 def predict_rows(model: RegressionModel, x: SectorMatrix) -> np.ndarray:
     """Model predictions per sector row; NaN where an input is undefined."""
-    standardized = {}
-    for v in model.variables:
-        col = x.column(v)
-        standardized[v] = (col - model.means[v]) / model.stds[v]
+    standardized = {v: (x.column(v) - model.means[v]) / model.stds[v] for v in model.variables}
     design = _design(model.terms, standardized, len(x.sectors))
     return design @ np.asarray(model.coef_std)
 

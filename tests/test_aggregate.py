@@ -154,8 +154,11 @@ class TestBuildSectorMatrix:
         assert matrix.columns == ["topup_sum.mean", "social_diversity.cv"]
 
     def test_unknown_column_rejected(self):
-        with pytest.raises(ValueError):
-            build_sector_matrix([vec("u1", "s1", 1)], min_users=1, columns=["bogus.mean"])
+        for columns, fault in ((["bogus.mean"], "unknown"), ([], "an empty"),
+                               (["topup_sum.mean", ""], "an empty"),
+                               (["topup_sum.mean"] * 2, "repeated")):
+            with pytest.raises(ValueError, match=f"config key 'columns': {fault}"):
+                build_sector_matrix([vec("u1", "s1", 1)], min_users=1, columns=columns)
 
     @settings(max_examples=20, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -205,6 +205,84 @@ class TestExitCodes:
         assert rc == 1
         assert "unknown survey variable(s) bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, names", [
+        ("an empty", "{},"), ("repeated", "{0},{0}"), ("unknown", "{},bogus"),
+    ], ids=["empty", "repeated", "unknown"])
+    @pytest.mark.parametrize("command, key, name", [
+        ("aggregate", "columns", "topup_sum.mean"),
+        ("indices", "variables", "household_size"),
+        ("fit", "variables", "topup_sum.mean"),
+    ])
+    def test_bad_name_list_is_config_error(self, medium_dataset, medium_pipeline, tmp_path,
+                                           capsys, command, key, name, fault, names):
+        """One rule for every name list: no empty, unknown or repeated entry."""
+        _, paths = medium_dataset
+        args = {
+            "aggregate": ["--user-features", medium_pipeline / "user_features.csv"],
+            "indices": ["--survey", paths["survey"], "--survey-meta", paths["survey_meta"]],
+            "fit": ["--mobile", medium_pipeline / "sector_mobile.csv",
+                    "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                    "--target", "food_expenditure"],
+        }[command]
+        rc = run([command, *args, f"--{key}", names.format(name), "--out", tmp_path])
+        assert rc == 1
+        assert f"config key '{key}': {fault}" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("features", "cdr"), ("aggregate", "user_features"), ("all", "poverty"),
+    ])
+    def test_directory_as_input_file_is_config_error(self, medium_dataset, tmp_path, capsys,
+                                                     command, key):
+        import shutil
+
+        _, paths = medium_dataset
+        data = tmp_path / "data"
+        if command == "all":
+            shutil.copytree(paths["cdr"].parent, data)
+            (data / "poverty.csv").unlink()
+            (data / "poverty.csv").mkdir()  # an optional input of `all`
+        args = {
+            "features": ["--cdr", tmp_path, "--topup", paths["topup"], "--towers",
+                         paths["towers"]],
+            "aggregate": ["--user-features", tmp_path],
+            "all": ["--in", data, "--seed", "1"],
+        }[command]
+        assert run([command, *args, "--out", tmp_path / "out"]) == 1
+        assert f"config key {key!r}: a directory, not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_repeated_matrix_column_is_data_error(self, medium_pipeline, tmp_path, capsys):
+        """The correlations of a repeated column would repeat their pairs."""
+        lines = (medium_pipeline / "sector_survey.csv").read_text().split("\n")
+        header = lines[0].split(",")
+        header[2] = header[1]
+        (tmp_path / "survey.csv").write_text("\n".join([",".join(header), *lines[1:]]))
+        rc = run(["correlate", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", tmp_path / "survey.csv", "--out", tmp_path / "out"])
+        assert rc == 2
+        assert f"{tmp_path / 'survey.csv'}: duplicate column names" in capsys.readouterr().err
+
+    def test_input_file_not_utf8_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "cdr.csv").write_bytes(
+            b"caller_id,callee_id,tower_id,timestamp\nu\xff,u2,t1,2012-01-01T20:00:00Z\n"
+        )
+        (tmp_path / "topup.csv").write_text("user_id,amount,timestamp\n")
+        (tmp_path / "towers.csv").write_text("tower_id,sector_id\nt1,s1\n")
+        rc = run(["features", "--cdr", tmp_path / "cdr.csv", "--topup", tmp_path / "topup.csv",
+                  "--towers", tmp_path / "towers.csv", "--out", tmp_path / "out"])
+        assert rc == 2
+        assert f"{tmp_path / 'cdr.csv'}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["--config", "{cfg}", "synth"],
+                                         ["synth", "--synth-config", "{cfg}"]])
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1 # \xff\n")
+        args = [a.format(cfg=cfg) for a in command]
+        assert run([*args, "--out", tmp_path / "out"]) == 1
+        assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("column, value, csi, index", [
         ("skip_meals", "-3", "strategy,weight\nskip_meals,2\n", "csi_mean"),
         # a food group tagged V2 skips the survey loader's 0..7 check

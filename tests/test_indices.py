@@ -169,8 +169,10 @@ class TestSectorSurveyMeans:
         assert math.isnan(matrix.column("expense")[0])
 
     def test_unknown_variable_rejected(self):
-        with pytest.raises(ValueError):
-            sector_survey_means(make_table(["h1,s1,1,1\n"]), ["bogus"])
+        for variables, fault in ((["bogus"], "unknown"), ([], "an empty"),
+                                 (["fcs", ""], "an empty"), (["fcs", "fcs"], "repeated")):
+            with pytest.raises(ValueError, match=f"config key 'variables': {fault}"):
+                sector_survey_means(make_table(["h1,s1,1,1\n"]), variables)
 
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -148,8 +148,10 @@ class TestFitModel:
 
     def test_unknown_variable_rejected(self):
         x, _ = random_matrix()
-        with pytest.raises(ValueError, match="bogus"):
-            fit_model(x, np.zeros(60), "y", variables=["bogus"])
+        for variables, fault in ((["bogus"], "unknown variable"), ([], "an empty"),
+                                 (["x0", ""], "an empty"), (["x0", "x0"], "repeated")):
+            with pytest.raises(ValueError, match=f"config key 'variables': {fault}"):
+                fit_model(x, np.zeros(60), "y", variables=variables)
 
 
 class TestPredict:
@@ -258,6 +260,8 @@ class TestMatrixFit:
         survey = make_matrix(np.arange(10.0)[:, None], columns=["v"])
         with pytest.raises(ValueError, match="nope"):
             fit_from_matrices(mobile, survey, "nope")
+        with pytest.raises(ValueError, match="config key 'target': an empty"):
+            fit_from_matrices(mobile, survey, "")
 
     def test_model_file_round_trip(self, tmp_path):
         x, rng = random_matrix(n=40)
