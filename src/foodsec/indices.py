@@ -183,12 +183,16 @@ def build_survey_matrix(
     blank cell in a column of non-zero weight has no score and is left out
     of that mean; a sector without a scored household has none. An answer
     outside the index's range is a :class:`FormatError`. MPI is undefined
-    for sectors missing from the poverty table.
+    for sectors missing from the poverty table. A survey variable named
+    after a composite column is a :class:`FormatError`.
 
     Returns the matrix, a column -> category map for heatmap output, and the
     number of households left out of each composite mean (only those with
     any).
     """
+    clash = [v for v in table.variables if v in COMPOSITE_CATEGORIES]
+    if clash:
+        raise FormatError(f"survey: variable {clash[0]!r} has the name of a composite column")
     scores: dict[str, np.ndarray] = {}
     incomplete: dict[str, int] = {}
     for name, index, weights in (

@@ -20,10 +20,11 @@ The data readers (``survey.csv`` too) share one chunk reader,
 header's field count, empty IDs and line numbers. A chunk free of quotes,
 carriage returns, NULs and such row faults is split in bulk, any other
 goes through the csv row loop; either way one typed rule per reader, built
-on :func:`_timestamps` and :func:`_numbers`, turns the rows into columns
-and names the rows it refuses. An open handle should split lines as the
-csv module asks (``newline=""``): a row-wise chunk ends a line at a lone
-carriage return, as a file the reader opens itself does.
+on :func:`_timestamps` and :func:`_numbers`, turns the rows' field texts
+into columns and names the rows it refuses, so a timestamp of the fixed
+layout is decoded in bulk on both paths. An open handle should split lines
+as the csv module asks (``newline=""``): a row-wise chunk ends a line at a
+lone carriage return, as a file the reader opens itself does.
 
 Malformed data rows are quarantined into a :class:`RowErrorLog` and parsing
 continues; structural problems (bad header, conflicting tower map rows) raise
@@ -53,7 +54,7 @@ from datetime import datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import chain, compress, islice
 from math import isfinite, isinf, nan
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,12 +244,12 @@ _EPOCH = datetime(1970, 1, 1)
 _EPOCH_DAY = _EPOCH.toordinal()
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400 * 10**6
-# A timestamp field of a clean chunk: its comma, then YYYY-MM-DDTHH:MM:SSZ with
-# the Z folded to lower case. Byte bounds check the layout and the tens digits
-# of month, day, hour, minute and second, so minute and second are in range.
-_TS_BACK = np.arange(-21, 0)
-_TS_LO = np.frombuffer(b",0000-00-00T00:00:00z", np.uint8)
-_TS_HI = np.frombuffer(b",9999-19-39T29:59:59z", np.uint8)
+# A timestamp of the fixed layout YYYY-MM-DDTHH:MM:SSZ, the Z folded to lower
+# case. Byte bounds check the layout and the tens digits of month, day, hour,
+# minute and second, so minute and second are in range.
+_TS_WIDTH = 20
+_TS_LO = np.frombuffer(b"0000-00-00T00:00:00z", np.uint8)
+_TS_HI = np.frombuffer(b"9999-19-39T29:59:59z", np.uint8)
 # digit place values giving year, month, day and microsecond of the day
 _TS_PLACES = np.zeros((19, 4))
 _TS_PLACES[0:4, 0] = 1000, 100, 10, 1
@@ -270,20 +271,12 @@ _MONTH_DAYS = np.array([[0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31],
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS
 
 
-class _Chunk(NamedTuple):
-    """A chunk whose lines all have the same number of fields."""
-
-    raw: np.ndarray  # the chunk's UTF-8 bytes
-    ends: np.ndarray  # (rows, n_fields) byte offset of the separator after each field
-    fields: list[str]  # row-major
-
-
-def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
-    """``text`` split into ``n_fields`` fields per line, or None if it holds a
-    carriage return (a line end of its own when lone) or NUL (an error to
-    csv before Python 3.11), a line with another number of fields (blank
-    lines included), an empty field among the first ``ids``, or a field
-    longer than the csv field limit. Quotes never get here."""
+def _split_chunk(text: str, n_fields: int, ids: int) -> list[str] | None:
+    """The fields of ``text``, row after row, each line holding ``n_fields``;
+    None if it holds a carriage return (a line end of its own when lone) or
+    NUL (an error to csv before Python 3.11), a line with another number of
+    fields (blank lines included), an empty field among the first ``ids``,
+    or a field longer than the csv field limit. Quotes never get here."""
     if "\r" in text or "\0" in text:
         return None
     if n_fields == 1 and (text.startswith("\n") or "\n\n" in text):
@@ -309,22 +302,26 @@ def _split_chunk(text: str, n_fields: int, ids: int) -> _Chunk | None:
         return None
     fields = text.replace("\n", ",").split(",")
     fields.pop()  # after the final newline
-    return _Chunk(raw, ends, fields)
+    return fields
 
 
-def _fixed_timestamps(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
-    """UTC microseconds since 1970-01-01 of the chunk's last field, and
-    whether each is a valid ``YYYY-MM-DDTHH:MM:SSZ`` (or ``z``); the
-    microseconds of a row that is not are meaningless."""
+def _fixed_timestamps(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTC microseconds since 1970-01-01 of ``texts``, and whether each is a
+    valid ``YYYY-MM-DDTHH:MM:SSZ`` (or ``z``); the microseconds of a text
+    that is not are meaningless."""
     # numpy's own ISO parser (astype("datetime64[us]")) is not used: numpy 2.4.6
     # crashed with SIGSEGV converting 511 or more S19 stamps among which one
     # held an impossible date (2012-02-30T10:00:00)
-    # a field starting before the chunk fails: its comma and first digit are both byte 0
-    stamp = chunk.raw.take(chunk.ends[:, -1:] + _TS_BACK, mode="clip")
+    fits = np.fromiter(map(len, texts), np.intp, len(texts)) == _TS_WIDTH
+    # one byte per character, a non-ASCII one "?"; a row of another length
+    # stays zeros: both fail the bounds
+    stamp = np.zeros((len(texts), _TS_WIDTH), np.uint8)
+    joined = "".join(texts if fits.all() else compress(texts, fits)).encode("ascii", "replace")
+    stamp[fits] = np.frombuffer(joined, np.uint8).reshape(-1, _TS_WIDTH)
     stamp[:, -1] |= 0x20
-    parts = (stamp[:, 1:-1] @ _TS_PLACES - _TS_ZERO).astype(np.int64)
+    parts = (stamp[:, :-1] @ _TS_PLACES - _TS_ZERO).astype(np.int64)
     tests = (stamp >= _TS_LO) & (stamp <= _TS_HI), (parts >= _TS_MIN) & (parts <= _TS_MAX)
-    # rows are searched only when the chunk as a whole fails
+    # rows are searched only when the batch as a whole fails
     fixed = tests[0].all() and tests[1].all() or tests[0].all(axis=1) & tests[1].all(axis=1)
     parts[~fixed] = _TS_MIN  # a valid date to index the tables with
     year, month, day, micros = parts.T
@@ -334,22 +331,18 @@ def _fixed_timestamps(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
     return days * _DAY_US + micros, fixed
 
 
-def _timestamps(fields: list[str], width: int, chunk: _Chunk | None,
-                period) -> tuple[np.ndarray, dict[int, str]]:
+def _timestamps(fields: list[str], width: int, period) -> tuple[np.ndarray, dict[int, str]]:
     """UTC microseconds since 1970-01-01 of the timestamps that end the rows
     of ``width`` ``fields``, and ``{row: message}`` for those that are none
     or lie outside ``period`` (``[start, end)``) when it is given: the fixed
-    layout of the ``chunk`` in bulk, any other alone; the period is then
-    checked once, on the column."""
-    if chunk is None:
-        micros = np.zeros(len(fields) // width, dtype=np.int64)
-        rows = range(len(micros))
-    else:
-        micros, fixed = _fixed_timestamps(chunk)
-        rows = [] if fixed.all() else np.flatnonzero(~fixed).tolist()
+    layout in bulk, any other stamp alone; the period is then checked once,
+    on the column."""
+    texts = fields[width - 1::width]
+    micros, fixed = _fixed_timestamps(texts)
+    rows = [] if fixed.all() else np.flatnonzero(~fixed).tolist()
     bad = {}
     for i in rows:
-        text = fields[(i + 1) * width - 1]
+        text = texts[i]
         try:
             micros[i] = (parse_timestamp(text) - _EPOCH) // _US
         except ValueError:
@@ -414,16 +407,15 @@ def _read_chunks(handle: IO[str], what: str, line: int, report: Callable,
     row by row, skipping blank lines and refusing rows of another width or
     with an empty ID, in batches of up to ``_TAKE_ROWS`` rows; so is the rest
     of the input from the first quote on, since a quoted field may hold a
-    newline. ``rule(fields, chunk)`` gets a batch's fields row after row and
-    its :class:`_Chunk` (None when row-wise), and returns its columns and
-    ``{row: message}`` for the rows it refuses. Refused rows go to
-    ``report(line, message)`` in line order, the others to ``take(lines,
-    *columns)`` with their file line numbers.
+    newline. ``rule(fields)`` gets a batch's fields row after row, on either
+    path, and returns its columns and ``{row: message}`` for the rows it
+    refuses. Refused rows go to ``report(line, message)`` in line order, the
+    others to ``take(lines, *columns)`` with their file line numbers.
     """
     width, ids, empty = shape
 
-    def batch(lines: Sequence[int], fields: list[str], chunk: _Chunk | None, faults) -> None:
-        columns, refused = rule(fields, chunk) if lines else ([], {})
+    def batch(lines: Sequence[int], fields: list[str], faults) -> None:
+        columns, refused = rule(fields) if lines else ([], {})
         if faults or refused:
             for at, message in sorted([*faults, *((lines[i], m) for i, m in refused.items())]):
                 report(at, message)
@@ -440,10 +432,10 @@ def _read_chunks(handle: IO[str], what: str, line: int, report: Callable,
         if not text.endswith("\n"):
             text += handle.readline()
         quoted = '"' in text
-        chunk = None if quoted else _split_chunk(text, width, ids)
-        if chunk is not None:
-            rows = len(chunk.ends)
-            batch(range(line + 1, line + 1 + rows), chunk.fields, chunk, [])
+        fields = None if quoted else _split_chunk(text, width, ids)
+        if fields is not None:
+            rows = len(fields) // width
+            batch(range(line + 1, line + 1 + rows), fields, [])
             line += rows
             continue
         lines = io.StringIO(text, newline="")
@@ -461,12 +453,12 @@ def _read_chunks(handle: IO[str], what: str, line: int, report: Callable,
                         faults.append((line + reader.line_num, empty if len(row) == width
                                        else f"expected {width} fields, got {len(row)}"))
                     if len(at) + len(faults) == _TAKE_ROWS:  # refused rows count too
-                        batch(at, block, None, faults)
+                        batch(at, block, faults)
                         at, block, faults = [], [], []
             except csv.Error:  # a field over the limit: the rows before it come first
-                batch(at, block, None, faults)
+                batch(at, block, faults)
                 raise
-        batch(at, block, None, faults)
+        batch(at, block, faults)
         line += reader.line_num
 
 
@@ -511,7 +503,7 @@ def read_table(source, what: str, header: list[str] | Callable,
                 column.extend(new)
 
         _read_chunks(handle, what, line, malformed, (width, ids, ""),
-                     lambda fields, _chunk: ([fields[i::width] for i in range(width)], {}), take)
+                     lambda fields: ([fields[i::width] for i in range(width)], {}), take)
     seen: set = set()
     keys = columns[0] if unique == 1 else zip(*columns[:unique])  # none without a key
     for at, key in zip(lines, keys):
@@ -622,8 +614,8 @@ def read_cdr(
     night = bytearray()
     offset = timedelta(minutes=utc_offset_minutes)
 
-    def rule(fields: list[str], chunk: _Chunk | None):
-        micros, bad = _timestamps(fields, 4, chunk, period)
+    def rule(fields: list[str]):
+        micros, bad = _timestamps(fields, 4, period)
         return [fields[0::4], fields[1::4], fields[2::4], micros], bad
 
     def take(_lines, callers, callees, tower_ids, micros) -> None:
@@ -661,8 +653,8 @@ def read_topups(
     user, day = array("i"), array("i")
     amounts: list[np.ndarray] = []  # per batch
 
-    def rule(fields: list[str], chunk: _Chunk | None):
-        micros, bad = _timestamps(fields, 3, chunk, period)
+    def rule(fields: list[str]):
+        micros, bad = _timestamps(fields, 3, period)
         texts = fields[1::3]
         values, faults = _money(texts)
         if faults:  # refused below, with the message of their fault
@@ -784,7 +776,7 @@ def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTa
         sector_ids: list[str] = []
         values = array("d")  # row-major
 
-        def rule(fields: list[str], _chunk: _Chunk | None):
+        def rule(fields: list[str]):
             cells = fields[:]
             del cells[0::width]  # household IDs
             del cells[0::width - 1]  # sector IDs

@@ -54,7 +54,6 @@ class PeriodError(FormatError, ValueError):
 @dataclass(frozen=True)
 class SectorSeries:
     sector_id: str
-    window_days: int
     n_users: int
     first_label: date
     values_text: str  # each window's value as written, one per line, daily step
@@ -163,8 +162,7 @@ def rolling_sector_series(
         divisor = active[i]
         value = total / np.maximum(divisor, 1)
         texts = ["" if d == 0 else str(v) for v, d in zip(value.tolist(), divisor.tolist())]
-        series.append(SectorSeries(sector, window_days, int(n_users[i]), first_label,
-                                   "\n".join(texts)))
+        series.append(SectorSeries(sector, int(n_users[i]), first_label, "\n".join(texts)))
     return series
 
 

@@ -5,13 +5,15 @@ name keeps it out of the default test run. The input has the shape of the
 ``c01`` benchmark workload (200 sectors x 40 users x 30 households, 182 days:
 about 255 k calls, 80 k top-ups and 6 k households), generated once per
 session by ``foodsec.synth``. The ``dirty`` variants read copies with one
-malformed row in every chunk, so every chunk takes the row-wise path. The
+malformed row in every chunk, so every chunk takes the csv row loop, whose
+rows are then typed in batches as a bulk chunk's are. The
 ``typed`` variants read copies with one whole row in every chunk whose last
 field is ``x`` (an unparsable timestamp, a non-numeric survey cell): such a
 row keeps its chunk in bulk and only it is parsed on its own, so these
 variants time what one type-bad row costs a chunk. The ``quoted``
-variants read copies whose first data row has a quoted field, so
-the rest of the file goes row by row in one pass. The ``blank`` survey
+variants read copies whose first data row has a quoted field, so the
+rest of the file goes through the csv row loop in one pass; its fixed-layout
+timestamps are still decoded in bulk. The ``blank`` survey
 reads a copy with every fifth answer left blank, as missing answers are:
 the generated survey has none. The ``decimal`` top-ups read a copy with
 the trailing zeros of each amount dropped (``12.50`` as ``12.5``), so the

@@ -301,6 +301,14 @@ class TestExitCodes:
         assert f"{index}: answer {value} for '{column}'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run_manifest.json").exists()
 
+    def test_survey_variable_named_after_a_composite_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "survey.csv").write_text("household_id,sector_id,mpi\nh1,s1,0.5\n")
+        (tmp_path / "meta.csv").write_text("variable,category\nmpi,poverty\n")
+        assert run(["indices", "--survey", tmp_path / "survey.csv", "--survey-meta",
+                    tmp_path / "meta.csv", "--out", tmp_path / "out"]) == 2
+        assert "variable 'mpi' has the name of a composite column" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sector_survey.csv").exists()
+
     def test_removed_fcs_class_option_is_usage_error(self, medium_dataset, tmp_path):
         _, paths = medium_dataset
         assert run(["indices", "--survey", paths["survey"], "--survey-meta",

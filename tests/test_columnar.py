@@ -405,22 +405,33 @@ EDGE_STAMPS = (
        "2012-01-10T12:00:00ZZ", "2012-01-10T12:00:0Z", "0000-01-01T00:00:00Z",
        "0001-01-01T00:30:00Z", "0002-01-01T00:30:00Z", "9998-12-31T23:00:00Z",
        "9999-12-31T23:00:00Z"]
+    # near misses of a layout read from the field text: 20 characters with a
+    # non-ASCII one, a NUL after the Z, and two rows whose stamps run together
+    # as two of the fixed layout
+    + ["2012-01-10T12:00:00\u00e9", "2012-01-10T12:00:00Z\0",
+       ("2012-01-10T12:00:00", "Z2012-01-10T12:00:00Z")]
 )
 
 
 @pytest.mark.parametrize("stamp", EDGE_STAMPS)
 @pytest.mark.parametrize("minutes", [0, -90, 180])
 def test_fixed_layout_edges_equal_rowwise(stamp, minutes):
-    """Each near miss of the fixed layout, alone in its chunk, reads as the
-    row-wise oracle reads it."""
+    """Each near miss of the fixed layout (or rows of them), alone in its
+    chunk and after a quoted first row, so once in bulk and once through the
+    csv row loop, reads as the row-wise oracle reads it."""
     config = FeatureConfig(utc_offset_minutes=minutes)
-    cdr = f"caller_id,callee_id,tower_id,timestamp\nu1,u2,t1,{stamp}\n"
-    topup = f"user_id,amount,timestamp\nu1,5.00,{stamp}\n"
-    for period in (None, (datetime(2012, 1, 10, 12), datetime(2012, 1, 10, 12, 0, 1))):
-        assert read_outcome(decoded_calls, cdr, config, period, strict=False) == read_outcome(
-            oracle_calls, cdr, config, period, strict=False)
-        assert read_outcome(decoded_topups, topup, period, strict=False) == read_outcome(
-            oracle_topups, topup, period, strict=False)
+    stamps = stamp if isinstance(stamp, tuple) else (stamp,)
+    for quoted in (False, True):  # a quoted first row sends the file to the csv row loop
+        cdr = "".join(["caller_id,callee_id,tower_id,timestamp\n",
+                       '"u0",u2,t1,2012-01-10T12:00:00Z\n' * quoted,
+                       *(f"u1,u2,t1,{s}\n" for s in stamps)])
+        topup = "".join(["user_id,amount,timestamp\n", '"u0",5.00,2012-01-10T12:00:00Z\n' * quoted,
+                         *(f"u1,5.00,{s}\n" for s in stamps)])
+        for period in (None, (datetime(2012, 1, 10, 12), datetime(2012, 1, 10, 12, 0, 1))):
+            assert read_outcome(decoded_calls, cdr, config, period, strict=False) == read_outcome(
+                oracle_calls, cdr, config, period, strict=False)
+            assert read_outcome(decoded_topups, topup, period, strict=False) == read_outcome(
+                oracle_topups, topup, period, strict=False)
 
 
 STAMP = "2012-01-10T21:15:00Z"

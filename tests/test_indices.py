@@ -272,6 +272,15 @@ class TestBuildSurveyMatrix:
         assert matrix.columns == ["expense", "fcs_mean", "csi_mean", "mpi"]
         assert categories["expense"] == "V3"
 
+    @pytest.mark.parametrize("name", ["fcs_mean", "csi_mean", "mpi"])
+    def test_variable_named_after_a_composite_is_refused(self, name):
+        """Its column would be written twice, which no reader takes back."""
+        table = load_survey(stream(f"household_id,sector_id,staples,{name}\nh1,s1,7,0.5\n"
+                                   "h2,s1,3,0.2\nh3,s2,0,0.1\n"),
+                            stream(f"variable,category\nstaples,food_group\n{name},V3\n"))
+        with pytest.raises(FormatError, match=f"survey: variable '{name}' has the name"):
+            build_survey_matrix(table)
+
 
 class TestLoaders:
     def test_fcs_weights_file(self):
