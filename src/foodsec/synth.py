@@ -50,6 +50,7 @@ from .ingest import (
     read_table,
     write_table,
 )
+from .workers import ordered_map, worker_count
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -60,6 +61,11 @@ NIGHT_START_SEC = 18 * 3600
 NIGHT_SPAN_SEC = 14 * 3600  # 18:00 -> 08:00
 DAY_START_SEC = 8 * 3600
 DAY_SPAN_SEC = 10 * 3600
+
+#: below this many users in all, ``generate`` makes its sectors in-process.
+#: On a 2-vCPU host two forked workers made 100 users 18 % slower and 200
+#: users 11 % faster; 400 leaves a margin for a larger parent to fork.
+FORK_MIN_USERS = 400
 
 
 @dataclass(frozen=True)
@@ -340,6 +346,14 @@ def _stamper(period_start: date, period_days: int):
     return stamp
 
 
+def _weighted_draw(rng: np.random.Generator, weights: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(weights), size, p=weights)`` by its own steps: the
+    same values, dtype and stream, without the call's checks of ``p``."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _user_rows(cfg, rng, si, sector, tower_ids, topup_mu, wealth, stamp):
     """One sector's cdr.csv rows, topup.csv rows and truth.csv user_home rows.
 
@@ -367,7 +381,7 @@ def _user_rows(cfg, rng, si, sector, tower_ids, topup_mu, wealth, stamp):
         n_contacts.append(k)
         picks.append(rng.choice(n_users - 1, size=k, replace=False))
         weights = rng.dirichlet(np.full(k, conc))
-        contact.append(rng.choice(k, size=nn + nd, p=weights))
+        contact.append(_weighted_draw(rng, weights, nn + nd))
         night_p.append(rng.random(nn))
         night_away.append(rng.integers(0, n_towers, nn))
         day_tower.append(rng.integers(0, n_towers, nd))
@@ -454,8 +468,9 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
     Files: cdr.csv, topup.csv, towers.csv, survey.csv, survey_meta.csv,
     poverty.csv, truth.csv. Assembly is ordered sector then user (calls
     time-sorted within a user), so output bytes depend only on the config.
-    Rows are built and written one sector at a time, so memory is bounded
-    by one sector's rows.
+    Each sector's rows are made from its own stream, in forked workers when
+    the dataset is large enough, and written in sector order, so memory is
+    bounded by about one sector's rows per worker.
     """
     cfg = config
     cfg.validate()
@@ -494,6 +509,54 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
         ["V1", "V1", "V2"] + ["food_group"] * len(items) + ["V3", "V3", "V3"]
     )
 
+    def sector_rows(si: int) -> tuple[str, str, str, str]:
+        """Sector ``si``'s cdr.csv, topup.csv, truth.csv user_home and
+        survey.csv rows, drawn from the sector's own stream."""
+        rng = np.random.default_rng(sector_seeds[si])
+        sector = sector_ids[si]
+        wealth = latents.wealth[si]
+        cdr_text, top_text, home_text = _user_rows(
+            cfg, rng, si, sector, tower_ids, topup_mu[si], wealth, stamp
+        )
+
+        # households
+        n_h = cfg.households_per_sector
+        size = 1 + rng.poisson(2.5 * math.exp(-0.06 * wealth), n_h)
+        rooms = 1 + rng.binomial(4, float(_sigmoid(0.2 + 0.35 * wealth)), n_h)
+        crowding = np.round(size / rooms, 3)
+        share = np.round(
+            100.0
+            * _sigmoid(-0.9 * (wealth + 0.4 * latents.share[si]) - 0.7 * rng.standard_normal(n_h)),
+            2,
+        )
+        food_latent = (
+            alphas
+            + betas * wealth
+            + latents.food[si]
+            + cfg.food_household_noise * rng.standard_normal((n_h, len(items)))
+        )
+        freqs = rng.binomial(7, _sigmoid(food_latent))
+        expense_cents = np.maximum(
+            1, np.round(100.0 * (expense_mu[si] + hh_sd * rng.standard_normal(n_h)))
+        ).astype(np.int64)
+        nonfood = 90.0 + 14.0 * (wealth + 0.3 * latents.nonfood[si]) + 20.0 * rng.standard_normal(n_h)
+        nonfood_cents = np.maximum(1, np.round(100.0 * nonfood)).astype(np.int64)
+        total_cents = expense_cents + nonfood_cents
+        income = np.round(
+            30.0
+            * np.exp(0.45 * (wealth + 0.4 * latents.income[si]) + 0.35 * rng.standard_normal(n_h)),
+            2,
+        )
+        survey_text = "".join([
+            f"h{si:04d}_{h:04d},{sector},{n},{crowd},{own},{','.join(map(str, freq))},"
+            f"{food // 100}.{food % 100:02d},{total // 100}.{total % 100:02d},{inc}\n"
+            for h, (n, crowd, own, freq, food, total, inc) in enumerate(zip(
+                size.tolist(), crowding.tolist(), share.tolist(), freqs.tolist(),
+                expense_cents.tolist(), total_cents.tolist(), income.tolist(),
+            ))
+        ])
+        return cdr_text, top_text, home_text, survey_text
+
     user_home_rows: list[str] = []
     with open(paths["cdr"], "w", encoding="utf-8", newline="\n") as f_cdr, open(
         paths["topup"], "w", encoding="utf-8", newline="\n"
@@ -501,68 +564,15 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
         f_cdr.write(",".join(CDR_HEADER) + "\n")
         f_top.write(",".join(TOPUP_HEADER) + "\n")
         f_survey.write(",".join(SURVEY_ID_COLUMNS + survey_columns) + "\n")
-
-        for si in range(cfg.n_sectors):
-            rng = np.random.default_rng(sector_seeds[si])
-            sector = sector_ids[si]
-            cdr_text, top_text, home_text = _user_rows(
-                cfg, rng, si, sector, tower_ids, topup_mu[si], latents.wealth[si], stamp
-            )
+        forked = cfg.n_sectors * cfg.users_per_sector >= FORK_MIN_USERS
+        workers = worker_count(cfg.n_sectors) if forked else 1
+        for cdr_text, top_text, home_text, survey_text in ordered_map(
+            sector_rows, cfg.n_sectors, workers
+        ):
             f_cdr.write(cdr_text)
             f_top.write(top_text)
             user_home_rows.append(home_text)
-
-            # households
-            n_h = cfg.households_per_sector
-            size = 1 + rng.poisson(2.5 * math.exp(-0.06 * latents.wealth[si]), n_h)
-            rooms = 1 + rng.binomial(4, float(_sigmoid(0.2 + 0.35 * latents.wealth[si])), n_h)
-            crowding = np.round(size / rooms, 3)
-            share = np.round(
-                100.0
-                * _sigmoid(
-                    -0.9 * (latents.wealth[si] + 0.4 * latents.share[si])
-                    - 0.7 * rng.standard_normal(n_h)
-                ),
-                2,
-            )
-            food_latent = (
-                alphas
-                + betas * latents.wealth[si]
-                + latents.food[si]
-                + cfg.food_household_noise * rng.standard_normal((n_h, len(items)))
-            )
-            freqs = rng.binomial(7, _sigmoid(food_latent))
-            expense_cents = np.maximum(
-                1, np.round(100.0 * (expense_mu[si] + hh_sd * rng.standard_normal(n_h)))
-            ).astype(np.int64)
-            nonfood_cents = np.maximum(
-                1,
-                np.round(
-                    100.0
-                    * (
-                        90.0
-                        + 14.0 * (latents.wealth[si] + 0.3 * latents.nonfood[si])
-                        + 20.0 * rng.standard_normal(n_h)
-                    )
-                ),
-            ).astype(np.int64)
-            total_cents = expense_cents + nonfood_cents
-            income = np.round(
-                30.0
-                * np.exp(
-                    0.45 * (latents.wealth[si] + 0.4 * latents.income[si])
-                    + 0.35 * rng.standard_normal(n_h)
-                ),
-                2,
-            )
-            f_survey.write("".join([
-                f"h{si:04d}_{h:04d},{sector},{n},{crowd},{own},{','.join(map(str, freq))},"
-                f"{food // 100}.{food % 100:02d},{total // 100}.{total % 100:02d},{inc}\n"
-                for h, (n, crowd, own, freq, food, total, inc) in enumerate(zip(
-                    size.tolist(), crowding.tolist(), share.tolist(), freqs.tolist(),
-                    expense_cents.tolist(), total_cents.tolist(), income.tolist(),
-                ))
-            ]))
+            f_survey.write(survey_text)
 
     write_table(paths["towers"], TOWER_HEADER,
                 zip(tower_ids.tolist(), np.repeat(sector_ids, cfg.towers_per_sector).tolist()))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from foodsec.ingest import (
     read_cdr,
     read_topups,
 )
+from foodsec import synth
 from foodsec.synth import (
     DEFAULT_FOOD_ITEMS,
     SynthConfig,
+    _weighted_draw,
     generate,
     read_truth,
     verify_outputs,
@@ -170,12 +173,60 @@ PINNED_DIGESTS = {
 }
 
 
+def file_digests(paths):
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+
+
 @pytest.mark.parametrize("name", PINNED_CONFIGS)
 def test_generated_bytes_are_pinned(name, tmp_path):
-    paths = generate(SynthConfig(**PINNED_CONFIGS[name]), tmp_path)
-    digests = {key: hashlib.sha256(path.read_bytes()).hexdigest()
-               for key, path in paths.items()}
-    assert digests == PINNED_DIGESTS[name]
+    assert file_digests(generate(SynthConfig(**PINNED_CONFIGS[name]), tmp_path)) == (
+        PINNED_DIGESTS[name]
+    )
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_sectors_keep_the_pinned_bytes(cpus, monkeypatch, tmp_path):
+    """Every pinned config made in forked workers, whatever their number:
+    with 3, the 4 sectors of the small configs split 2/1/1."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(synth, "FORK_MIN_USERS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for name, config in PINNED_CONFIGS.items():
+        forks.clear()
+        paths = generate(SynthConfig(**config), tmp_path / name)
+        assert len(forks) == cpus, name
+        assert file_digests(paths) == PINNED_DIGESTS[name], name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_weighted_draw_equals_generator_choice():
+    """The contact draw's own steps against ``Generator.choice``: values,
+    dtype and the stream's state after the draw, from one user to many
+    draws and from near-degenerate to near-uniform weights."""
+    cases = np.random.default_rng(2024)
+    for case in range(2000):
+        k = 1 if case % 50 == 0 else int(cases.integers(1, 12))
+        m = 0 if case % 40 == 0 else int(cases.integers(0, 80))
+        concentration = 10.0 ** cases.uniform(-2, 2)
+        seed = int(cases.integers(2**32))
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        weights = ours.dirichlet(np.full(k, concentration))
+        numpys.dirichlet(np.full(k, concentration))
+        got = _weighted_draw(ours, weights, m)
+        expected = numpys.choice(k, size=m, p=weights)
+        assert got.dtype == expected.dtype, (k, m, concentration)
+        assert np.array_equal(got, expected), (k, m, concentration)
+        assert ours.bit_generator.state == numpys.bit_generator.state, (k, m, concentration)
 
 
 def run_mini_pipeline(paths, min_users=1):
