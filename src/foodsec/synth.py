@@ -63,9 +63,12 @@ DAY_START_SEC = 8 * 3600
 DAY_SPAN_SEC = 10 * 3600
 
 #: below this many users in all, ``generate`` makes its sectors in-process.
-#: On a 2-vCPU host two forked workers made 100 users 18 % slower and 200
-#: users 11 % faster; 400 leaves a margin for a larger parent to fork.
-FORK_MIN_USERS = 400
+#: The measured crossover, the smallest size at which no probe ran more
+#: than 2 % slower forked: on a 2-vCPU host, in pairs of 10 from a bare
+#: parent and from one holding 400 MiB, two workers took 0.93-1.37 of the
+#: in-process time at 100-156 users, 0.84-1.25 at 200, 0.77-1.02 at 300
+#: and 0.73-0.85 at 600 (``tests/bench_synth.py`` times these sizes).
+FORK_MIN_USERS = 300
 
 
 @dataclass(frozen=True)

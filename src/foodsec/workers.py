@@ -41,9 +41,13 @@ def ordered_map(job: Callable[[int], object], jobs: int, workers: int) -> Iterat
             with open(write_fd, "wb") as out:  # the caller's end closes after the fork
                 pid = os.fork()
                 # A worker leaves by os._exit, which runs no exit handler and
-                # flushes none of the caller's open files.
+                # flushes none of the caller's open files. It closes every read
+                # end it inherited, its own too, so if the caller dies its next
+                # write fails and it leaves.
                 if pid == 0:
                     try:
+                        for pipe in pipes:
+                            pipe.close()
                         for i in range(w, jobs, workers):
                             try:
                                 message = (True, job(i))

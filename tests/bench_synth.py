@@ -6,11 +6,13 @@ of the ``c01`` benchmark workload (200 sectors x 40 users x 30 households,
 182 days: about 255 k calls and 80 k top-ups), of ``null-wide`` (200 x 35 x
 25, 60 days, sparse calls, about 4 top-ups per user), both at seed 1, and of
 full c01 (200 x 500 x 30, 182 days: about 3.2 M calls and 1 M top-ups) at
-seed 7. Each shape is generated on the in-process path (``FORK_MIN_USERS``
-above its size) and on the forked path (``FORK_MIN_USERS`` at 0), in
-alternating order, and the medians and their ratio are printed. No timing
-is asserted. On a checkout whose generator has no forked path both rows
-time its one path, which gives the base for a before/after comparison.
+seed 7. Three small shapes (4 sectors of 25, 75 and 150 users, the other
+settings at their defaults, seed 3) bracket ``FORK_MIN_USERS``. Each shape
+is generated on the in-process path (``FORK_MIN_USERS`` above its size) and
+on the forked path (``FORK_MIN_USERS`` at 0), in alternating order, and the
+medians and their ratio are printed. No timing is asserted. On a checkout
+whose generator has no forked path both rows time its one path, which gives
+the base for a before/after comparison.
 """
 
 import shutil
@@ -31,6 +33,8 @@ SHAPES = {
                              night_calls_extra_mean=2.0, day_calls_mean=2.0, **SIGNAL)),
     "full-c01": (7, 2, dict(n_sectors=200, users_per_sector=500, households_per_sector=30,
                             period_days=182)),
+    **{f"users-{4 * users}": (3, 10, dict(n_sectors=4, users_per_sector=users))
+       for users in (25, 75, 150)},
 }
 
 

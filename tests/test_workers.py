@@ -1,10 +1,15 @@
 import contextlib
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import foodsec
 from foodsec.ingest import FormatError
 from foodsec.workers import ordered_map, worker_count
 
@@ -80,6 +85,43 @@ def test_a_consumer_that_stops_early_leaves_no_worker():
         assert next(results) == big(0)
         results.close()
     assert_no_child_left()
+
+
+# A caller that takes one result and waits, so both workers block writing a
+# result past the pipe's buffer. It is given a pipe's write end, unused, which
+# every worker inherits.
+BLOCKED_CALLER = """
+import time
+from foodsec.workers import ordered_map
+results = ordered_map(lambda i: str(i) * 300_000, 8, 2)
+next(results)
+print("started", flush=True)
+time.sleep(60)
+"""
+
+
+def test_workers_leave_when_the_caller_is_killed():
+    src = str(Path(foodsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_fd, write_fd = os.pipe()
+    caller = subprocess.Popen([sys.executable, "-c", BLOCKED_CALLER], env=env,
+                              pass_fds=(write_fd,), stdout=subprocess.PIPE,
+                              start_new_session=True)
+    os.close(write_fd)
+    try:
+        with deadline(30):
+            assert caller.stdout.readline() == b"started\n"
+        caller.kill()
+        caller.wait()
+        # the workers hold the last write ends: end of file once all have left
+        assert select.select([read_fd], [], [], 5)[0], "a worker outlived its caller by 5 s"
+        assert os.read(read_fd, 1) == b""
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(caller.pid, signal.SIGKILL)
+        caller.wait()
+        caller.stdout.close()
+        os.close(read_fd)
 
 
 def test_the_callers_buffered_file_keeps_its_bytes(tmp_path):
