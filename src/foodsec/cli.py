@@ -25,6 +25,7 @@ import json
 import logging
 import sys
 import traceback
+from contextlib import ExitStack
 from dataclasses import replace
 from datetime import date
 from functools import partial
@@ -42,6 +43,7 @@ from .aggregate import (
 from .config import ConfigError, parse_kv_file, parse_night_window
 from .correlate import (
     correlation_matrix,
+    scipy_special,
     shuffle_null,
     write_correlations,
     write_heatmap_data,
@@ -72,7 +74,7 @@ from .rolling import (
     rolling_sector_series,
     write_rolling,
 )
-from .synth import SynthConfig, generate, verify_outputs, write_verify_report
+from .workers import forked, worker_count
 
 log = logging.getLogger(__name__)
 
@@ -142,9 +144,9 @@ CORRELATE = _declare(
 )
 NULL = _declare(
     trials=dict(type=click.IntRange(min=1), default=1000, show_default=True),
-    # stays so existing command lines run; it changes nothing, so no manifest records it
-    threads=dict(type=click.IntRange(min=1), default=1, show_default=True, expose_value=False,
-                 help="accepted for compatibility; has no effect (the null runs in batches)"),
+    # it changes no output, so no manifest records it
+    threads=dict(type=click.IntRange(min=1), default=1, show_default=True,
+                 help="at most N processes; `all` runs its mobile branch in a worker"),
 ) | {"seed": partial(SEED["seed"], required=True)}  # synth's seed is optional
 FIT = _declare(
     target=dict(required=True, help="survey column to model"),
@@ -182,14 +184,15 @@ def _write_manifest(
 ) -> None:
     """Write ``run_manifest.json`` for the running command. ``config``
     defaults to the command's own options: every parameter except the
-    path-typed ones and ``seed``."""
+    path-typed ones, ``seed`` and ``threads``."""
     import numpy
     import scipy
 
     ctx = click.get_current_context()
     if config is None:
         paths = {p.name for p in ctx.command.params if isinstance(p.type, click.Path)}
-        config = {k: v for k, v in ctx.params.items() if k not in paths and k != "seed"}
+        config = {k: v for k, v in ctx.params.items()
+                  if k not in paths and k not in ("seed", "threads")}
     resolved = {k: (str(v) if isinstance(v, (Path, date)) else v) for k, v in config.items()}
     payload = {
         "subcommand": ctx.command.name,
@@ -396,6 +399,8 @@ def _read_matrices(inputs: dict) -> tuple:
     help="key=value file of generator settings")), OUT, SEED))
 def synth(synth_config, out, seed):
     """Generate a seeded synthetic dataset with planted relationships."""
+    from .synth import SynthConfig, generate
+
     cfg = SynthConfig.from_file(synth_config) if synth_config else SynthConfig()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -453,7 +458,7 @@ def correlate(mobile, survey_matrix, survey_meta, out, **settings):
 
 
 @cli.command(params=_params(MATRICES, NULL, OUT))
-def null(mobile, survey_matrix, out, trials, seed):
+def null(mobile, survey_matrix, out, trials, seed, threads):
     """Shuffled-sector null distribution of |r|."""
     run = _Run(out, mobile=mobile, survey_matrix=survey_matrix)
     summary = run(_stage_null, *_read_matrices(run.inputs), trials=trials, seed=seed)
@@ -489,6 +494,8 @@ def rolling(topup, user_features, stock, strict, out, **settings):
 }))
 def verify(truth, outputs, out):
     """Check pipeline outputs against a synthetic dataset's ground truth."""
+    from .synth import verify_outputs, write_verify_report
+
     truth = _inputs(truth=truth)["truth"]
     outputs_path = Path(outputs)
     if not outputs_path.is_dir():
@@ -521,21 +528,46 @@ def verify(truth, outputs, out):
                           default="topup_sum.mean,topup_mean.mean", show_default=True),
      "degree": partial(FIT["degree"], default=2)},
 ))
-def run_all(out, **settings):
+def run_all(out, threads, **settings):
     """Run the full chain: features, aggregate, indices, correlate, null,
     fit, rolling, each as its subcommand would with these options (``in``,
-    a Python keyword, arrives in ``settings``)."""
+    a Python keyword, arrives in ``settings``); at 2 or more ``threads``
+    and CPUs, the stages that need no survey run in a forked worker."""
     paths = {name: Path(settings["in"]) / f"{name}.csv" for name in ALL_INPUTS}
     run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
+    stages = _mobile_stages(run, settings)
+    with ExitStack() as stack:
+        if worker_count(threads) < 2:
+            mobile = next(stages)
+            survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
+            branch = stages
+        else:
+            branch = stack.enter_context(forked(lambda _: next(stages), 2, 1))
+            try:
+                survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
+                scipy_special()  # its first import, about 0.3 s, overlaps the worker's stages
+            except Exception:
+                next(branch)  # as in serial order, features' or aggregate's error comes first
+                raise
+            mobile = next(branch)
+        run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
+        run(_stage_null, mobile, survey, **_pick(NULL, settings))
+        run(_stage_fit, mobile, survey, **_pick(FIT, settings))
+        outputs, stats = next(branch)
+    if branch is not stages:  # the worker recorded its stages in its own copy of ``run``
+        run.outputs.extend(outputs)
+        run.stats.update(stats)
+    run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
+
+
+def _mobile_stages(run, settings):
+    """The stages of `all` that need no survey: yields the mobile matrix
+    after features and aggregate, then, after rolling, what ``run`` holds."""
     features, topups, topup_errors = run(_stage_features, run.inputs,
                                          **_pick(FEATURES, settings))
-    mobile = run(_stage_aggregate, features, **_pick(AGGREGATE, settings))
-    survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-    run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
-    run(_stage_null, mobile, survey, **_pick(NULL, settings))
-    run(_stage_fit, mobile, survey, **_pick(FIT, settings))
+    yield run(_stage_aggregate, features, **_pick(AGGREGATE, settings))
     run(_stage_rolling, topups, topup_errors, features, **_pick(ROLLING, settings))
-    run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
+    yield run.outputs, run.stats
 
 
 def main(argv=None) -> int:

@@ -97,6 +97,14 @@ def _r_from_sums(sxy, sxx, syy):
     return np.where((sxx > 0.0) & (syy > 0.0), r, np.nan)
 
 
+def scipy_special():
+    """``scipy.special``, which p-values and confidence intervals take their
+    functions from; its first import takes about 0.3 s."""
+    from scipy import special
+
+    return special
+
+
 def pearson_p(r: float, n: int) -> float | None:
     """Two-sided p-value for r via t = r * sqrt((n-2) / (1-r^2)) against
     Student-t with n-2 degrees of freedom. None when n < 3."""
@@ -104,11 +112,9 @@ def pearson_p(r: float, n: int) -> float | None:
         return None
     if abs(r) >= 1.0:
         return 0.0
-    from scipy import special  # 0.3 s of import that only correlate needs
-
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     # Student-t survival function, the one scipy.stats.t.sf evaluates
-    return float(2.0 * special.stdtr(n - 2, -abs(t)))
+    return float(2.0 * scipy_special().stdtr(n - 2, -abs(t)))
 
 
 def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float] | None:
@@ -123,9 +129,7 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float] | No
         return None
     if abs(r) >= 1.0:
         return (float(r), float(r))
-    from scipy import special
-
-    q = special.ndtri(0.5 + level / 2.0)  # scipy.stats.norm.ppf
+    q = scipy_special().ndtri(0.5 + level / 2.0)  # scipy.stats.norm.ppf
     z = math.atanh(r)
     half = q / math.sqrt(n - 3)
     return (math.tanh(z - half), math.tanh(z + half))

@@ -9,6 +9,7 @@ that another thread of the caller may hold.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -23,16 +24,15 @@ def worker_count(jobs: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), jobs))
 
 
-def ordered_map(job: Callable[[int], object], jobs: int, workers: int) -> Iterator:
-    """``job(0), ..., job(jobs - 1)``, made by ``workers`` forked processes,
-    or in this one when ``workers`` is 1.
+@contextlib.contextmanager
+def forked(job: Callable[[int], object], jobs: int, workers: int) -> Iterator[Iterator]:
+    """Fork ``workers`` processes on entry that make ``job(0), ...,
+    job(jobs - 1)``, and give an iterator over the results in job order.
 
-    A job's exception is raised here, and a worker that ends before sending
-    a result raises ``ChildProcessError``. No worker outlives the iterator.
+    A job's exception is raised by the iterator, and a worker that ends
+    before sending a result raises ``ChildProcessError``. Leaving the block
+    kills and reaps every worker, whether or not its results were read.
     """
-    if workers <= 1:
-        yield from map(job, range(jobs))
-        return
     pids, pipes = [], []
     try:
         for w in range(workers):
@@ -60,17 +60,32 @@ def ordered_map(job: Callable[[int], object], jobs: int, workers: int) -> Iterat
                     finally:
                         os._exit(0)
                 pids.append(pid)
-        for i in range(jobs):
-            try:
-                ok, value = pickle.load(pipes[i % workers])
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"worker {i % workers} ended before job {i}") from None
-            if not ok:
-                raise value
-            yield value
+
+        def results():
+            for i in range(jobs):
+                try:
+                    ok, value = pickle.load(pipes[i % workers])
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(f"worker {i % workers} ended before job {i}") from None
+                if not ok:
+                    raise value
+                yield value
+
+        yield results()
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def ordered_map(job: Callable[[int], object], jobs: int, workers: int) -> Iterator:
+    """The results of ``forked``, whose workers start at the first result
+    asked for and end with the iterator; made in this process when
+    ``workers`` is 1."""
+    if workers <= 1:
+        yield from map(job, range(jobs))
+        return
+    with forked(job, jobs, workers) as results:
+        yield from results

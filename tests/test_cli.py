@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -485,6 +487,110 @@ def test_import_leaves_unused_scipy_unloaded(module, package):
     confidence intervals need ``scipy.special``, and the generator needs no
     scipy at all: importing the package loads no module it does not use."""
     assert loaded_after_import(module, package) == []
+
+
+def test_cli_import_leaves_synth_unloaded():
+    """Only `synth` and `verify` need the generator: `all` does not import it."""
+    assert loaded_after_import("foodsec.cli", "foodsec.synth") == []
+
+
+def run_counting_forks(monkeypatch, args, cpus=2):
+    """``run(args)`` with ``cpus`` usable CPUs: its exit code and the number
+    of processes it forked, after checking that it left none."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    rc = run(args)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return rc, len(forks)
+
+
+class TestAllInAWorker:
+    """At --threads 2 or more, with as many usable CPUs, `all` forks one
+    worker for features, aggregate and rolling. The CPUs are patched, so the
+    forked path runs on any host."""
+
+    @staticmethod
+    def args(in_dir, out, threads, *extra):
+        return ["all", "--in", in_dir, "--out", out, "--seed", "3",
+                "--trials", "30", "--min-users", "5", "--threads", threads, *extra]
+
+    @pytest.mark.parametrize("threads, cpus, forks", [
+        (1, 2, 0), (2, 2, 1), (4096, 4096, 1), (2, 1, 0)])
+    def test_forks_one_worker_at_most(self, small_dataset, tmp_path, monkeypatch, threads,
+                                      cpus, forks):
+        args = self.args(small_dataset[1]["cdr"].parent, tmp_path, threads)
+        assert run_counting_forks(monkeypatch, args, cpus) == (0, forks)
+
+    def test_artifacts_and_manifest_keep_their_bytes(self, small_dataset, tmp_path,
+                                                     monkeypatch):
+        for threads in (1, 2):
+            args = self.args(small_dataset[1]["cdr"].parent, tmp_path / str(threads), threads,
+                             "--heatmap-data", "--scatter-data")
+            assert run_counting_forks(monkeypatch, args) == (0, threads - 1)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 11
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.fixture(scope="class")
+    def half_year(self, tmp_path_factory):
+        """182 days of data, and a copy with one bad cdr row and one bad survey row."""
+        root = tmp_path_factory.mktemp("half_year")
+        generate(SynthConfig(seed=4, n_sectors=10, users_per_sector=45,
+                             households_per_sector=15, period_days=182), root / "clean")
+        shutil.copytree(root / "clean", root / "bad")
+        with open(root / "bad" / "cdr.csv", "a", encoding="utf-8") as f:
+            f.write("u1,u2,t1,not-a-time\n")
+        with open(root / "bad" / "survey.csv", "a", encoding="utf-8") as f:
+            f.write("h1\n")
+        return root / "clean", root / "bad"
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("night-window", 1, "error: night window"),
+        ("strict", 2, "unparsable timestamp"),
+        ("window-days", 2, "shorter than the 400-day window"),
+    ])
+    def test_an_error_is_reported_as_in_serial_order(self, half_year, tmp_path, monkeypatch,
+                                                     capsys, case, code, message):
+        """The worker's night-window error; the worker's cdr error before the
+        parent's survey error; rolling's error, met after fit."""
+        in_dir = half_year[case == "strict"]
+        extra = {"night-window": ["--night-window", "18:00-18:00"], "strict": ["--strict"],
+                 "window-days": ["--window-days", "400"]}[case]
+        lines = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            args = self.args(in_dir, out, threads, *extra)
+            assert run_counting_forks(monkeypatch, args) == (code, threads - 1)
+            assert not (out / "run_manifest.json").exists()
+            assert (out / "model_food_expenditure.csv").exists() == (case == "window-days")
+            lines.append(capsys.readouterr().err.splitlines()[-1])
+        assert lines[0] == lines[1]
+        assert message in lines[0]
+
+    def test_a_killed_worker_is_an_internal_error(self, small_dataset, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def killed(*args, **kwargs):
+            if os.getpid() == caller:
+                raise RuntimeError("features ran in the caller")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr("foodsec.cli._stage_features", killed)
+        args = self.args(small_dataset[1]["cdr"].parent, tmp_path, 2)
+        assert run_counting_forks(monkeypatch, args) == (3, 1)
+        assert not (tmp_path / "run_manifest.json").exists()
 
 
 class TestAllPipeline:

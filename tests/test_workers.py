@@ -4,6 +4,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 import foodsec
 from foodsec.ingest import FormatError
-from foodsec.workers import ordered_map, worker_count
+from foodsec.workers import forked, ordered_map, worker_count
 
 
 @contextlib.contextmanager
@@ -72,6 +73,25 @@ def test_a_lost_worker_raises_instead_of_hanging(end):
     with deadline(30), pytest.raises(ChildProcessError, match="before job 1"):
         list(ordered_map(job, 4, 2))
     assert time.monotonic() - start < 5
+    assert_no_child_left()
+
+
+def test_forked_starts_on_entry_and_a_caller_error_kills_its_workers(tmp_path):
+    """The workers start before any result is asked for; a caller that raises
+    before reading leaves none behind, though both are blocked writing."""
+    def job(i):
+        (tmp_path / str(i)).touch()
+        return big(i)
+
+    threads = threading.active_count()
+    with deadline(30), pytest.raises(RuntimeError, match="caller"):
+        with forked(job, 4, 2):
+            while not ((tmp_path / "0").exists() and (tmp_path / "1").exists()):
+                time.sleep(0.01)
+            start = time.monotonic()
+            raise RuntimeError("caller stops")
+    assert time.monotonic() - start < 5
+    assert threading.active_count() == threads
     assert_no_child_left()
 
 
