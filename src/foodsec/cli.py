@@ -144,10 +144,11 @@ CORRELATE = _declare(
 )
 NULL = _declare(
     trials=dict(type=click.IntRange(min=1), default=1000, show_default=True),
-    # it changes no output, so no manifest records it
-    threads=dict(type=click.IntRange(min=1), default=1, show_default=True,
-                 help="at most N processes; `all` runs its mobile branch in a worker"),
 ) | {"seed": partial(SEED["seed"], required=True)}  # synth's seed is optional
+THREADS = _declare(  # it changes no output, so no manifest records it
+    threads=dict(type=click.IntRange(min=1), default=1, show_default=True,
+                 help="at most N processes: at 2 or more, the mobile branch runs in a worker"),
+)
 FIT = _declare(
     target=dict(required=True, help="survey column to model"),
     variables=dict(required=True, help="comma list of mobile variables"),
@@ -458,7 +459,7 @@ def correlate(mobile, survey_matrix, survey_meta, out, **settings):
 
 
 @cli.command(params=_params(MATRICES, NULL, OUT))
-def null(mobile, survey_matrix, out, trials, seed, threads):
+def null(mobile, survey_matrix, out, trials, seed):
     """Shuffled-sector null distribution of |r|."""
     run = _Run(out, mobile=mobile, survey_matrix=survey_matrix)
     summary = run(_stage_null, *_read_matrices(run.inputs), trials=trials, seed=seed)
@@ -516,12 +517,12 @@ def verify(truth, outputs, out):
 
 # `all` takes every stage's settings, with fit's defaults its own, but not
 # indices' --variables: its --variables is fit's. One --strict serves
-# features, indices and rolling.
+# features, indices and rolling; --threads is its own.
 @cli.command(name="all", params=_params(
     _declare(**{"in": dict(type=click.Path(file_okay=False), required=True,
                            help="directory with cdr/topup/towers/survey/survey_meta csv files "
                            "(poverty/fcs_weights/csi_weights optional)")}),
-    OUT, FEATURES, AGGREGATE, CORRELATE, NULL, FIT, ROLLING,
+    OUT, FEATURES, AGGREGATE, CORRELATE, NULL, THREADS, FIT, ROLLING,
     {"target": partial(FIT["target"], required=False, default="food_expenditure",
                        show_default=True),
      "variables": partial(FIT["variables"], required=False,

@@ -29,6 +29,7 @@ within half a cent.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from itertools import groupby, islice
@@ -50,7 +51,7 @@ from .ingest import (
     read_table,
     write_table,
 )
-from .workers import ordered_map, worker_count
+from .workers import forked, worker_count
 
 TRUTH_HEADER = ["kind", "key", "value", "extra"]
 
@@ -192,8 +193,6 @@ class SynthConfig:
             if key == "planted_r" and text.lower() in ("none", ""):
                 values[key] = None
             elif key == "expense_link":
-                if text not in ("linear", "quadratic"):
-                    raise ConfigError("expense_link must be 'linear' or 'quadratic'")
                 values[key] = text
             else:
                 values[key] = _setting(key, text, type(getattr(cls, key)))
@@ -206,6 +205,8 @@ class SynthConfig:
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.expense_link not in ("linear", "quadratic"):
+            raise ConfigError("expense_link must be 'linear' or 'quadratic'")
         if self.n_sectors < 1 or self.users_per_sector < 1 or self.households_per_sector < 1:
             raise ConfigError("sector, user, and household counts must all be >= 1")
         if self.towers_per_sector < 1:
@@ -561,17 +562,18 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
         return cdr_text, top_text, home_text, survey_text
 
     user_home_rows: list[str] = []
+    large = cfg.n_sectors * cfg.users_per_sector >= FORK_MIN_USERS
+    workers = worker_count(cfg.n_sectors) if large else 1
     with open(paths["cdr"], "w", encoding="utf-8", newline="\n") as f_cdr, open(
         paths["topup"], "w", encoding="utf-8", newline="\n"
-    ) as f_top, open(paths["survey"], "w", encoding="utf-8", newline="\n") as f_survey:
+    ) as f_top, open(paths["survey"], "w", encoding="utf-8", newline="\n") as f_survey, (
+        forked(sector_rows, cfg.n_sectors, workers) if workers > 1
+        else nullcontext(map(sector_rows, range(cfg.n_sectors)))
+    ) as rows:
         f_cdr.write(",".join(CDR_HEADER) + "\n")
         f_top.write(",".join(TOPUP_HEADER) + "\n")
         f_survey.write(",".join(SURVEY_ID_COLUMNS + survey_columns) + "\n")
-        forked = cfg.n_sectors * cfg.users_per_sector >= FORK_MIN_USERS
-        workers = worker_count(cfg.n_sectors) if forked else 1
-        for cdr_text, top_text, home_text, survey_text in ordered_map(
-            sector_rows, cfg.n_sectors, workers
-        ):
+        for cdr_text, top_text, home_text, survey_text in rows:
             f_cdr.write(cdr_text)
             f_top.write(top_text)
             user_home_rows.append(home_text)

@@ -13,7 +13,12 @@ import contextlib
 import os
 import pickle
 import signal
+import traceback
 from collections.abc import Callable, Iterator
+
+
+class WorkerTraceback(Exception):
+    """A job's traceback in its worker: the cause of its exception in the caller."""
 
 
 def worker_count(jobs: int) -> int:
@@ -29,7 +34,8 @@ def forked(job: Callable[[int], object], jobs: int, workers: int) -> Iterator[It
     """Fork ``workers`` processes on entry that make ``job(0), ...,
     job(jobs - 1)``, and give an iterator over the results in job order.
 
-    A job's exception is raised by the iterator, and a worker that ends
+    A job's exception is raised by the iterator, from a ``WorkerTraceback``
+    that holds its traceback in the worker, and a worker that ends
     before sending a result raises ``ChildProcessError``. Leaving the block
     kills and reaps every worker, whether or not its results were read.
     """
@@ -50,12 +56,12 @@ def forked(job: Callable[[int], object], jobs: int, workers: int) -> Iterator[It
                             pipe.close()
                         for i in range(w, jobs, workers):
                             try:
-                                message = (True, job(i))
+                                message = (None, job(i))
                             except Exception as exc:  # noqa: BLE001 - raised by the caller
-                                message = (False, exc)
+                                message = (traceback.format_exc(), exc)
                             out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
                             out.flush()
-                            if not message[0]:
+                            if message[0]:
                                 break
                     finally:
                         os._exit(0)
@@ -64,11 +70,11 @@ def forked(job: Callable[[int], object], jobs: int, workers: int) -> Iterator[It
         def results():
             for i in range(jobs):
                 try:
-                    ok, value = pickle.load(pipes[i % workers])
+                    failure, value = pickle.load(pipes[i % workers])
                 except (EOFError, pickle.UnpicklingError):
                     raise ChildProcessError(f"worker {i % workers} ended before job {i}") from None
-                if not ok:
-                    raise value
+                if failure:
+                    raise value from WorkerTraceback(failure)
                 yield value
 
         yield results()
@@ -78,14 +84,3 @@ def forked(job: Callable[[int], object], jobs: int, workers: int) -> Iterator[It
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def ordered_map(job: Callable[[int], object], jobs: int, workers: int) -> Iterator:
-    """The results of ``forked``, whose workers start at the first result
-    asked for and end with the iterator; made in this process when
-    ``workers`` is 1."""
-    if workers <= 1:
-        yield from map(job, range(jobs))
-        return
-    with forked(job, jobs, workers) as results:
-        yield from results

@@ -15,11 +15,13 @@ variants read copies whose first data row has a quoted field, so the
 rest of the file goes through the csv row loop in one pass; its fixed-layout
 timestamps are still decoded in bulk. The ``blank`` survey
 reads a copy with every fifth answer left blank, as missing answers are:
-the generated survey has none. The ``decimal`` top-ups read a copy with
-the trailing zeros of each amount dropped (``12.50`` as ``12.5``), so the
-file is carried as ``Decimal`` values, not cents: the benchmark workloads
-read only ``D+.DD`` amounts, and a file in any other layout takes its own
-path through the money rule. The ``table`` cases read
+the generated survey has none. The ``time_ordered`` calls read a copy
+with the data rows stable-sorted by timestamp, as an operator's CDRs
+arrive: the generated file groups each caller's calls. The ``decimal``
+top-ups read a copy with the trailing zeros of each amount dropped
+(``12.50`` as ``12.5``), so the file is carried as ``Decimal`` values,
+not cents: the benchmark workloads read only ``D+.DD`` amounts, and a file
+in any other layout takes its own path through the money rule. The ``table`` cases read
 two files the stages hand on, ``user_features.csv`` (8 k users, written
 from the same inputs) and ``truth.csv``. No timing is asserted.
 """
@@ -45,6 +47,8 @@ def inputs(tmp_path_factory):
             variant(paths[name], paths[f"{name}_{variant.__name__}"])
     paths["survey_blank"] = out / "survey_blank.csv"
     blank(paths["survey"], paths["survey_blank"])
+    paths["cdr_time_ordered"] = out / "cdr_time_ordered.csv"
+    time_ordered(paths["cdr"], paths["cdr_time_ordered"])
     paths["topup_decimal"] = out / "topup_decimal.csv"
     decimal(paths["topup"], paths["topup_decimal"])
     features, _ = user_features(read_cdr(paths["cdr"]), read_topups(paths["topup"]),
@@ -100,6 +104,15 @@ def blank(source, target) -> None:
             out.write(",".join([household, sector, *answers]) + "\n")
 
 
+def time_ordered(source, target) -> None:
+    """Copy the calls ``source`` with its data rows stable-sorted by their
+    timestamp field, the last; every timestamp has the same layout."""
+    with open(source, encoding="utf-8", newline="") as f, \
+            open(target, "w", encoding="utf-8", newline="") as out:
+        out.write(f.readline())
+        out.writelines(sorted(f, key=lambda line: line.rsplit(",", 1)[1]))
+
+
 def decimal(source, target) -> None:
     """Copy the top-ups ``source`` with each amount's trailing zeros, and a
     point left last, dropped."""
@@ -118,12 +131,16 @@ def variant_path(inputs, name, variant):
     return inputs[name if variant == "clean" else f"{name}_{variant}"]
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", [*VARIANTS, "time_ordered"])
 def test_read_cdr(benchmark, inputs, variant):
     errors = RowErrorLog()
     calls = benchmark(read_cdr, variant_path(inputs, "cdr", variant), errors)
     assert len(calls) > 200_000
     assert (errors.count > 0) == (variant in ("dirty", "typed"))
+    if variant == "time_ordered":
+        grouped = read_cdr(inputs["cdr"])
+        assert len(calls) == len(grouped)
+        assert set(calls.users) == set(grouped.users)
 
 
 @pytest.mark.parametrize("variant", [*VARIANTS, "decimal"])

@@ -441,7 +441,8 @@ def test_all_takes_every_stage_option():
     """Every option of a stage subcommand but its files is on `all`, with the
     same type and default, so `all` can run any chain of subcommands. The
     exceptions: indices' --variables (all's --variables is fit's) and the
-    defaults of all's --target, --variables and --degree."""
+    defaults of all's --target, --variables and --degree. Beyond these, `all`
+    takes only its directories and --threads."""
     whole = {p.name: p for p in cli.commands["all"].params}
     stage_options = set()
     for stage in ("features", "aggregate", "indices", "correlate", "null", "fit", "rolling"):
@@ -458,7 +459,7 @@ def test_all_takes_every_stage_option():
                                             ("fit", "degree")}:
                 assert (other.default, other.required) == (option.default, option.required), (
                     option.name)
-    assert set(whole) == stage_options | {"in", "out"}
+    assert set(whole) - stage_options == {"in", "out", "threads"}
 
 
 def loaded_after_import(module: str, package: str) -> list[str]:
@@ -591,6 +592,19 @@ class TestAllInAWorker:
         args = self.args(small_dataset[1]["cdr"].parent, tmp_path, 2)
         assert run_counting_forks(monkeypatch, args) == (3, 1)
         assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_a_worker_error_prints_the_workers_traceback(self, small_dataset, tmp_path,
+                                                         monkeypatch, capsys):
+        def broken_rolling(*args, **kwargs):
+            raise KeyError("no such sector")
+
+        monkeypatch.setattr("foodsec.cli._stage_rolling", broken_rolling)
+        args = self.args(small_dataset[1]["cdr"].parent, tmp_path, 2)
+        assert run_counting_forks(monkeypatch, args) == (3, 1)
+        err = capsys.readouterr().err
+        assert "WorkerTraceback" in err
+        assert "in _mobile_stages" in err and "in broken_rolling" in err
+        assert err.rstrip().endswith("KeyError: 'no such sector'")
 
 
 class TestAllPipeline:
@@ -769,14 +783,14 @@ class TestDeterminismAndOverrides:
             tmp_path / "b" / "correlations.csv"
         ).read_bytes()
 
-    def test_null_threads_do_not_change_output(self, medium_pipeline, tmp_path):
-        base = ["null", "--mobile", medium_pipeline / "sector_mobile.csv",
-                "--survey-matrix", medium_pipeline / "sector_survey.csv",
-                "--trials", "40", "--seed", "17"]
-        assert run(base + ["--threads", "1", "--out", tmp_path / "t1"]) == 0
-        assert run(base + ["--threads", "8", "--out", tmp_path / "t8"]) == 0
-        for name in ("null_summary.csv", "run_manifest.json"):
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+    def test_null_refuses_threads(self, medium_pipeline, tmp_path, capsys):
+        """--threads is `all`'s own: `null` runs in one process."""
+        rc = run(["null", "--mobile", medium_pipeline / "sector_mobile.csv",
+                  "--survey-matrix", medium_pipeline / "sector_survey.csv",
+                  "--trials", "40", "--seed", "17", "--threads", "2", "--out", tmp_path])
+        assert rc == 1
+        assert "No such option '--threads'" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_env_var_override(self, medium_pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("FOODSEC_NULL_TRIALS", "7")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from foodsec.aggregate import build_sector_matrix
+from foodsec.cli import main
 from foodsec.config import ConfigError
 from foodsec.correlate import pearson
 from foodsec.features import user_features
@@ -391,6 +392,17 @@ class TestConfig:
         path.write_text("bogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
             SynthConfig.from_file(path)
+
+    def test_unknown_expense_link_rejected_before_any_file(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="^expense_link must be 'linear' or 'quadratic'$"):
+            generate(SynthConfig(expense_link="cubic", n_sectors=3, users_per_sector=10),
+                     tmp_path / "lib")
+        assert not (tmp_path / "lib").exists()
+        path = tmp_path / "synth.cfg"
+        path.write_text("expense_link = cubic\n")
+        assert main(["synth", "--synth-config", str(path), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err == (
+            "error: expense_link must be 'linear' or 'quadratic'\n")
 
     def test_zero_users_rejected(self):
         with pytest.raises(ConfigError):

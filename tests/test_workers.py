@@ -12,7 +12,7 @@ import pytest
 
 import foodsec
 from foodsec.ingest import FormatError
-from foodsec.workers import forked, ordered_map, worker_count
+from foodsec.workers import WorkerTraceback, forked, worker_count
 
 
 @contextlib.contextmanager
@@ -42,8 +42,8 @@ def big(i):
 
 @pytest.mark.parametrize("jobs,workers", [(0, 2), (1, 2), (5, 1), (5, 2), (7, 3), (2, 3)])
 def test_results_come_in_job_order(jobs, workers):
-    with deadline(30):
-        assert list(ordered_map(big, jobs, workers)) == [big(i) for i in range(jobs)]
+    with deadline(30), forked(big, jobs, workers) as results:
+        assert list(results) == [big(i) for i in range(jobs)]
     assert_no_child_left()
 
 
@@ -55,7 +55,23 @@ def test_a_job_error_is_raised_in_the_caller():
 
     assert_no_child_left()
     with deadline(30), pytest.raises(FormatError, match="^bad job 3$"):
-        list(ordered_map(job, 6, 2))
+        with forked(job, 6, 2) as results:
+            list(results)
+    assert_no_child_left()
+
+
+def failing_job(i):
+    raise KeyError(i)
+
+
+def test_a_job_error_keeps_the_workers_traceback():
+    with deadline(30), pytest.raises(KeyError) as raised:
+        with forked(failing_job, 2, 2) as results:
+            list(results)
+    cause = raised.value.__cause__
+    assert isinstance(cause, WorkerTraceback)
+    assert "in failing_job" in str(cause)
+    assert str(cause).rstrip().endswith("KeyError: 0")
     assert_no_child_left()
 
 
@@ -71,7 +87,8 @@ def test_a_lost_worker_raises_instead_of_hanging(end):
 
     start = time.monotonic()
     with deadline(30), pytest.raises(ChildProcessError, match="before job 1"):
-        list(ordered_map(job, 4, 2))
+        with forked(job, 4, 2) as results:
+            list(results)
     assert time.monotonic() - start < 5
     assert_no_child_left()
 
@@ -97,13 +114,12 @@ def test_forked_starts_on_entry_and_a_caller_error_kills_its_workers(tmp_path):
 
 def test_a_consumer_that_stops_early_leaves_no_worker():
     with deadline(30):
-        with pytest.raises(RuntimeError, match="consumer"):
-            for _ in ordered_map(big, 8, 2):
+        with pytest.raises(RuntimeError, match="consumer"), forked(big, 8, 2) as results:
+            for _ in results:
                 raise RuntimeError("consumer stops")
         assert_no_child_left()
-        results = ordered_map(big, 8, 2)
-        assert next(results) == big(0)
-        results.close()
+        with forked(big, 8, 2) as results:
+            assert next(results) == big(0)
     assert_no_child_left()
 
 
@@ -112,11 +128,11 @@ def test_a_consumer_that_stops_early_leaves_no_worker():
 # every worker inherits.
 BLOCKED_CALLER = """
 import time
-from foodsec.workers import ordered_map
-results = ordered_map(lambda i: str(i) * 300_000, 8, 2)
-next(results)
-print("started", flush=True)
-time.sleep(60)
+from foodsec.workers import forked
+with forked(lambda i: str(i) * 300_000, 8, 2) as results:
+    next(results)
+    print("started", flush=True)
+    time.sleep(60)
 """
 
 
@@ -152,9 +168,10 @@ def test_the_callers_buffered_file_keeps_its_bytes(tmp_path):
     with open(path, "w", encoding="utf-8") as held:
         held.write("written before the fork, not flushed\n")
         with deadline(30):
-            assert list(ordered_map(lambda i: i * i, 5, 2)) == [0, 1, 4, 9, 16]
-            with pytest.raises(ValueError):
-                list(ordered_map(fails, 3, 2))
+            with forked(lambda i: i * i, 5, 2) as results:
+                assert list(results) == [0, 1, 4, 9, 16]
+            with pytest.raises(ValueError), forked(fails, 3, 2) as results:
+                list(results)
         held.write("written after\n")
     assert path.read_text(encoding="utf-8") == (
         "written before the fork, not flushed\nwritten after\n"
