@@ -25,7 +25,6 @@ import json
 import logging
 import sys
 import traceback
-from contextlib import ExitStack
 from dataclasses import replace
 from datetime import date
 from functools import partial
@@ -530,45 +529,41 @@ def verify(truth, outputs, out):
      "degree": partial(FIT["degree"], default=2)},
 ))
 def run_all(out, threads, **settings):
-    """Run the full chain: features, aggregate, indices, correlate, null,
-    fit, rolling, each as its subcommand would with these options (``in``,
-    a Python keyword, arrives in ``settings``); at 2 or more ``threads``
-    and CPUs, the stages that need no survey run in a forked worker."""
+    """Run the full chain: features, aggregate, rolling, indices, correlate,
+    null, fit, each as its subcommand would with these options (``in``, a
+    Python keyword, arrives in ``settings``); at 2 or more ``threads`` and
+    CPUs, the stages that need no survey run in a forked worker."""
     paths = {name: Path(settings["in"]) / f"{name}.csv" for name in ALL_INPUTS}
     run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
-    stages = _mobile_stages(run, settings)
-    with ExitStack() as stack:
-        if worker_count(threads) < 2:
-            mobile = next(stages)
-            survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-            branch = stages
-        else:
-            branch = stack.enter_context(forked(lambda _: next(stages), 2, 1))
+    if worker_count(threads) < 2:
+        mobile, _, _ = _mobile_stages(run, settings)
+        survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
+    else:
+        with forked(lambda _: _mobile_stages(run, settings), 1, 1) as branch:
             try:
                 survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-                scipy_special()  # its first import, about 0.3 s, overlaps the worker's stages
+                scipy_special()  # its first import, 0.14-0.28 s, overlaps the worker's stages
             except Exception:
-                next(branch)  # as in serial order, features' or aggregate's error comes first
+                next(branch)  # as in serial order, the worker's error comes first
                 raise
-            mobile = next(branch)
-        run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
-        run(_stage_null, mobile, survey, **_pick(NULL, settings))
-        run(_stage_fit, mobile, survey, **_pick(FIT, settings))
-        outputs, stats = next(branch)
-    if branch is not stages:  # the worker recorded its stages in its own copy of ``run``
-        run.outputs.extend(outputs)
+            mobile, outputs, stats = next(branch)
+        run.outputs.extend(outputs)  # the worker recorded them in its own copy of ``run``
         run.stats.update(stats)
+    run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
+    run(_stage_null, mobile, survey, **_pick(NULL, settings))
+    run(_stage_fit, mobile, survey, **_pick(FIT, settings))
     run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
 
 
 def _mobile_stages(run, settings):
-    """The stages of `all` that need no survey: yields the mobile matrix
-    after features and aggregate, then, after rolling, what ``run`` holds."""
+    """The stages of `all` that need no survey, run to the end so that the
+    per-user features and the top-ups are freed before the survey side:
+    the mobile matrix and what ``run`` holds."""
     features, topups, topup_errors = run(_stage_features, run.inputs,
                                          **_pick(FEATURES, settings))
-    yield run(_stage_aggregate, features, **_pick(AGGREGATE, settings))
+    mobile = run(_stage_aggregate, features, **_pick(AGGREGATE, settings))
     run(_stage_rolling, topups, topup_errors, features, **_pick(ROLLING, settings))
-    yield run.outputs, run.stats
+    return mobile, run.outputs, run.stats
 
 
 def main(argv=None) -> int:

@@ -743,15 +743,15 @@ def load_survey_metadata(source) -> dict[str, str]:
 
 
 def load_survey(source, metadata, errors: RowErrorLog | None = None) -> SurveyTable:
-    """Load ``survey.csv`` with category tags from ``metadata``.
+    """Load ``survey.csv`` with category tags from ``metadata``, a path/handle
+    for ``survey_meta.csv``.
 
-    ``metadata`` is a path/handle for ``survey_meta.csv`` or an already-loaded
-    ``{variable: category}`` mapping. A data variable missing from the
-    metadata is fatal (silent category misassignment is worse than a crash);
-    bad cells (not a number, written with ``_``, not finite, or a food-group
-    frequency outside 0..7) quarantine the whole row. Blank cells are missing.
+    A data variable missing from the metadata is fatal (silent category
+    misassignment is worse than a crash); bad cells (not a number, written
+    with ``_``, not finite, or a food-group frequency outside 0..7)
+    quarantine the whole row. Blank cells are missing.
     """
-    categories = metadata if isinstance(metadata, dict) else load_survey_metadata(metadata)
+    categories = load_survey_metadata(metadata)
     with _open_text(source) as handle:
         header, line = _header(handle, "survey")
         if header is None or header[:2] != SURVEY_ID_COLUMNS:

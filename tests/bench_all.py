@@ -6,10 +6,11 @@ name keeps it out of the default test run. The inputs are the ``c01`` and
 command is the workload's own with only ``--threads`` changed. Each command
 runs as a fresh ``python -m foodsec.cli`` child, as perfbench times it, in
 alternating order over 10 pairs; the medians of wall time, their ratio and
-the peak RSS are printed. At ``--threads 2`` and two or more usable CPUs,
-``all`` runs its mobile branch in a forked worker, so the ratio shows what
-that split saves on this host. No timing is asserted. Every artifact and
-the manifest must be the same at both settings.
+the median peak RSS of each setting, the statistic perfbench reports, are
+printed. At ``--threads 2`` and two or more usable CPUs, ``all`` runs its
+mobile branch in a forked worker, so the ratio shows what that split saves
+on this host. No timing is asserted. Every artifact and the manifest must
+be the same at both settings.
 """
 
 import os
@@ -63,6 +64,6 @@ def test_all_serial_and_split(tmp_path, name):
             tmp_path / "out2" / artifact).read_bytes(), artifact
     serial, split = (statistics.median(walls[t]) for t in ("1", "2"))
     print(f"\n{name}: --threads 1 {serial:.3f} s, --threads 2 {split:.3f} s "
-          f"(median of {PAIRS}), ratio {split / serial:.3f}; peak RSS "
-          f"{max(rss['1']):.1f} and {max(rss['2']):.1f} MiB; "
+          f"(median of {PAIRS}), ratio {split / serial:.3f}; median peak RSS "
+          f"{statistics.median(rss['1']):.1f} and {statistics.median(rss['2']):.1f} MiB; "
           f"faster in {sum(b < a for a, b in zip(walls['1'], walls['2']))}/{PAIRS} pairs")

@@ -1,10 +1,12 @@
 import csv
+import functools
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import click
@@ -546,39 +548,70 @@ class TestAllInAWorker:
 
     @pytest.fixture(scope="class")
     def half_year(self, tmp_path_factory):
-        """182 days of data, and a copy with one bad cdr row and one bad survey row."""
+        """182 days of data, a copy with one bad survey row, and a copy with
+        that row and one bad cdr row."""
         root = tmp_path_factory.mktemp("half_year")
         generate(SynthConfig(seed=4, n_sectors=10, users_per_sector=45,
                              households_per_sector=15, period_days=182), root / "clean")
-        shutil.copytree(root / "clean", root / "bad")
+        shutil.copytree(root / "clean", root / "survey")
+        with open(root / "survey" / "survey.csv", "a", encoding="utf-8") as f:
+            f.write("h1\n")
+        shutil.copytree(root / "survey", root / "bad")
         with open(root / "bad" / "cdr.csv", "a", encoding="utf-8") as f:
             f.write("u1,u2,t1,not-a-time\n")
-        with open(root / "bad" / "survey.csv", "a", encoding="utf-8") as f:
-            f.write("h1\n")
-        return root / "clean", root / "bad"
+        return root
 
     @pytest.mark.parametrize("case, code, message", [
         ("night-window", 1, "error: night window"),
         ("strict", 2, "unparsable timestamp"),
         ("window-days", 2, "shorter than the 400-day window"),
+        ("window-days-and-survey", 2, "shorter than the 400-day window"),
     ])
     def test_an_error_is_reported_as_in_serial_order(self, half_year, tmp_path, monkeypatch,
                                                      capsys, case, code, message):
         """The worker's night-window error; the worker's cdr error before the
-        parent's survey error; rolling's error, met after fit."""
-        in_dir = half_year[case == "strict"]
+        parent's survey error; rolling's error, met before the survey side,
+        so also before a survey error."""
+        in_dir = half_year / {"strict": "bad", "window-days-and-survey": "survey"}.get(
+            case, "clean")
         extra = {"night-window": ["--night-window", "18:00-18:00"], "strict": ["--strict"],
-                 "window-days": ["--window-days", "400"]}[case]
+                 "window-days": ["--window-days", "400"],
+                 "window-days-and-survey": ["--strict", "--window-days", "400"]}[case]
         lines = []
         for threads in (1, 2):
             out = tmp_path / str(threads)
             args = self.args(in_dir, out, threads, *extra)
             assert run_counting_forks(monkeypatch, args) == (code, threads - 1)
             assert not (out / "run_manifest.json").exists()
-            assert (out / "model_food_expenditure.csv").exists() == (case == "window-days")
+            assert not (out / "model_food_expenditure.csv").exists()
             lines.append(capsys.readouterr().err.splitlines()[-1])
         assert lines[0] == lines[1]
         assert message in lines[0]
+
+    def test_serial_run_frees_the_mobile_inputs_before_the_survey_side(
+            self, small_dataset, tmp_path, monkeypatch):
+        """At --threads 1 the top-up columns and the per-user features are
+        gone by the time indices starts."""
+        stage_features, stage_indices = foodsec.cli._stage_features, foodsec.cli._stage_indices
+        refs, alive = [], []
+
+        @functools.wraps(stage_features)
+        def watched_features(*args, **kwargs):
+            result = stage_features(*args, **kwargs)
+            features, topups, _ = result[0]
+            refs.extend((weakref.ref(features), weakref.ref(topups)))
+            return result
+
+        @functools.wraps(stage_indices)
+        def watched_indices(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return stage_indices(*args, **kwargs)
+
+        monkeypatch.setattr("foodsec.cli._stage_features", watched_features)
+        monkeypatch.setattr("foodsec.cli._stage_indices", watched_indices)
+        args = self.args(small_dataset[1]["cdr"].parent, tmp_path, 1)
+        assert run_counting_forks(monkeypatch, args) == (0, 0)
+        assert alive == [[False, False]]
 
     def test_a_killed_worker_is_an_internal_error(self, small_dataset, tmp_path, monkeypatch):
         caller = os.getpid()
