@@ -20,9 +20,11 @@ row errors under --strict and failed verification), 3 internal error.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -146,7 +148,8 @@ NULL = _declare(
 ) | {"seed": partial(SEED["seed"], required=True)}  # synth's seed is optional
 THREADS = _declare(  # it changes no output, so no manifest records it
     threads=dict(type=click.IntRange(min=1), default=1, show_default=True,
-                 help="at most N processes: at 2 or more, the mobile branch runs in a worker"),
+                 help="at most N processes: at 2 or more, a worker runs all stages but indices "
+                 "and correlate"),
 )
 FIT = _declare(
     target=dict(required=True, help="survey column to model"),
@@ -532,38 +535,64 @@ def run_all(out, threads, **settings):
     """Run the full chain: features, aggregate, rolling, indices, correlate,
     null, fit, each as its subcommand would with these options (``in``, a
     Python keyword, arrives in ``settings``); at 2 or more ``threads`` and
-    CPUs, the stages that need no survey run in a forked worker."""
+    CPUs, a forked worker runs all but indices and correlate, and starts
+    null and fit on ``sector_survey.csv`` when a byte on a pipe says so."""
     paths = {name: Path(settings["in"]) / f"{name}.csv" for name in ALL_INPUTS}
     run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
     if worker_count(threads) < 2:
-        mobile, _, _ = _mobile_stages(run, settings)
+        mobile = _mobile_stages(run, settings)
         survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-    else:
-        with forked(lambda _: _mobile_stages(run, settings), 1, 1) as branch:
-            try:
-                survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-                scipy_special()  # its first import, 0.14-0.28 s, overlaps the worker's stages
-            except Exception:
-                next(branch)  # as in serial order, the worker's error comes first
-                raise
-            mobile, outputs, stats = next(branch)
-        run.outputs.extend(outputs)  # the worker recorded them in its own copy of ``run``
-        run.stats.update(stats)
-    run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
-    run(_stage_null, mobile, survey, **_pick(NULL, settings))
-    run(_stage_fit, mobile, survey, **_pick(FIT, settings))
+        run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
+        run(_stage_null, mobile, survey, **_pick(NULL, settings))
+        run(_stage_fit, mobile, survey, **_pick(FIT, settings))
+        return run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
+    ready_fd, go_fd = os.pipe()
+
+    def job(i):
+        nonlocal mobile
+        if i == 0:
+            go.close()  # so that the worker reads end of file if this process dies
+            mobile = _mobile_stages(run, settings)
+            return mobile
+        if not ready.read(1):
+            raise EOFError("the first process of `all` ended")
+        survey = read_sector_matrix(run.out / "sector_survey.csv", count_column="n_households")
+        run(_stage_null, mobile, survey, **_pick(NULL, settings))
+        run(_stage_fit, mobile, survey, **_pick(FIT, settings))
+        return run.outputs, run.stats  # the worker's stages and files
+
+    with open(ready_fd, "rb", buffering=0) as ready, open(go_fd, "wb", buffering=0) as go, \
+            forked(job, 2, 1) as results:
+        try:
+            survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
+        except Exception:
+            next(results)  # as in serial order, the worker's error comes first
+            raise
+        go.write(b"\0")  # the read end is open here, so this can neither fail nor block
+        try:
+            scipy_special()  # its first import overlaps the worker's stages
+            mobile = next(results)
+            run(_stage_correlate, mobile, survey, categories=categories,
+                **_pick(CORRELATE, settings))
+        except Exception:
+            with contextlib.suppress(Exception):
+                list(results)  # the worker finishes its files; its error comes later
+            raise
+        outputs, stats = next(results)
+    run.outputs.extend(outputs)  # the worker recorded them in its own copy of ``run``
+    run.stats.update(stats)
     run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
 
 
 def _mobile_stages(run, settings):
     """The stages of `all` that need no survey, run to the end so that the
     per-user features and the top-ups are freed before the survey side:
-    the mobile matrix and what ``run`` holds."""
+    the mobile matrix."""
     features, topups, topup_errors = run(_stage_features, run.inputs,
                                          **_pick(FEATURES, settings))
     mobile = run(_stage_aggregate, features, **_pick(AGGREGATE, settings))
     run(_stage_rolling, topups, topup_errors, features, **_pick(ROLLING, settings))
-    return mobile, run.outputs, run.stats
+    return mobile
 
 
 def main(argv=None) -> int:

@@ -99,7 +99,8 @@ def _r_from_sums(sxy, sxx, syy):
 
 def scipy_special():
     """``scipy.special``, which p-values and confidence intervals take their
-    functions from; its first import takes 0.14-0.28 s and 15-19 MiB."""
+    functions from; its first import after ``foodsec.cli`` takes 0.16-0.30 s
+    on 2 vCPUs and lifts resident memory from 36 to 55 MiB."""
     from scipy import special
 
     return special

@@ -3,14 +3,16 @@
 Run with ``PYTHONPATH=src python -m pytest -s tests/bench_all.py``; the file
 name keeps it out of the default test run. The inputs are the ``c01`` and
 ``null-wide`` workloads of ``perfbench/workloads.py`` at seed 1, and the
-command is the workload's own with only ``--threads`` changed. Each command
+command is the workload's own with only ``--threads`` changed; null-wide is
+also run at ``--trials 3200``, the trial count at which ROADMAP item 2 plans
+to rescale it, where the null's buffer is largest. Each command
 runs as a fresh ``python -m foodsec.cli`` child, as perfbench times it, in
 alternating order over 10 pairs; the medians of wall time, their ratio and
 the median peak RSS of each setting, the statistic perfbench reports, are
-printed. At ``--threads 2`` and two or more usable CPUs, ``all`` runs its
-mobile branch in a forked worker, so the ratio shows what that split saves
-on this host. No timing is asserted. Every artifact and the manifest must
-be the same at both settings.
+printed. At ``--threads 2`` and two or more usable CPUs, ``all`` runs all
+its stages but indices and correlate in a forked worker, so the ratio shows
+what that split saves on this host. No timing is asserted. Every artifact
+and the manifest must be the same at both settings.
 """
 
 import os
@@ -43,11 +45,16 @@ def run_child(argv):
     return wall, usage.ru_maxrss / 1024.0
 
 
-@pytest.mark.parametrize("name", ["c01", "null-wide"])
-def test_all_serial_and_split(tmp_path, name):
+@pytest.mark.parametrize("name, trials", [("c01", None), ("null-wide", None),
+                                          ("null-wide", "3200")],
+                         ids=["c01", "null-wide", "null-wide-3200"])
+def test_all_serial_and_split(tmp_path, name, trials):
     workload = WORKLOADS[name]
     set_up(workload, tmp_path / "in", 1, smoke=False)
     argv = command_argv(workload, tmp_path / "in", tmp_path / "out", 1, smoke=False)
+    if trials:
+        argv[argv.index("--trials") + 1] = trials
+        name = f"{name} --trials {trials}"
     at = argv.index("--threads") + 1
     walls, rss = {"1": [], "2": []}, {"1": [], "2": []}
     for pair in range(PAIRS):

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import functools
 import json
 import os
+import select
 import shutil
 import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -517,10 +520,31 @@ def run_counting_forks(monkeypatch, args, cpus=2):
     return rc, len(forks)
 
 
+# `all --threads 2` with indices blocked, run as a caller process whose
+# worker says on stdout when its mobile branch is done. The caller is handed
+# a pipe's write end, unused, which its worker inherits.
+CALLER_BLOCKED_IN_INDICES = """
+import os, sys, time
+from foodsec import cli
+
+mobile_stages = cli._mobile_stages
+
+def announced(*args):
+    mobile = mobile_stages(*args)
+    os.write(1, b"mobile done\\n")
+    return mobile
+
+cli._mobile_stages = announced
+cli._stage_indices = lambda *args, **kwargs: time.sleep(60)
+os.sched_getaffinity = lambda pid: {0, 1}
+cli.main(sys.argv[1:])
+"""
+
+
 class TestAllInAWorker:
     """At --threads 2 or more, with as many usable CPUs, `all` forks one
-    worker for features, aggregate and rolling. The CPUs are patched, so the
-    forked path runs on any host."""
+    worker for features, aggregate, rolling, null and fit. The CPUs are
+    patched, so the forked path runs on any host."""
 
     @staticmethod
     def args(in_dir, out, threads, *extra):
@@ -566,17 +590,23 @@ class TestAllInAWorker:
         ("strict", 2, "unparsable timestamp"),
         ("window-days", 2, "shorter than the 400-day window"),
         ("window-days-and-survey", 2, "shorter than the 400-day window"),
+        ("survey", 2, "line 152: expected 38 fields, got 1"),
+        ("target", 1, "unknown survey column(s) bogus"),
     ])
     def test_an_error_is_reported_as_in_serial_order(self, half_year, tmp_path, monkeypatch,
                                                      capsys, case, code, message):
         """The worker's night-window error; the worker's cdr error before the
         parent's survey error; rolling's error, met before the survey side,
-        so also before a survey error."""
-        in_dir = half_year / {"strict": "bad", "window-days-and-survey": "survey"}.get(
-            case, "clean")
+        so also before a survey error; the parent's survey error, with the
+        worker waiting for the survey matrix; fit's error in the worker,
+        after correlate and the null have written their files."""
+        in_dir = half_year / {"strict": "bad", "window-days-and-survey": "survey",
+                              "survey": "survey"}.get(case, "clean")
         extra = {"night-window": ["--night-window", "18:00-18:00"], "strict": ["--strict"],
                  "window-days": ["--window-days", "400"],
-                 "window-days-and-survey": ["--strict", "--window-days", "400"]}[case]
+                 "window-days-and-survey": ["--strict", "--window-days", "400"],
+                 "survey": ["--strict"], "target": ["--target", "bogus"]}[case]
+        written = {"target": ["correlations.csv", "null_summary.csv"]}.get(case, [])
         lines = []
         for threads in (1, 2):
             out = tmp_path / str(threads)
@@ -584,6 +614,7 @@ class TestAllInAWorker:
             assert run_counting_forks(monkeypatch, args) == (code, threads - 1)
             assert not (out / "run_manifest.json").exists()
             assert not (out / "model_food_expenditure.csv").exists()
+            assert all((out / name).exists() for name in written)
             lines.append(capsys.readouterr().err.splitlines()[-1])
         assert lines[0] == lines[1]
         assert message in lines[0]
@@ -612,6 +643,57 @@ class TestAllInAWorker:
         args = self.args(small_dataset[1]["cdr"].parent, tmp_path, 1)
         assert run_counting_forks(monkeypatch, args) == (0, 0)
         assert alive == [[False, False]]
+
+    def test_stages_run_where_the_split_puts_them(self, small_dataset, tmp_path, monkeypatch):
+        """Indices and correlate in the caller, the other five stages in the
+        one worker. The wrappers are patched in before the fork, so the
+        worker runs them too."""
+        log = tmp_path / "stages.txt"
+
+        def placed(stage):
+            @functools.wraps(stage)
+            def wrapper(*args, **kwargs):
+                with open(log, "a", encoding="utf-8") as f:
+                    f.write(f"{stage.__name__.removeprefix('_stage_')} {os.getpid()}\n")
+                return stage(*args, **kwargs)
+            return wrapper
+
+        for name in ("features", "aggregate", "rolling", "indices", "correlate", "null", "fit"):
+            monkeypatch.setattr(f"foodsec.cli._stage_{name}",
+                                placed(getattr(foodsec.cli, f"_stage_{name}")))
+        args = self.args(small_dataset[1]["cdr"].parent, tmp_path / "out", 2)
+        assert run_counting_forks(monkeypatch, args) == (0, 1)
+        pids = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+        caller = str(os.getpid())
+        assert {name for name, pid in pids.items() if pid == caller} == {"indices", "correlate"}
+        assert len({pid for pid in pids.values() if pid != caller}) == 1
+        assert len(pids) == 7
+
+    def test_a_worker_waiting_for_the_survey_leaves_when_its_caller_is_killed(
+            self, small_dataset, tmp_path):
+        src = str(Path(foodsec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        args = [str(a) for a in self.args(small_dataset[1]["cdr"].parent, tmp_path, 2)]
+        read_fd, write_fd = os.pipe()
+        caller = subprocess.Popen([sys.executable, "-c", CALLER_BLOCKED_IN_INDICES, *args],
+                                  env=env, pass_fds=(write_fd,), stdout=subprocess.PIPE,
+                                  start_new_session=True)
+        os.close(write_fd)
+        try:
+            assert select.select([caller.stdout], [], [], 60)[0], "no mobile branch in 60 s"
+            assert caller.stdout.readline() == b"mobile done\n"
+            time.sleep(0.5)  # the worker sends the mobile matrix and waits for the byte
+            caller.kill()
+            caller.wait()
+            # the worker holds the last write end: end of file once it has left
+            assert select.select([read_fd], [], [], 5)[0], "the worker outlived its caller by 5 s"
+            assert os.read(read_fd, 1) == b""
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(caller.pid, signal.SIGKILL)
+            caller.wait()
+            caller.stdout.close()
+            os.close(read_fd)
 
     def test_a_killed_worker_is_an_internal_error(self, small_dataset, tmp_path, monkeypatch):
         caller = os.getpid()
@@ -1143,15 +1225,20 @@ class TestInputContracts:
         assert not (tmp_path / "out" / "run_manifest.json").exists()
 
     def test_all_reports_an_empty_join_as_correlate_does(self, medium_dataset, tmp_path,
-                                                          capsys):
+                                                          capsys, monkeypatch):
+        """At --threads 2 the worker's null fails on the empty join too, and
+        correlate's error, earlier in serial order, wins."""
         _, paths = medium_dataset
-        rc = run(["all", "--in", paths["cdr"].parent, "--out", tmp_path,
-                  "--seed", "1", "--trials", "5", "--min-users", "100000"])
-        assert rc == 2
-        assert "no defined correlations: do the matrices share sectors?" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "run_manifest.json").exists()
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            rc = run_counting_forks(monkeypatch, [
+                "all", "--in", paths["cdr"].parent, "--out", out, "--seed", "1",
+                "--trials", "5", "--min-users", "100000", "--threads", threads])
+            assert rc == (2, threads - 1)
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "data error: no defined correlations: do the matrices share sectors?"
+            )
+            assert not (out / "run_manifest.json").exists()
 
     def test_failed_rerun_leaves_no_stale_manifest(self, medium_dataset, tmp_path):
         _, paths = medium_dataset
