@@ -24,7 +24,6 @@ import contextlib
 import hashlib
 import json
 import logging
-import os
 import sys
 import traceback
 from dataclasses import replace
@@ -53,6 +52,7 @@ from .correlate import (
 from .features import read_user_features, user_features, write_user_features
 from .indices import (
     COMPOSITE_CATEGORIES,
+    COUNT_COLUMN,
     build_survey_matrix,
     load_csi_weights,
     load_fcs_weights,
@@ -148,8 +148,7 @@ NULL = _declare(
 ) | {"seed": partial(SEED["seed"], required=True)}  # synth's seed is optional
 THREADS = _declare(  # it changes no output, so no manifest records it
     threads=dict(type=click.IntRange(min=1), default=1, show_default=True,
-                 help="at most N processes: at 2 or more, a worker runs all stages but indices "
-                 "and correlate"),
+                 help="at most N processes: at 2 or more, a worker runs all stages but correlate"),
 )
 FIT = _declare(
     target=dict(required=True, help="survey column to model"),
@@ -338,7 +337,7 @@ def _stage_indices(inputs, out, strict, variables=None):
     matrix, categories, incomplete = build_survey_matrix(
         table, fcs_weights=fcs, csi_weights=csi, poverty=pov, variables=wanted
     )
-    write_sector_matrix(matrix, out / "sector_survey.csv", count_column="n_households")
+    write_sector_matrix(matrix, out / "sector_survey.csv", count_column=COUNT_COLUMN)
     stats = {"row_errors": {"survey": errors.count}}
     if incomplete:
         stats["incomplete_households"] = incomplete
@@ -366,6 +365,10 @@ def _stage_null(mobile, survey, out, trials, seed):
 
 
 def _stage_fit(mobile, survey, out, target, variables, degree, scatter_data):
+    """``target`` also names the files, so it may hold no '/' or NUL."""
+    if "/" in target or "\0" in target:
+        raise ConfigError(f"config key 'target': {target!r} holds '/' or NUL, so it names no "
+                          "model file")
     model, joined, y = fit_from_matrices(mobile, survey, target, degree=degree,
                                          variables=split_list("variables", variables))
     outputs = [f"model_{target}.csv"]
@@ -390,7 +393,7 @@ def _read_matrices(inputs: dict) -> tuple:
     """The (mobile, survey) sector matrices of a command's inputs."""
     return (
         read_sector_matrix(inputs["mobile"]),
-        read_sector_matrix(inputs["survey_matrix"], count_column="n_households"),
+        read_sector_matrix(inputs["survey_matrix"], count_column=COUNT_COLUMN),
     )
 
 
@@ -534,53 +537,43 @@ def verify(truth, outputs, out):
 def run_all(out, threads, **settings):
     """Run the full chain: features, aggregate, rolling, indices, correlate,
     null, fit, each as its subcommand would with these options (``in``, a
-    Python keyword, arrives in ``settings``); at 2 or more ``threads`` and
-    CPUs, a forked worker runs all but indices and correlate, and starts
-    null and fit on ``sector_survey.csv`` when a byte on a pipe says so."""
+    Python keyword, arrives in ``settings``). Job 0 runs the stages up to
+    indices and job 1 null and fit on its matrices; at 2 or more ``threads``
+    and CPUs one forked worker runs both jobs and sends job 0's matrices
+    back, so that this process only correlates."""
     paths = {name: Path(settings["in"]) / f"{name}.csv" for name in ALL_INPUTS}
     run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
-    if worker_count(threads) < 2:
-        mobile = _mobile_stages(run, settings)
-        survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-        run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
-        run(_stage_null, mobile, survey, **_pick(NULL, settings))
-        run(_stage_fit, mobile, survey, **_pick(FIT, settings))
-        return run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
-    ready_fd, go_fd = os.pipe()
 
     def job(i):
-        nonlocal mobile
+        nonlocal mobile, survey, categories
         if i == 0:
-            go.close()  # so that the worker reads end of file if this process dies
             mobile = _mobile_stages(run, settings)
-            return mobile
-        if not ready.read(1):
-            raise EOFError("the first process of `all` ended")
-        survey = read_sector_matrix(run.out / "sector_survey.csv", count_column="n_households")
+            survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
+            return mobile, survey, categories
         run(_stage_null, mobile, survey, **_pick(NULL, settings))
         run(_stage_fit, mobile, survey, **_pick(FIT, settings))
-        return run.outputs, run.stats  # the worker's stages and files
+        return run.outputs, run.stats  # the stages and files of the process that ran it
 
-    with open(ready_fd, "rb", buffering=0) as ready, open(go_fd, "wb", buffering=0) as go, \
-            forked(job, 2, 1) as results:
-        try:
-            survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-        except Exception:
-            next(results)  # as in serial order, the worker's error comes first
-            raise
-        go.write(b"\0")  # the read end is open here, so this can neither fail nor block
-        try:
-            scipy_special()  # its first import overlaps the worker's stages
-            mobile = next(results)
-            run(_stage_correlate, mobile, survey, categories=categories,
-                **_pick(CORRELATE, settings))
-        except Exception:
-            with contextlib.suppress(Exception):
-                list(results)  # the worker finishes its files; its error comes later
-            raise
-        outputs, stats = next(results)
-    run.outputs.extend(outputs)  # the worker recorded them in its own copy of ``run``
-    run.stats.update(stats)
+    def correlate():
+        run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
+
+    if worker_count(threads) < 2:
+        mobile, survey, categories = job(0)
+        correlate()
+        job(1)
+    else:
+        with forked(job, 2, 1) as results:
+            try:
+                scipy_special()  # its first import overlaps the worker's stages
+                mobile, survey, categories = next(results)
+                correlate()
+            except Exception:
+                with contextlib.suppress(Exception):
+                    list(results)  # the worker finishes its files; its error comes later
+                raise
+            outputs, stats = next(results)
+        run.outputs.extend(outputs)  # the worker recorded them in its own copy of ``run``
+        run.stats.update(stats)
     run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
 
 

@@ -38,6 +38,8 @@ DEFAULT_FCS_WEIGHTS = {
 }
 # heatmap category tags of the composite columns build_survey_matrix appends
 COMPOSITE_CATEGORIES = {"fcs_mean": "composite", "csi_mean": "composite", "mpi": "poverty"}
+# the households behind each sector's means, a column of sector_survey.csv
+COUNT_COLUMN = "n_households"
 
 # column -> its answer: a number, or an array with one value per household
 Answers = Mapping[str, Union[float, np.ndarray]]
@@ -184,15 +186,16 @@ def build_survey_matrix(
     of that mean; a sector without a scored household has none. An answer
     outside the index's range is a :class:`FormatError`. MPI is undefined
     for sectors missing from the poverty table. A survey variable named
-    after a composite column is a :class:`FormatError`.
+    after a composite column or ``COUNT_COLUMN`` is a :class:`FormatError`.
 
     Returns the matrix, a column -> category map for heatmap output, and the
     number of households left out of each composite mean (only those with
     any).
     """
-    clash = [v for v in table.variables if v in COMPOSITE_CATEGORIES]
-    if clash:
-        raise FormatError(f"survey: variable {clash[0]!r} has the name of a composite column")
+    for v in table.variables:
+        if v in COMPOSITE_CATEGORIES or v == COUNT_COLUMN:
+            kind = "the count column" if v == COUNT_COLUMN else "a composite column"
+            raise FormatError(f"survey: variable {v!r} has the name of {kind}")
     scores: dict[str, np.ndarray] = {}
     incomplete: dict[str, int] = {}
     for name, index, weights in (

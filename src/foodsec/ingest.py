@@ -18,7 +18,7 @@ its codes and whether its local time of day fell in the night window.
 The data readers (``survey.csv`` too) share one chunk reader,
 :func:`_read_chunks`, which owns the row structure: blank lines, the
 header's field count, empty IDs and line numbers. A chunk free of quotes,
-carriage returns, NULs and such row faults is split in bulk, any other
+carriage returns and such row faults is split in bulk, any other
 goes through the csv row loop; either way one typed rule per reader, built
 on :func:`_timestamps` and :func:`_numbers`, turns the rows' field texts
 into columns and names the rows it refuses, so a timestamp of the fixed
@@ -273,11 +273,11 @@ _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS
 
 def _split_chunk(text: str, n_fields: int, ids: int) -> list[str] | None:
     """The fields of ``text``, row after row, each line holding ``n_fields``;
-    None if it holds a carriage return (a line end of its own when lone) or
-    NUL (an error to csv before Python 3.11), a line with another number of
-    fields (blank lines included), an empty field among the first ``ids``,
-    or a field longer than the csv field limit. Quotes never get here."""
-    if "\r" in text or "\0" in text:
+    None if it holds a carriage return (a line end of its own when lone), a
+    line with another number of fields (blank lines included), an empty
+    field among the first ``ids``, or a field longer than the csv field
+    limit. Quotes never get here."""
+    if "\r" in text:
         return None
     if n_fields == 1 and (text.startswith("\n") or "\n\n" in text):
         return None  # a blank line: with one field a line has no comma, as it has

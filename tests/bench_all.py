@@ -10,7 +10,7 @@ runs as a fresh ``python -m foodsec.cli`` child, as perfbench times it, in
 alternating order over 10 pairs; the medians of wall time, their ratio and
 the median peak RSS of each setting, the statistic perfbench reports, are
 printed. At ``--threads 2`` and two or more usable CPUs, ``all`` runs all
-its stages but indices and correlate in a forked worker, so the ratio shows
+its stages but correlate in a forked worker, so the ratio shows
 what that split saves on this host. No timing is asserted. Every artifact
 and the manifest must be the same at both settings.
 """

@@ -520,22 +520,26 @@ def run_counting_forks(monkeypatch, args, cpus=2):
     return rc, len(forks)
 
 
-# `all --threads 2` with indices blocked, run as a caller process whose
-# worker says on stdout when its mobile branch is done. The caller is handed
-# a pipe's write end, unused, which its worker inherits.
-CALLER_BLOCKED_IN_INDICES = """
+# `all --threads 2`, run as a caller process whose worker says on stdout
+# when its mobile branch is done and then sleeps 3 s in indices. The caller
+# is handed a pipe's write end, unused, which its worker inherits.
+CALLER_OF_A_SLOW_WORKER = """
 import os, sys, time
 from foodsec import cli
 
-mobile_stages = cli._mobile_stages
+mobile_stages, stage_indices = cli._mobile_stages, cli._stage_indices
 
 def announced(*args):
     mobile = mobile_stages(*args)
     os.write(1, b"mobile done\\n")
     return mobile
 
+def slow_indices(*args, **kwargs):
+    time.sleep(3)
+    return stage_indices(*args, **kwargs)
+
 cli._mobile_stages = announced
-cli._stage_indices = lambda *args, **kwargs: time.sleep(60)
+cli._stage_indices = slow_indices
 os.sched_getaffinity = lambda pid: {0, 1}
 cli.main(sys.argv[1:])
 """
@@ -543,7 +547,7 @@ cli.main(sys.argv[1:])
 
 class TestAllInAWorker:
     """At --threads 2 or more, with as many usable CPUs, `all` forks one
-    worker for features, aggregate, rolling, null and fit. The CPUs are
+    worker for every stage but correlate. The CPUs are
     patched, so the forked path runs on any host."""
 
     @staticmethod
@@ -595,11 +599,11 @@ class TestAllInAWorker:
     ])
     def test_an_error_is_reported_as_in_serial_order(self, half_year, tmp_path, monkeypatch,
                                                      capsys, case, code, message):
-        """The worker's night-window error; the worker's cdr error before the
-        parent's survey error; rolling's error, met before the survey side,
-        so also before a survey error; the parent's survey error, with the
-        worker waiting for the survey matrix; fit's error in the worker,
-        after correlate and the null have written their files."""
+        """The night-window error; the cdr error before the survey error;
+        rolling's error, met before the survey side, so also before a survey
+        error; the survey error, in the worker's first job; fit's error in
+        the worker's second job, after correlate and the null have written
+        their files."""
         in_dir = half_year / {"strict": "bad", "window-days-and-survey": "survey",
                               "survey": "survey"}.get(case, "clean")
         extra = {"night-window": ["--night-window", "18:00-18:00"], "strict": ["--strict"],
@@ -618,6 +622,37 @@ class TestAllInAWorker:
             lines.append(capsys.readouterr().err.splitlines()[-1])
         assert lines[0] == lines[1]
         assert message in lines[0]
+
+    @pytest.fixture(scope="class")
+    def renamed(self, half_year):
+        """Copies of the clean data whose survey variable household_size is
+        named n_households, the count column of sector_survey.csv, or a/b,
+        which names no file."""
+        for copy, name in (("count", "n_households"), ("slash", "a/b")):
+            shutil.copytree(half_year / "clean", half_year / copy)
+            for file in ("survey.csv", "survey_meta.csv"):
+                path = half_year / copy / file
+                text = path.read_text(encoding="utf-8")
+                assert text.count("household_size") == 1
+                path.write_text(text.replace("household_size", name), encoding="utf-8")
+        return half_year
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("copy, extra, code, message", [
+        ("count", [], 2,
+         "data error: survey: variable 'n_households' has the name of the count column"),
+        ("slash", ["--target", "a/b", "--degree", "1", "--variables", "topup_sum.mean"], 1,
+         "error: config key 'target': 'a/b' holds '/' or NUL"),
+    ])
+    def test_a_survey_column_that_cannot_be_written_is_refused(
+            self, renamed, tmp_path, monkeypatch, capsys, threads, copy, extra, code, message):
+        """A variable named after the count column would be written twice, a
+        target holding '/' would name a file in no directory: both are
+        refused, not exit 3 or an unreadable sector_survey.csv."""
+        args = self.args(renamed / copy, tmp_path, threads, *extra)
+        assert run_counting_forks(monkeypatch, args) == (code, threads - 1)
+        assert not (tmp_path / "run_manifest.json").exists()
+        assert capsys.readouterr().err.splitlines()[-1].startswith(message)
 
     def test_serial_run_frees_the_mobile_inputs_before_the_survey_side(
             self, small_dataset, tmp_path, monkeypatch):
@@ -645,9 +680,9 @@ class TestAllInAWorker:
         assert alive == [[False, False]]
 
     def test_stages_run_where_the_split_puts_them(self, small_dataset, tmp_path, monkeypatch):
-        """Indices and correlate in the caller, the other five stages in the
-        one worker. The wrappers are patched in before the fork, so the
-        worker runs them too."""
+        """Correlate in the caller, the other six stages in the one worker.
+        The wrappers are patched in before the fork, so the worker runs them
+        too."""
         log = tmp_path / "stages.txt"
 
         def placed(stage):
@@ -665,28 +700,29 @@ class TestAllInAWorker:
         assert run_counting_forks(monkeypatch, args) == (0, 1)
         pids = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
         caller = str(os.getpid())
-        assert {name for name, pid in pids.items() if pid == caller} == {"indices", "correlate"}
+        assert {name for name, pid in pids.items() if pid == caller} == {"correlate"}
         assert len({pid for pid in pids.values() if pid != caller}) == 1
         assert len(pids) == 7
 
-    def test_a_worker_waiting_for_the_survey_leaves_when_its_caller_is_killed(
-            self, small_dataset, tmp_path):
+    def test_a_worker_leaves_when_its_caller_is_killed(self, small_dataset, tmp_path):
+        """The caller dies while its worker is in indices: the worker's write
+        of its first result fails when the sleep ends, and it leaves."""
         src = str(Path(foodsec.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         args = [str(a) for a in self.args(small_dataset[1]["cdr"].parent, tmp_path, 2)]
         read_fd, write_fd = os.pipe()
-        caller = subprocess.Popen([sys.executable, "-c", CALLER_BLOCKED_IN_INDICES, *args],
+        caller = subprocess.Popen([sys.executable, "-c", CALLER_OF_A_SLOW_WORKER, *args],
                                   env=env, pass_fds=(write_fd,), stdout=subprocess.PIPE,
                                   start_new_session=True)
         os.close(write_fd)
         try:
             assert select.select([caller.stdout], [], [], 60)[0], "no mobile branch in 60 s"
             assert caller.stdout.readline() == b"mobile done\n"
-            time.sleep(0.5)  # the worker sends the mobile matrix and waits for the byte
             caller.kill()
             caller.wait()
-            # the worker holds the last write end: end of file once it has left
-            assert select.select([read_fd], [], [], 5)[0], "the worker outlived its caller by 5 s"
+            # the worker holds the last write end: end of file once it has left,
+            # at most 5 s after its 3 s sleep
+            assert select.select([read_fd], [], [], 3 + 5)[0], "the worker stayed"
             assert os.read(read_fd, 1) == b""
         finally:
             with contextlib.suppress(ProcessLookupError):

@@ -272,7 +272,7 @@ class TestBuildSurveyMatrix:
         assert matrix.columns == ["expense", "fcs_mean", "csi_mean", "mpi"]
         assert categories["expense"] == "V3"
 
-    @pytest.mark.parametrize("name", ["fcs_mean", "csi_mean", "mpi"])
+    @pytest.mark.parametrize("name", ["fcs_mean", "csi_mean", "mpi", "n_households"])
     def test_variable_named_after_a_composite_is_refused(self, name):
         """Its column would be written twice, which no reader takes back."""
         table = load_survey(stream(f"household_id,sector_id,staples,{name}\nh1,s1,7,0.5\n"
