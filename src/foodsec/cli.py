@@ -20,10 +20,10 @@ row errors under --strict and failed verification), 3 internal error.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -148,7 +148,8 @@ NULL = _declare(
 ) | {"seed": partial(SEED["seed"], required=True)}  # synth's seed is optional
 THREADS = _declare(  # it changes no output, so no manifest records it
     threads=dict(type=click.IntRange(min=1), default=1, show_default=True,
-                 help="at most N processes: at 2 or more, a worker runs all stages but correlate"),
+                 help="at most N processes: correlate runs last, and at 2 or more the other "
+                 "stages run in one worker"),
 )
 FIT = _declare(
     target=dict(required=True, help="survey column to model"),
@@ -365,16 +366,22 @@ def _stage_null(mobile, survey, out, trials, seed):
 
 
 def _stage_fit(mobile, survey, out, target, variables, degree, scatter_data):
-    """``target`` also names the files, so it may hold no '/' or NUL."""
+    """``target`` also names the files, so it may hold no '/' or NUL, and the
+    longest of them may take no more bytes than a file name in ``out``."""
+    outputs = [f"model_{target}.csv"]
+    if scatter_data:
+        outputs.append(f"scatter_{target}.csv")
     if "/" in target or "\0" in target:
         raise ConfigError(f"config key 'target': {target!r} holds '/' or NUL, so it names no "
                           "model file")
+    size, limit = len(os.fsencode(outputs[-1])), os.pathconf(out, "PC_NAME_MAX")
+    if size > limit:
+        raise ConfigError(f"config key 'target': {outputs[-1]!r} takes {size} bytes, more "
+                          f"than the {limit} a file name may have")
     model, joined, y = fit_from_matrices(mobile, survey, target, degree=degree,
                                          variables=split_list("variables", variables))
-    outputs = [f"model_{target}.csv"]
     write_model(model, out / outputs[0])
     if scatter_data:
-        outputs.append(f"scatter_{target}.csv")
         write_scatter_data(joined.sectors, predict_rows(model, joined), y, out / outputs[1])
     return model, outputs, {"fit_r": model.fit_r, "n": model.n}
 
@@ -535,45 +542,31 @@ def verify(truth, outputs, out):
      "degree": partial(FIT["degree"], default=2)},
 ))
 def run_all(out, threads, **settings):
-    """Run the full chain: features, aggregate, rolling, indices, correlate,
-    null, fit, each as its subcommand would with these options (``in``, a
-    Python keyword, arrives in ``settings``). Job 0 runs the stages up to
-    indices and job 1 null and fit on its matrices; at 2 or more ``threads``
-    and CPUs one forked worker runs both jobs and sends job 0's matrices
-    back, so that this process only correlates."""
+    """Run the full chain: features, aggregate, rolling, indices, null, fit,
+    correlate, each as its subcommand would with these options (``in``, a
+    Python keyword, arrives in ``settings``): one job runs every stage but
+    correlate, then this process correlates. At 2 or more ``threads`` and
+    CPUs a forked worker runs the job and sends its matrices back, so the
+    process that imports ``scipy.special`` never holds the null."""
     paths = {name: Path(settings["in"]) / f"{name}.csv" for name in ALL_INPUTS}
     run = _Run(out, **{k: p for k, p in paths.items() if k not in ALL_OPTIONAL or p.exists()})
 
-    def job(i):
-        nonlocal mobile, survey, categories
-        if i == 0:
-            mobile = _mobile_stages(run, settings)
-            survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
-            return mobile, survey, categories
+    def job(_):
+        mobile = _mobile_stages(run, settings)
+        survey, categories = run(_stage_indices, run.inputs, **_pick(STRICT, settings))
         run(_stage_null, mobile, survey, **_pick(NULL, settings))
         run(_stage_fit, mobile, survey, **_pick(FIT, settings))
-        return run.outputs, run.stats  # the stages and files of the process that ran it
-
-    def correlate():
-        run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
+        return mobile, survey, categories, run.outputs, run.stats
 
     if worker_count(threads) < 2:
-        mobile, survey, categories = job(0)
-        correlate()
-        job(1)
+        result = job(0)
     else:
-        with forked(job, 2, 1) as results:
-            try:
-                scipy_special()  # its first import overlaps the worker's stages
-                mobile, survey, categories = next(results)
-                correlate()
-            except Exception:
-                with contextlib.suppress(Exception):
-                    list(results)  # the worker finishes its files; its error comes later
-                raise
-            outputs, stats = next(results)
-        run.outputs.extend(outputs)  # the worker recorded them in its own copy of ``run``
-        run.stats.update(stats)
+        with forked(job, 1, 1) as results:
+            scipy_special()  # its first import overlaps the worker's stages
+            result = next(results)
+    # a worker recorded its stages and files in its own copy of ``run``
+    mobile, survey, categories, run.outputs, run.stats = result
+    run(_stage_correlate, mobile, survey, categories=categories, **_pick(CORRELATE, settings))
     run.finish(f"wrote {len(run.outputs)} artifact(s) to {run.out}", settings["seed"])
 
 

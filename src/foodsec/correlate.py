@@ -100,7 +100,9 @@ def _r_from_sums(sxy, sxx, syy):
 def scipy_special():
     """``scipy.special``, which p-values and confidence intervals take their
     functions from; its first import after ``foodsec.cli`` takes 0.16-0.30 s
-    on 2 vCPUs and lifts resident memory from 36 to 55 MiB."""
+    on 2 vCPUs and lifts resident memory from 36 to 55 MiB. ``all`` imports
+    it where the null's buffers are not held: after the null has freed them
+    at ``--threads 1``, and beside the worker that runs the null otherwise."""
     from scipy import special
 
     return special
@@ -310,6 +312,9 @@ def shuffle_null(
         raise ValueError("trials must be >= 1")
     x, y = (m.values for m in join_sectors(mobile, survey))
     n = x.shape[0]
+    if n < 3:
+        raise FormatError(f"no defined correlation in any null trial: the matrices share {n} "
+                          "sector(s), fewer than the 3 a correlation needs")
     children = np.random.SeedSequence(seed).spawn(trials)
     grids = _corr_kernel(x, y)
     batch = max(1, _BATCH_ELEMENTS // max(1, y.size))

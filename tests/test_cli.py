@@ -133,7 +133,10 @@ class TestExitCodes:
                   "--survey-matrix", tmp_path / "survey.csv",
                   "--trials", "5", "--seed", "1", "--out", tmp_path / "out"])
         assert rc == 2
-        assert "data error" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: no defined correlation in any null trial: the matrices share 2 "
+            "sector(s), fewer than the 3 a correlation needs"
+        )
 
     def test_correlate_at_extreme_scales_is_not_an_internal_error(self, tmp_path):
         """On the masked pair, sxx * syy underflows to 0 at these scales."""
@@ -520,6 +523,11 @@ def run_counting_forks(monkeypatch, args, cpus=2):
     return rc, len(forks)
 
 
+# a survey column whose scatter_<name>.csv takes 256 bytes, one more than a
+# file name may have on the usual file systems, while model_<name>.csv fits
+LONG = "x" * 244
+
+
 # `all --threads 2`, run as a caller process whose worker says on stdout
 # when its mobile branch is done and then sleeps 3 s in indices. The caller
 # is handed a pipe's write end, unused, which its worker inherits.
@@ -601,34 +609,38 @@ class TestAllInAWorker:
                                                      capsys, case, code, message):
         """The night-window error; the cdr error before the survey error;
         rolling's error, met before the survey side, so also before a survey
-        error; the survey error, in the worker's first job; fit's error in
-        the worker's second job, after correlate and the null have written
-        their files."""
+        error; the survey error in indices; fit's error after the null has
+        written its file and before correlate, which runs last. Each leaves
+        the same files at --threads 1 and 2."""
         in_dir = half_year / {"strict": "bad", "window-days-and-survey": "survey",
                               "survey": "survey"}.get(case, "clean")
         extra = {"night-window": ["--night-window", "18:00-18:00"], "strict": ["--strict"],
                  "window-days": ["--window-days", "400"],
                  "window-days-and-survey": ["--strict", "--window-days", "400"],
                  "survey": ["--strict"], "target": ["--target", "bogus"]}[case]
-        written = {"target": ["correlations.csv", "null_summary.csv"]}.get(case, [])
-        lines = []
+        written = {"target": ["null_summary.csv"]}.get(case, [])
+        lines, left = [], []
         for threads in (1, 2):
             out = tmp_path / str(threads)
             args = self.args(in_dir, out, threads, *extra)
             assert run_counting_forks(monkeypatch, args) == (code, threads - 1)
             assert not (out / "run_manifest.json").exists()
             assert not (out / "model_food_expenditure.csv").exists()
+            assert not (out / "correlations.csv").exists()
             assert all((out / name).exists() for name in written)
             lines.append(capsys.readouterr().err.splitlines()[-1])
+            left.append(sorted(p.name for p in out.iterdir()))
         assert lines[0] == lines[1]
         assert message in lines[0]
+        assert left[0] == left[1]
 
     @pytest.fixture(scope="class")
     def renamed(self, half_year):
         """Copies of the clean data whose survey variable household_size is
-        named n_households, the count column of sector_survey.csv, or a/b,
-        which names no file."""
-        for copy, name in (("count", "n_households"), ("slash", "a/b")):
+        named n_households, the count column of sector_survey.csv; a/b,
+        which names no file; or LONG, whose scatter file name is one byte
+        longer than a name may be."""
+        for copy, name in (("count", "n_households"), ("slash", "a/b"), ("long", LONG)):
             shutil.copytree(half_year / "clean", half_year / copy)
             for file in ("survey.csv", "survey_meta.csv"):
                 path = half_year / copy / file
@@ -643,12 +655,16 @@ class TestAllInAWorker:
          "data error: survey: variable 'n_households' has the name of the count column"),
         ("slash", ["--target", "a/b", "--degree", "1", "--variables", "topup_sum.mean"], 1,
          "error: config key 'target': 'a/b' holds '/' or NUL"),
+        pytest.param("long", ["--target", LONG, "--degree", "1", "--variables", "topup_sum.mean",
+                              "--scatter-data"], 1,
+                     f"error: config key 'target': 'scatter_{LONG}.csv' takes 256 bytes", id="long"),
     ])
     def test_a_survey_column_that_cannot_be_written_is_refused(
             self, renamed, tmp_path, monkeypatch, capsys, threads, copy, extra, code, message):
         """A variable named after the count column would be written twice, a
-        target holding '/' would name a file in no directory: both are
-        refused, not exit 3 or an unreadable sector_survey.csv."""
+        target holding '/' would name a file in no directory, a long one a
+        file no directory can hold: each is refused, not exit 3 or an
+        unreadable sector_survey.csv."""
         args = self.args(renamed / copy, tmp_path, threads, *extra)
         assert run_counting_forks(monkeypatch, args) == (code, threads - 1)
         assert not (tmp_path / "run_manifest.json").exists()
@@ -680,9 +696,10 @@ class TestAllInAWorker:
         assert alive == [[False, False]]
 
     def test_stages_run_where_the_split_puts_them(self, small_dataset, tmp_path, monkeypatch):
-        """Correlate in the caller, the other six stages in the one worker.
-        The wrappers are patched in before the fork, so the worker runs them
-        too."""
+        """The stages run in one order, correlate last, at --threads 1 and 2:
+        all in the caller at 1, correlate in the caller and the other six in
+        the one worker at 2. The wrappers are patched in before the fork, so
+        the worker runs them too."""
         log = tmp_path / "stages.txt"
 
         def placed(stage):
@@ -693,20 +710,27 @@ class TestAllInAWorker:
                 return stage(*args, **kwargs)
             return wrapper
 
-        for name in ("features", "aggregate", "rolling", "indices", "correlate", "null", "fit"):
+        order = ["features", "aggregate", "rolling", "indices", "null", "fit", "correlate"]
+        for name in order:
             monkeypatch.setattr(f"foodsec.cli._stage_{name}",
                                 placed(getattr(foodsec.cli, f"_stage_{name}")))
-        args = self.args(small_dataset[1]["cdr"].parent, tmp_path / "out", 2)
-        assert run_counting_forks(monkeypatch, args) == (0, 1)
-        pids = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
         caller = str(os.getpid())
-        assert {name for name, pid in pids.items() if pid == caller} == {"correlate"}
-        assert len({pid for pid in pids.values() if pid != caller}) == 1
-        assert len(pids) == 7
+        for threads in (1, 2):
+            log.unlink(missing_ok=True)
+            args = self.args(small_dataset[1]["cdr"].parent, tmp_path / str(threads), threads)
+            assert run_counting_forks(monkeypatch, args) == (0, threads - 1)
+            names, pids = zip(*(line.split() for line in
+                                log.read_text(encoding="utf-8").splitlines()))
+            assert list(names) == order
+            if threads == 1:
+                assert set(pids) == {caller}
+            else:
+                assert pids[-1] == caller
+                assert len(set(pids[:-1])) == 1 and caller not in pids[:-1]
 
     def test_a_worker_leaves_when_its_caller_is_killed(self, small_dataset, tmp_path):
         """The caller dies while its worker is in indices: the worker's write
-        of its first result fails when the sleep ends, and it leaves."""
+        of its result fails once its stages end, and it leaves."""
         src = str(Path(foodsec.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         args = [str(a) for a in self.args(small_dataset[1]["cdr"].parent, tmp_path, 2)]
@@ -1260,10 +1284,10 @@ class TestInputContracts:
         assert "no defined correlations" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run_manifest.json").exists()
 
-    def test_all_reports_an_empty_join_as_correlate_does(self, medium_dataset, tmp_path,
-                                                          capsys, monkeypatch):
-        """At --threads 2 the worker's null fails on the empty join too, and
-        correlate's error, earlier in serial order, wins."""
+    def test_all_reports_an_empty_join_as_null_does(self, medium_dataset, tmp_path, capsys,
+                                                    monkeypatch):
+        """The null, met before correlate, names the sectors the matrices
+        share, at --threads 1 and 2."""
         _, paths = medium_dataset
         for threads in (1, 2):
             out = tmp_path / str(threads)
@@ -1272,7 +1296,8 @@ class TestInputContracts:
                 "--trials", "5", "--min-users", "100000", "--threads", threads])
             assert rc == (2, threads - 1)
             assert capsys.readouterr().err.splitlines()[-1] == (
-                "data error: no defined correlations: do the matrices share sectors?"
+                "data error: no defined correlation in any null trial: the matrices share 0 "
+                "sector(s), fewer than the 3 a correlation needs"
             )
             assert not (out / "run_manifest.json").exists()
 

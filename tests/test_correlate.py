@@ -566,7 +566,12 @@ class TestShuffleNull:
     def test_no_defined_correlation_is_a_data_error(self):
         mobile = matrix(["a", "b"], ["m"], [[1.0], [2.0]])
         survey = matrix(["a", "b"], ["v"], [[1.0], [3.0]])
-        with pytest.raises(FormatError, match="no defined correlation"):
+        with pytest.raises(FormatError, match="no defined correlation .* share 2 sector"):
+            shuffle_null(mobile, survey, trials=5, seed=0)
+        # three shared sectors, but the survey column does not vary
+        mobile = matrix(["a", "b", "c"], ["m"], [[1.0], [2.0], [4.0]])
+        survey = matrix(["a", "b", "c"], ["v"], [[3.0], [3.0], [3.0]])
+        with pytest.raises(FormatError, match="do 3\\+ sectors vary"):
             shuffle_null(mobile, survey, trials=5, seed=0)
 
     def test_different_seeds_differ(self):
